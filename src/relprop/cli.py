@@ -83,8 +83,13 @@ def _load_raw_image(path: Path, model: NetworkModel) -> np.ndarray:
 
 
 def _read_image_list(path: Path) -> list[tuple[str, Path, int | None]]:
-    """Lines of `image_path [label]`; paths resolve relative to the list file."""
+    """Lines of `image_path [label]`; paths resolve relative to the list file.
+
+    The file stem is the image id that reports and box files use, so two
+    entries with the same stem are rejected.
+    """
     entries = []
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         text = raw.split("#", 1)[0].strip()
         if not text:
@@ -101,7 +106,14 @@ def _read_image_list(path: Path) -> list[tuple[str, Path, int | None]]:
         image_path = Path(parts[0])
         if not image_path.is_absolute():
             image_path = path.parent / image_path
-        entries.append((image_path.stem, image_path, label))
+        image_id = image_path.stem
+        if image_id in first_line:
+            raise DataError(
+                f"{path}:{lineno}: duplicate image id {image_id!r}"
+                f" (already listed on line {first_line[image_id]})"
+            )
+        first_line[image_id] = lineno
+        entries.append((image_id, image_path, label))
     if not entries:
         raise DataError(f"{path}: no images listed")
     return entries

@@ -31,7 +31,6 @@ from .relevance import METHODS, explain
 EVAL_METHODS = METHODS + ("random",)
 DEFAULT_PATCH_SIZES = (1, 3, 5, 7, 9)
 DEFAULT_ENERGIES = tuple(round(0.1 * i, 1) for i in range(1, 11))
-TARGET_MODES = ("ground_truth", "second_probable")
 
 
 class NoPositiveRelevanceError(RelpropError):

@@ -194,9 +194,6 @@ class NetworkModel:
     def num_classes(self) -> int:
         return self.layers[-2].params["out"]
 
-    def layer_output_shapes(self) -> list[tuple[int, ...]]:
-        return infer_shapes(self.input_shape, list(self.layers))
-
 
 def _float_count(layers: list[LayerSpec]) -> int:
     total = 0

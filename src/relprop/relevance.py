@@ -160,7 +160,8 @@ def propagate_zbeta_input(
 
     Each input contributes x*w - lower*max(w,0) - upper*min(w,0); with x inside
     the bounds every contribution is non-negative, so seed signs survive the
-    pixel layer intact. Bias receives nothing.
+    pixel layer intact. Bias receives nothing. Input outside the bounds would
+    break that guarantee, so it is rejected.
     """
     if x.ndim != 3:
         raise ShapeError(f"zbeta: input must be [H,W,C], got {x.shape}")
@@ -170,6 +171,11 @@ def propagate_zbeta_input(
         )
     low = np.broadcast_to(bounds.lower, x.shape).astype(np.float64)
     high = np.broadcast_to(bounds.upper, x.shape).astype(np.float64)
+    if np.any(x < low) or np.any(x > high):
+        raise ShapeError(
+            f"zbeta: input values {x.min():.6g}..{x.max():.6g} (after mean subtraction)"
+            " fall outside the declared pixel range"
+        )
     wp = np.maximum(weights, 0.0)
     wm = np.minimum(weights, 0.0)
     if layer.kind == "conv2d":

@@ -8,6 +8,7 @@ weights [out, in]. Every kernel is pure and allocates its result.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -76,25 +77,56 @@ def conv2d_transpose(
     h_out, w_out = grad.shape[0], grad.shape[1]
     if grad.shape != (h_out, w_out, c_out):
         raise ShapeError(f"conv2d_transpose: grad shape {grad.shape} != [H',W',{c_out}]")
-    acc = np.zeros((h + 2 * pad, w + 2 * pad, c))
+    # One GEMM gives every tap's contribution at every output position; the
+    # col2im scatter then adds tap (i, j) onto the input rows and columns it read.
+    # Channels go first in both so each slice-add runs along whole output rows.
+    taps = weights.transpose(2, 3, 1, 0).reshape(kh * kw * c, c_out)
+    cols = (taps @ grad.reshape(h_out * w_out, c_out).T).reshape(kh, kw, c, h_out, w_out)
+    acc = np.zeros((c, h + 2 * pad, w + 2 * pad))
     for i in range(kh):
         for j in range(kw):
-            contrib = np.einsum("xyo,oc->xyc", grad, weights[:, :, i, j])
-            acc[i : i + stride * h_out : stride, j : j + stride * w_out : stride] += contrib
-    return np.ascontiguousarray(acc[pad : pad + h, pad : pad + w])
+            acc[:, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += cols[i, j]
+    return np.ascontiguousarray(acc[:, pad : pad + h, pad : pad + w].transpose(1, 2, 0))
 
 
 @dataclass(frozen=True)
 class PoolArgmax:
     """Winner positions of one max-pooling application.
 
-    indices holds, for each output element, the flat row-major index of the
-    winning element in the pool's input tensor.
+    Holds the pool's input and output arrays (not copies). indices holds, for
+    each output element, the flat row-major index of the winning element in
+    the pool's input tensor; it is derived on first read and cached, so a
+    forward pass that is never explained never pays for it. Ties resolve to
+    the lowest row-major index.
     """
 
-    input_shape: tuple[int, int, int]
-    output_shape: tuple[int, int, int]
-    indices: np.ndarray
+    input: np.ndarray
+    output: np.ndarray
+    kh: int
+    kw: int
+    stride: int
+
+    @property
+    def input_shape(self) -> tuple[int, int, int]:
+        return self.input.shape
+
+    @property
+    def output_shape(self) -> tuple[int, int, int]:
+        return self.output.shape
+
+    @cached_property
+    def indices(self) -> np.ndarray:
+        _, w, c = self.input.shape
+        h_out, w_out, _ = self.output.shape
+        s = self.stride
+        # Visit taps last to first so the first tap equal to the max is written last.
+        offset = np.zeros(self.output.shape, dtype=np.int64)
+        for i in reversed(range(self.kh)):
+            for j in reversed(range(self.kw)):
+                tap = self.input[i : i + s * h_out : s, j : j + s * w_out : s]
+                offset[tap == self.output] = i * w + j
+        corner = np.arange(h_out)[:, None, None] * s * w + np.arange(w_out)[None, :, None] * s
+        return (corner + offset) * c + np.arange(c)
 
 
 def maxpool_forward(
@@ -106,7 +138,7 @@ def maxpool_forward(
     """
     if x.ndim != 3:
         raise ShapeError(f"maxpool: input must be [H,W,C], got shape {x.shape}")
-    h, w, c = x.shape
+    h, w, _ = x.shape
     if kh < 1 or kw < 1 or stride < 1:
         raise ShapeError(f"maxpool: invalid window {kh}x{kw} stride={stride}")
     if h < kh or w < kw or (h - kh) % stride or (w - kw) % stride:
@@ -115,22 +147,13 @@ def maxpool_forward(
         )
     h_out = (h - kh) // stride + 1
     w_out = (w - kw) // stride + 1
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(0, 1))
-    windows = windows[::stride, ::stride]  # [h_out, w_out, c, kh, kw]
-    flat = windows.reshape(h_out, w_out, c, kh * kw)
-    local = np.argmax(flat, axis=3)  # first max = lowest (row, col) in window
-    out = np.take_along_axis(flat, local[..., None], axis=3)[..., 0]
-    oy, ox = np.meshgrid(np.arange(h_out), np.arange(w_out), indexing="ij")
-    rows = oy[..., None] * stride + local // kw
-    cols = ox[..., None] * stride + local % kw
-    chan = np.broadcast_to(np.arange(c), local.shape)
-    indices = (rows * w + cols) * c + chan
-    arg = PoolArgmax(
-        input_shape=(h, w, c),
-        output_shape=(h_out, w_out, c),
-        indices=np.ascontiguousarray(indices),
-    )
-    return np.ascontiguousarray(out), arg
+    out = x[: stride * h_out : stride, : stride * w_out : stride].copy()
+    for i in range(kh):
+        for j in range(kw):
+            if i or j:
+                tap = x[i : i + stride * h_out : stride, j : j + stride * w_out : stride]
+                np.maximum(out, tap, out=out)
+    return out, PoolArgmax(input=x, output=out, kh=kh, kw=kw, stride=stride)
 
 
 def dense_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:

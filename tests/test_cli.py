@@ -453,3 +453,79 @@ class TestPointing:
                 main(self._argv(workspace, tmp_path, "--energies", bad))
             capsys.readouterr()
             assert exc.value.code == 2
+
+
+class TestInputHygiene:
+    def test_explain_rejects_pixels_outside_declared_range(self, workspace, tmp_path, capsys):
+        """0..255 pixels against `pixel_range 0 1` would break the bounded input
+        rule; explain exits 1 and writes no heatmap."""
+        manifest = tmp_path / "narrow.txt"
+        text = (workspace["root"] / "model.txt").read_text()
+        assert "pixel_range 0 255" in text
+        manifest.write_text(text.replace("pixel_range 0 255", "pixel_range 0 1"))
+        out = tmp_path / "maps" / "heat"
+        code, _, err = run_cli(
+            [
+                "explain",
+                str(manifest),
+                workspace["weights"],
+                str(workspace["root"] / "img1.ppm"),
+                "--method",
+                "lrp",
+                "--target",
+                "top",
+                "--out",
+                str(out),
+            ],
+            capsys,
+        )
+        assert code == 1 and "pixel range" in err
+        assert not out.with_suffix(".pgm").exists() and not out.with_suffix(".f32").exists()
+
+    @pytest.fixture
+    def duplicate_list(self, workspace, tmp_path):
+        """`a/img0.ppm` and `b/img0.ppm` both carry the image id `img0`."""
+        image = (workspace["root"] / "img0.ppm").read_bytes()
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / "img0.ppm").write_bytes(image)
+        listing = tmp_path / "dup.txt"
+        listing.write_text("# two directories, one stem\na/img0.ppm 0\nb/img0.ppm 1\n")
+        return listing
+
+    def test_mask_eval_rejects_duplicate_ids(self, workspace, duplicate_list, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(
+            [
+                "mask-eval",
+                workspace["manifest"],
+                workspace["weights"],
+                str(duplicate_list),
+                "--out-dir",
+                str(out_dir),
+                "--methods",
+                "lrp",
+            ],
+            capsys,
+        )
+        assert code == 1 and "dup.txt:3:" in err and "img0" in err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_pointing_rejects_duplicate_ids(self, workspace, duplicate_list, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(
+            [
+                "pointing",
+                workspace["manifest"],
+                workspace["weights"],
+                str(duplicate_list),
+                str(workspace["root"] / "boxes.txt"),
+                "--out-dir",
+                str(out_dir),
+                "--methods",
+                "lrp",
+            ],
+            capsys,
+        )
+        assert code == 1 and "dup.txt:3:" in err and "img0" in err
+        assert not list(tmp_path.rglob("*.csv"))

@@ -352,6 +352,23 @@ class TestZbetaInput:
             )
             np.testing.assert_allclose(got.reshape(-1), want, rtol=0, atol=1e-8)
 
+    def test_input_outside_bounds_rejected(self):
+        """A pixel above the upper bound (or below the lower one) would make its
+        contribution x*w - lower*w+ - upper*w- negative, so both the dense and the
+        conv form refuse it instead of returning sign-flipped relevance."""
+        bounds = InputBounds(lower=np.zeros(1), upper=np.ones(1))
+        conv = LayerSpec(
+            "conv2d", {"in": 1, "out": 1, "kh": 1, "kw": 1, "stride": 1, "pad": 0, "bias": 0}
+        )
+        for bad in (255.0, -0.5):
+            x = np.array([0.5, bad]).reshape(1, 2, 1)
+            with pytest.raises(ShapeError, match="pixel range"):
+                propagate_zbeta_input(
+                    np.ones(1), self._dense_layer(2, 1), np.ones((1, 2)), x, bounds
+                )
+            with pytest.raises(ShapeError, match="pixel range"):
+                propagate_zbeta_input(np.ones((1, 2, 1)), conv, np.ones((1, 1, 1, 1)), x, bounds)
+
 
 class TestStructuralRouting:
     def test_maxpool_winner_takes_all(self):
