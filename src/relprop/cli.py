@@ -36,6 +36,9 @@ def _parse_methods(text: str) -> tuple[str, ...]:
             )
     if not methods:
         raise argparse.ArgumentTypeError("at least one method required")
+    repeated = sorted({m for m in methods if methods.count(m) > 1})
+    if repeated:
+        raise argparse.ArgumentTypeError(f"method listed more than once: {', '.join(repeated)}")
     return methods
 
 

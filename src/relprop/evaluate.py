@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DataError, RelpropError, ShapeError
 from .model import ForwardTrace, NetworkModel, forward, predict_topk
-from .relevance import METHODS, explain
+from .relevance import METHODS, explain_all
 
 EVAL_METHODS = METHODS + ("random",)
 DEFAULT_PATCH_SIZES = (1, 3, 5, 7, 9)
@@ -118,12 +118,13 @@ def patch_masking_eval(
     if "random" in methods:
         random_center = (int(rng.integers(0, w)), int(rng.integers(0, h)))
     fill = model.preprocessing.means
+    maps = explain_all(model, trace, target, tuple(m for m in methods if m != "random"))
     results = []
     for method in methods:
         if method == "random":
             point = random_center
         else:
-            point = maximal_point(explain(model, trace, target, method).values)
+            point = maximal_point(maps[method].values)
         for p in patch_sizes:
             masked = mask_patch(image, point, p, fill)
             after = float(forward(model, masked, preprocessed=False).probabilities[target])
@@ -319,6 +320,7 @@ def run_pointing(
     if "random" in methods and seed is None:
         raise DataError("runs with the random baseline need a seed")
     rngs = _spawn_rngs(seed, len(samples))
+    explained = tuple(m for m in methods if m != "random")
 
     def one(pair):
         sample, rng = pair
@@ -331,11 +333,10 @@ def run_pointing(
             )
         trace = forward(model, sample.image, preprocessed=False)
         noise = random_relevance_map(h, w, rng) if "random" in methods else None
+        maps = explain_all(model, trace, box.class_index, explained)
         rows = []
         for method in methods:
-            values = noise if method == "random" else explain(
-                model, trace, box.class_index, method
-            ).values
+            values = noise if method == "random" else maps[method].values
             try:
                 scored = pointing_game(values, box, energies)
             except NoPositiveRelevanceError:

@@ -4,9 +4,10 @@ Relevance starts at the logit layer as a method-specific seed vector and flows
 backward through the chain. Linear layers redistribute it proportionally to
 each input's positive forward contribution; the layer touching raw pixels uses
 a bounded variant that accounts for the admissible pixel range, so negative
-inputs cannot invert signs. Max-pool routes winner-take-all, relu and flatten
-are pass-through. The result is a signed per-pixel relevance tensor; the
-reported 2-D map keeps only positive evidence, summed over channels.
+inputs cannot invert signs. Max-pool routes winner-take-all; relu, flatten and
+softmax are skipped. All rules are linear, so relevance may carry a leading
+seed axis, which explain_all fills with one row per method. The result is a
+signed per-pixel tensor; its 2-D map sums positive evidence over channels.
 
 Seeding styles:
 
@@ -79,6 +80,14 @@ def seed_sglrp(trace: ForwardTrace, target: int) -> Seed:
     return Seed(values=values, target=target, method="sglrp")
 
 
+def _seed_axis(relevance: np.ndarray, shape: tuple[int, ...], what: str) -> tuple[int, ...]:
+    """() or (K,): the leading seed axis of relevance shaped like `shape`."""
+    lead = relevance.shape[:1] if relevance.ndim == len(shape) + 1 else ()
+    if relevance.shape != lead + tuple(shape):
+        raise ShapeError(f"{what}: relevance {relevance.shape} != output {tuple(shape)}")
+    return lead
+
+
 def _stabilized_ratio(relevance: np.ndarray, denom: np.ndarray) -> np.ndarray:
     """relevance / denom, with terms whose |denom| is below the floor dropped."""
     out = np.zeros_like(relevance, dtype=np.float64)
@@ -100,14 +109,13 @@ def propagate_zplus_dense(
         raise ShapeError(
             f"zplus dense: weights {weights.shape} incompatible with input {activations.shape}"
         )
-    if relevance.shape != (weights.shape[0],):
-        raise ShapeError(f"zplus dense: relevance {relevance.shape} != ({weights.shape[0]},)")
+    _seed_axis(relevance, (weights.shape[0],), "zplus dense")
     if np.any(activations < 0):
         raise ShapeError("zplus dense: negative activations")
     wp = np.maximum(weights, 0.0)
     denom = wp @ activations
     s = _stabilized_ratio(relevance, denom)
-    return activations * (wp.T @ s)
+    return activations * (s @ wp)
 
 
 def propagate_zplus_conv(
@@ -123,8 +131,7 @@ def propagate_zplus_conv(
     wp = np.maximum(weights, 0.0)
     zeros = np.zeros(weights.shape[0])
     denom = conv2d_forward(activations, wp, zeros, stride, pad)
-    if relevance.shape != denom.shape:
-        raise ShapeError(f"zplus conv: relevance {relevance.shape} != output {denom.shape}")
+    _seed_axis(relevance, denom.shape, "zplus conv")
     s = _stabilized_ratio(relevance, denom)
     return activations * conv2d_transpose(s, wp, activations.shape, stride, pad)
 
@@ -186,8 +193,7 @@ def propagate_zbeta_input(
             - conv2d_forward(low, wp, zeros, stride, pad)
             - conv2d_forward(high, wm, zeros, stride, pad)
         )
-        if relevance.shape != denom.shape:
-            raise ShapeError(f"zbeta conv: relevance {relevance.shape} != output {denom.shape}")
+        _seed_axis(relevance, denom.shape, "zbeta conv")
         s = _stabilized_ratio(relevance, denom)
         return (
             x * conv2d_transpose(s, weights, x.shape, stride, pad)
@@ -196,37 +202,24 @@ def propagate_zbeta_input(
         )
     if layer.kind == "dense":
         xf, lf, hf = x.reshape(-1), low.reshape(-1), high.reshape(-1)
-        if weights.shape[1] != xf.shape[0] or relevance.shape != (weights.shape[0],):
-            raise ShapeError(
-                f"zbeta dense: weights {weights.shape} incompatible with"
-                f" input {x.shape} / relevance {relevance.shape}"
-            )
+        if weights.shape[1] != xf.shape[0]:
+            raise ShapeError(f"zbeta dense: weights {weights.shape} do not fit input {x.shape}")
+        lead = _seed_axis(relevance, (weights.shape[0],), "zbeta dense")
         denom = weights @ xf - wp @ lf - wm @ hf
         s = _stabilized_ratio(relevance, denom)
-        flat = xf * (weights.T @ s) - lf * (wp.T @ s) - hf * (wm.T @ s)
-        return flat.reshape(x.shape)
+        flat = xf * (s @ weights) - lf * (s @ wp) - hf * (s @ wm)
+        return flat.reshape(lead + x.shape)
     raise ShapeError(f"zbeta: unsupported layer kind {layer.kind}")
 
 
 def propagate_maxpool(relevance: np.ndarray, argmax: PoolArgmax) -> np.ndarray:
     """Route each pooled node's relevance to the element that won its window."""
-    if relevance.shape != argmax.output_shape:
-        raise ShapeError(
-            f"maxpool relevance {relevance.shape} != pooled output {argmax.output_shape}"
-        )
-    out = np.zeros(argmax.input_shape, dtype=np.float64).reshape(-1)
-    np.add.at(out, argmax.indices.reshape(-1), relevance.reshape(-1))
-    return out.reshape(argmax.input_shape)
-
-
-def propagate_relu(relevance: np.ndarray) -> np.ndarray:
-    """Relu layers pass relevance through unchanged."""
-    return relevance
-
-
-def propagate_flatten(relevance: np.ndarray, input_shape: tuple[int, ...]) -> np.ndarray:
-    """Undo a row-major flatten."""
-    return relevance.reshape(input_shape)
+    lead = _seed_axis(relevance, argmax.output_shape, "maxpool")
+    # One flat add.at over all rows: row k's winners are offset by k input sizes.
+    offsets = np.arange(relevance.size // argmax.output.size)[:, None] * argmax.input.size
+    out = np.zeros(offsets.size * argmax.input.size)
+    np.add.at(out, (offsets + argmax.indices.reshape(-1)).reshape(-1), relevance.reshape(-1))
+    return out.reshape(lead + argmax.input_shape)
 
 
 @dataclass(frozen=True)
@@ -253,30 +246,28 @@ class RelevanceMap:
             raise ShapeError("relevance map values must be non-negative")
 
 
-def explain(model: NetworkModel, trace: ForwardTrace, target: int, method: str) -> RelevanceMap:
-    """Propagate a method seed for `target` back to the input pixels."""
-    if method not in METHODS:
-        raise ShapeError(f"unknown explanation method {method!r}; expected one of {METHODS}")
+def explain_all(
+    model: NetworkModel, trace: ForwardTrace, target: int, methods: tuple[str, ...]
+) -> dict[str, RelevanceMap]:
+    """One backward pass over the stacked seeds of `methods`; returns {method: map}."""
+    for method in methods:
+        if method not in METHODS:
+            raise ShapeError(f"unknown explanation method {method!r}; expected one of {METHODS}")
     if len(trace.entries) != len(model.layers):
         raise ShapeError(
             f"trace has {len(trace.entries)} entries for {len(model.layers)} layers"
         )
-    seed_fn = {"lrp": seed_lrp, "clrp": seed_clrp, "sglrp": seed_sglrp}[method]
-    seed = seed_fn(trace, target)
+    if not methods:
+        return {}
     first_parametric = next(i for i, l in enumerate(model.layers) if l.is_parametric)
     bounds = InputBounds.from_model(model)
 
-    relevance = seed.values
+    seed_fns = {"lrp": seed_lrp, "clrp": seed_clrp, "sglrp": seed_sglrp}
+    relevance = np.stack([seed_fns[m](trace, target).values for m in methods])
     for i in reversed(range(len(model.layers))):
         layer = model.layers[i]
         entry = trace.entries[i]
-        if layer.kind == "softmax":
-            continue
-        if layer.kind == "relu":
-            relevance = propagate_relu(relevance)
-        elif layer.kind == "flatten":
-            relevance = propagate_flatten(relevance, entry.input.shape)
-        elif layer.kind == "maxpool":
+        if layer.kind == "maxpool":
             relevance = propagate_maxpool(relevance, entry.argmax)
         elif i == first_parametric:
             relevance = propagate_zbeta_input(
@@ -285,7 +276,7 @@ def explain(model: NetworkModel, trace: ForwardTrace, target: int, method: str) 
         elif layer.kind == "dense":
             a = entry.input.reshape(-1) if entry.input.ndim > 1 else entry.input
             relevance = propagate_zplus_dense(relevance, model.params[i].weights, a)
-        else:
+        elif layer.kind == "conv2d":
             relevance = propagate_zplus_conv(
                 relevance,
                 model.params[i].weights,
@@ -293,8 +284,12 @@ def explain(model: NetworkModel, trace: ForwardTrace, target: int, method: str) 
                 layer.params["stride"],
                 layer.params["pad"],
             )
-        relevance = relevance.reshape(entry.input.shape)
+        relevance = relevance.reshape((len(methods),) + entry.input.shape)
 
-    raw = relevance
-    values = np.maximum(raw, 0.0).sum(axis=2)
-    return RelevanceMap(values=values, raw=raw, method=method, target=target)
+    values = np.maximum(relevance, 0.0).sum(axis=3)
+    return {m: RelevanceMap(v, raw, m, target) for m, v, raw in zip(methods, values, relevance)}
+
+
+def explain(model: NetworkModel, trace: ForwardTrace, target: int, method: str) -> RelevanceMap:
+    """Propagate a method seed for `target` back to the input pixels."""
+    return explain_all(model, trace, target, (method,))[method]

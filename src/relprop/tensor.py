@@ -69,24 +69,27 @@ def conv2d_transpose(
 
     Maps a tensor shaped like the conv output back onto the input grid:
     result[n] = sum over output positions m of weights[n, m] * grad[m].
+    grad may carry one leading axis [K, H', W', C_out]; each row maps on its own.
     """
     h, w, c = input_shape
     c_out, c_in, kh, kw = weights.shape
     if c_in != c:
         raise ShapeError(f"conv2d_transpose: input has {c} channels, weights expect {c_in}")
-    h_out, w_out = grad.shape[0], grad.shape[1]
-    if grad.shape != (h_out, w_out, c_out):
-        raise ShapeError(f"conv2d_transpose: grad shape {grad.shape} != [H',W',{c_out}]")
+    h_out = (h + 2 * pad - kh) // stride + 1
+    w_out = (w + 2 * pad - kw) // stride + 1
+    if grad.ndim > 4 or grad.shape[-3:] != (h_out, w_out, c_out):
+        raise ShapeError(f"conv2d_transpose: grad {grad.shape} != output {(h_out, w_out, c_out)}")
     # One GEMM gives every tap's contribution at every output position; the
     # col2im scatter then adds tap (i, j) onto the input rows and columns it read.
     # Channels go first in both so each slice-add runs along whole output rows.
     taps = weights.transpose(2, 3, 1, 0).reshape(kh * kw * c, c_out)
-    cols = (taps @ grad.reshape(h_out * w_out, c_out).T).reshape(kh, kw, c, h_out, w_out)
-    acc = np.zeros((c, h + 2 * pad, w + 2 * pad))
+    cols = (taps @ grad.reshape(-1, c_out).T).reshape(kh, kw, c, -1, h_out, w_out)
+    acc = np.zeros((c, cols.shape[3], h + 2 * pad, w + 2 * pad))
     for i in range(kh):
         for j in range(kw):
-            acc[:, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += cols[i, j]
-    return np.ascontiguousarray(acc[:, pad : pad + h, pad : pad + w].transpose(1, 2, 0))
+            acc[..., i : i + stride * h_out : stride, j : j + stride * w_out : stride] += cols[i, j]
+    out = acc[..., pad : pad + h, pad : pad + w].transpose(1, 2, 3, 0)
+    return np.ascontiguousarray(out).reshape(grad.shape[:-3] + (h, w, c))
 
 
 @dataclass(frozen=True)

@@ -340,6 +340,23 @@ class TestMaskEval:
         capsys.readouterr()
         assert exc.value.code == 2
 
+    def test_repeated_method_rejected_by_parser(self, workspace, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(self._argv(workspace, tmp_path, "--methods", "lrp,lrp"))
+        _, err = capsys.readouterr()
+        assert exc.value.code == 2 and "more than once: lrp" in err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_random_only_run(self, workspace, tmp_path, capsys):
+        code, _, _ = run_cli(
+            self._argv(workspace, tmp_path, "--methods", "random", "--seed", "4"), capsys
+        )
+        assert code == 0
+        with (tmp_path / "masking.csv").open() as fh:
+            records = list(csv.DictReader(fh))
+        # 3 images x 5 default patch sizes
+        assert len(records) == 15 and {r["method"] for r in records} == {"random"}
+
 
 class TestPointing:
     def _argv(self, workspace, out_dir, *extra):
@@ -453,6 +470,24 @@ class TestPointing:
                 main(self._argv(workspace, tmp_path, "--energies", bad))
             capsys.readouterr()
             assert exc.value.code == 2
+
+    def test_repeated_method_rejected_by_parser(self, workspace, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(self._argv(workspace, tmp_path, "--methods", "sglrp,random,sglrp", "--seed", "1"))
+        _, err = capsys.readouterr()
+        assert exc.value.code == 2 and "more than once: sglrp" in err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_random_only_run(self, workspace, tmp_path, capsys):
+        code, _, _ = run_cli(
+            self._argv(workspace, tmp_path, "--methods", "random", "--seed", "4"), capsys
+        )
+        assert code == 0
+        with (tmp_path / "pointing.csv").open() as fh:
+            records = list(csv.DictReader(fh))
+        # 3 boxes x 10 default energies, all scored: a noise map is never empty
+        assert len(records) == 30 and {r["method"] for r in records} == {"random"}
+        assert {r["status"] for r in records} == {"ok"}
 
 
 class TestInputHygiene:

@@ -1,13 +1,16 @@
-"""Property tests over random shapes for the convolution adjoint and max pooling."""
+"""Property tests over random shapes for the convolution adjoint, max pooling,
+and the leading seed axis that lets every method share one backward pass."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relprop.relevance import propagate_maxpool
+from relprop.model import LayerParams, LayerSpec, NetworkModel, Preprocessing, forward
+from relprop.relevance import explain, explain_all, propagate_maxpool
 from relprop.tensor import conv2d_forward, conv2d_transpose, maxpool_forward
 
 from oracles import naive_maxpool
+from synth import make_two_shape_image, make_two_shape_model
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -82,3 +85,91 @@ def test_propagate_maxpool_conserves_relevance(case):
     np.testing.assert_allclose(
         routed.sum(), relevance.sum(), rtol=0, atol=1e-12 * np.abs(relevance).sum()
     )
+
+
+@PROPERTY_SETTINGS
+@given(conv_cases())
+def test_conv2d_transpose_rows_map_independently(case):
+    """A [2, H', W', C_out] grad maps row by row, as two separate calls would."""
+    input_shape, weight_shape, stride, pad, seed = case
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=weight_shape)
+    out = conv2d_forward(np.zeros(input_shape), w, np.zeros(weight_shape[0]), stride, pad)
+    grads = rng.normal(size=(2,) + out.shape)
+    back = conv2d_transpose(grads, w, input_shape, stride, pad)
+    assert back.shape == (2,) + input_shape
+    for row in range(2):
+        single = conv2d_transpose(grads[row], w, input_shape, stride, pad)
+        np.testing.assert_allclose(back[row], single, rtol=0, atol=1e-12 * np.abs(single).max())
+
+
+@PROPERTY_SETTINGS
+@given(pool_cases())
+def test_propagate_maxpool_rows_route_independently(case):
+    """Batched routing equals routing each seed row alone, and each row keeps its sum."""
+    x, kh, kw, stride, seed = case
+    out, arg = maxpool_forward(x, kh, kw, stride)
+    relevance = np.random.default_rng(seed + 1).normal(size=(3,) + out.shape)
+    routed = propagate_maxpool(relevance, arg)
+    assert routed.shape == (3,) + x.shape
+    for row in range(3):
+        np.testing.assert_array_equal(routed[row], propagate_maxpool(relevance[row], arg))
+        np.testing.assert_allclose(
+            routed[row].sum(), relevance[row].sum(), rtol=0, atol=1e-12 * np.abs(relevance).sum()
+        )
+
+
+def _random_cnn(rng: np.random.Generator, classes: int) -> NetworkModel:
+    """8x8x3 > conv 4 > relu > pool > conv 3 > relu > flatten > dense > softmax."""
+    conv = {"kh": 3, "kw": 3, "stride": 1, "pad": 1, "bias": 1}
+    layers = (
+        LayerSpec("conv2d", {"in": 3, "out": 4, **conv}),
+        LayerSpec("relu"),
+        LayerSpec("maxpool", {"kh": 2, "kw": 2, "stride": 2}),
+        LayerSpec("conv2d", {"in": 4, "out": 3, **conv}),
+        LayerSpec("relu"),
+        LayerSpec("flatten"),
+        LayerSpec("dense", {"in": 48, "out": classes, "bias": 1}),
+        LayerSpec("softmax"),
+    )
+    params = (
+        LayerParams(rng.normal(size=(4, 3, 3, 3)) / 300, 0.1 * rng.normal(size=4)),
+        None,
+        None,
+        LayerParams(rng.normal(size=(3, 4, 3, 3)) / 4, 0.1 * rng.normal(size=3)),
+        None,
+        None,
+        LayerParams(rng.normal(size=(classes, 48)) / 4, 0.1 * rng.normal(size=classes)),
+        None,
+    )
+    return NetworkModel(
+        input_shape=(8, 8, 3),
+        layers=layers,
+        params=params,
+        preprocessing=Preprocessing(means=rng.uniform(0, 255, 3), pixel_range=(0.0, 255.0)),
+    )
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_explain_all_matches_explain_per_method(seed, two_shape):
+    """Superposition: one pass over the stacked lrp, clrp and sglrp seeds gives
+    each method's map from its own pass, on the two-shape net and on random
+    two-conv chains with an arbitrary target."""
+    rng = np.random.default_rng(seed)
+    if two_shape:
+        model, image = make_two_shape_model(), make_two_shape_image(rng)[0]
+    else:
+        model = _random_cnn(rng, classes=int(rng.integers(2, 6)))
+        image = rng.uniform(0, 255, size=model.input_shape)
+    trace = forward(model, image, preprocessed=False)
+    target = int(rng.integers(model.num_classes))
+    methods = ("lrp", "clrp", "sglrp")
+    maps = explain_all(model, trace, target, methods)
+    assert list(maps) == list(methods)
+    for method in methods:
+        single = explain(model, trace, target, method)
+        atol = 1e-12 * np.abs(single.raw).max()
+        np.testing.assert_allclose(maps[method].raw, single.raw, rtol=0, atol=atol)
+        np.testing.assert_allclose(maps[method].values, single.values, rtol=0, atol=3 * atol)
+        assert maps[method].method == method and maps[method].target == target

@@ -16,9 +16,7 @@ from relprop.relevance import (
     InputBounds,
     RelevanceMap,
     explain,
-    propagate_flatten,
     propagate_maxpool,
-    propagate_relu,
     propagate_zbeta_input,
     propagate_zplus_conv,
     propagate_zplus_dense,
@@ -387,16 +385,6 @@ class TestStructuralRouting:
         r = rng.normal(size=(3, 3, 3))
         routed = propagate_maxpool(r, arg)
         np.testing.assert_allclose(routed.sum(), r.sum(), rtol=1e-12)
-
-    def test_relu_passthrough(self):
-        r = np.array([1.0, -2.0, 3.0])
-        np.testing.assert_array_equal(propagate_relu(r), r)
-
-    def test_flatten_restores_shape(self):
-        r = np.arange(12.0)
-        out = propagate_flatten(r, (2, 3, 2))
-        assert out.shape == (2, 3, 2)
-        np.testing.assert_array_equal(out.reshape(-1), r)
 
 
 class TestExplain:

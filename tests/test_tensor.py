@@ -105,6 +105,15 @@ class TestConv2dTranspose:
         back = conv2d_transpose(y, w, (2, 2, 1), stride=1, pad=0)
         np.testing.assert_allclose(back, 2.0 * y)
 
+    def test_grad_extent_must_match_conv_output(self):
+        """A 3x3 kernel over a 4x4 input yields 2x2; larger or smaller grads are
+        shape errors, not numpy errors or silently truncated results."""
+        w = np.ones((1, 1, 3, 3))
+        assert conv2d_transpose(np.ones((2, 2, 1)), w, (4, 4, 1)).shape == (4, 4, 1)
+        for side in (5, 1):
+            with pytest.raises(ShapeError):
+                conv2d_transpose(np.ones((side, side, 1)), w, (4, 4, 1))
+
 
 class TestMaxpoolForward:
     def test_2x2_window(self):
