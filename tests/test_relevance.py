@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 from relprop.errors import ShapeError
-from relprop.model import LayerSpec, forward
+from relprop.model import LayerParams, LayerSpec, NetworkModel, Preprocessing, forward
 from relprop.relevance import (
     DENOMINATOR_FLOOR,
     InputBounds,
     RelevanceMap,
     explain,
+    explain_all,
     propagate_maxpool,
     propagate_zbeta_input,
     propagate_zplus_conv,
@@ -385,6 +386,60 @@ class TestStructuralRouting:
         r = rng.normal(size=(3, 3, 3))
         routed = propagate_maxpool(r, arg)
         np.testing.assert_allclose(routed.sum(), r.sum(), rtol=1e-12)
+
+    @staticmethod
+    def _chain(input_shape, stages):
+        """Model from (LayerSpec, LayerParams | None) pairs, zero means."""
+        return NetworkModel(
+            input_shape=input_shape,
+            layers=tuple(spec for spec, _ in stages),
+            params=tuple(p for _, p in stages),
+            preprocessing=Preprocessing(
+                means=np.zeros(input_shape[2]), pixel_range=(0.0, 255.0)
+            ),
+        )
+
+    def _maps(self, model, x, target):
+        return explain_all(model, forward(model, x), target, ("lrp", "clrp", "sglrp"))
+
+    def test_relu_passthrough(self):
+        """A relu whose input is all positive leaves every method's map
+        unchanged: the backward pass hands relevance through it as is."""
+        rng = np.random.default_rng(42)
+        w1 = LayerParams(rng.uniform(0.001, 0.01, size=(4, 3)), None)
+        w2 = LayerParams(rng.normal(size=(3, 4)), None)
+        dense1 = LayerSpec("dense", {"in": 3, "out": 4, "bias": 0})
+        dense2 = LayerSpec("dense", {"in": 4, "out": 3, "bias": 0})
+        tail = [(dense2, w2), (LayerSpec("softmax"), None)]
+        with_relu = self._chain((1, 3, 1), [(dense1, w1), (LayerSpec("relu"), None)] + tail)
+        without = self._chain((1, 3, 1), [(dense1, w1)] + tail)
+        x = rng.uniform(1, 255, size=(1, 3, 1))
+        for target in range(3):
+            got = self._maps(with_relu, x, target)
+            want = self._maps(without, x, target)
+            for method in got:
+                np.testing.assert_array_equal(got[method].raw, want[method].raw)
+
+    def test_flatten_restores_shape(self):
+        """Relevance crossing a flatten is reshaped back to the [H,W,C] it
+        came from: the raw map has the input's shape and equals the map of
+        the same net with dense reading the conv output directly."""
+        rng = np.random.default_rng(42)
+        conv = LayerSpec("conv2d", {"in": 1, "out": 2, "kh": 2, "kw": 2, "stride": 1, "pad": 0, "bias": 0})
+        conv_p = LayerParams(rng.uniform(0.001, 0.01, size=(2, 1, 2, 2)), None)
+        dense = LayerSpec("dense", {"in": 12, "out": 3, "bias": 0})
+        dense_p = LayerParams(rng.normal(size=(3, 12)), None)
+        head = [(conv, conv_p), (LayerSpec("relu"), None)]
+        tail = [(dense, dense_p), (LayerSpec("softmax"), None)]
+        with_flatten = self._chain((3, 4, 1), head + [(LayerSpec("flatten"), None)] + tail)
+        without = self._chain((3, 4, 1), head + tail)
+        x = rng.uniform(1, 255, size=(3, 4, 1))
+        for target in range(3):
+            got = self._maps(with_flatten, x, target)
+            want = self._maps(without, x, target)
+            for method in got:
+                assert got[method].raw.shape == (3, 4, 1)
+                np.testing.assert_array_equal(got[method].raw, want[method].raw)
 
 
 class TestExplain:
