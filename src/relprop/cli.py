@@ -2,8 +2,10 @@
 
 Subcommands: predict, explain, mask-eval, pointing. Exit codes: 0 on success,
 1 on runtime or data errors (missing files, malformed inputs), 2 on usage
-errors. RELPROP_THREADS caps the evaluation worker count; all randomness in a
-run flows from --seed, so reruns with the same seed are byte-identical.
+errors. RELPROP_THREADS is still parsed and validated (a non-integer or a
+value below 1 exits 1), but evaluation runs serially and starts no threads.
+All randomness in a run flows from --seed, so reruns with the same seed are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -27,6 +29,15 @@ class UsageError(Exception):
     """Invalid argument combination detected after parsing."""
 
 
+def _no_repeats(values: tuple, what: str) -> tuple:
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise argparse.ArgumentTypeError(
+            f"{what} listed more than once: {', '.join(map(str, repeated))}"
+        )
+    return values
+
+
 def _parse_methods(text: str) -> tuple[str, ...]:
     methods = tuple(m.strip() for m in text.split(",") if m.strip())
     for m in methods:
@@ -36,10 +47,7 @@ def _parse_methods(text: str) -> tuple[str, ...]:
             )
     if not methods:
         raise argparse.ArgumentTypeError("at least one method required")
-    repeated = sorted({m for m in methods if methods.count(m) > 1})
-    if repeated:
-        raise argparse.ArgumentTypeError(f"method listed more than once: {', '.join(repeated)}")
-    return methods
+    return _no_repeats(methods, "method")
 
 
 def _parse_patches(text: str) -> tuple[int, ...]:
@@ -50,7 +58,7 @@ def _parse_patches(text: str) -> tuple[int, ...]:
     for p in patches:
         if p < 1 or p % 2 == 0:
             raise argparse.ArgumentTypeError(f"patch sizes must be odd and positive, got {p}")
-    return patches
+    return _no_repeats(patches, "patch size")
 
 
 def _parse_energies(text: str) -> tuple[float, ...]:
@@ -61,10 +69,11 @@ def _parse_energies(text: str) -> tuple[float, ...]:
     for e in energies:
         if not 0.0 < e <= 1.0:
             raise argparse.ArgumentTypeError(f"energies must lie in (0, 1], got {e}")
-    return energies
+    return _no_repeats(energies, "energy")
 
 
 def _workers() -> int:
+    """RELPROP_THREADS, validated; the harnesses accept it but start no threads."""
     raw = os.environ.get("RELPROP_THREADS")
     if raw is None:
         return 1

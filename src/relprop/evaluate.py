@@ -3,22 +3,23 @@
 Masking: classify, explain, find the maximal point of the map, replace a
 p x p patch around it with the dataset means, re-classify, and record the
 drop in the target probability. The `random` method replaces the explanation
-with a uniformly drawn center.
+with a uniformly drawn center. Each method's occluded images, one per patch
+size, are re-classified as one stack in a single forward pass.
 
 Pointing: threshold the map so that at least a fraction E of its positive
 pixels survive, then count surviving pixels inside (hits) and outside
 (misses) the target's bounding box; accuracy = hits / (hits + misses). The
 `random` method scores a uniform-noise map instead of an explanation.
 
-Both dataset drivers derive all randomness from one run seed via per-image
-substreams, so results do not depend on worker count or scheduling order.
+Both dataset drivers evaluate images one after another, in list order, and
+derive all randomness from one run seed via per-image substreams. Their
+`workers` keyword is accepted for compatibility and starts no threads.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -35,6 +36,12 @@ DEFAULT_ENERGIES = tuple(round(0.1 * i, 1) for i in range(1, 11))
 
 class NoPositiveRelevanceError(RelpropError):
     """A relevance map holds no positive entries, so no threshold exists."""
+
+
+def check_methods(methods: tuple[str, ...]) -> None:
+    """Reject a method outside EVAL_METHODS, or one listed twice, with a DataError."""
+    if not set(methods) <= set(EVAL_METHODS) or len(set(methods)) != len(methods):
+        raise DataError(f"methods {methods} must be distinct entries of {EVAL_METHODS}")
 
 
 def maximal_point(values: np.ndarray) -> tuple[int, int]:
@@ -105,9 +112,7 @@ def patch_masking_eval(
     rng: np.random.Generator | None = None,
 ) -> list[MaskingResult]:
     """Run the masking protocol for one raw-space image (means not yet subtracted)."""
-    for m in methods:
-        if m not in EVAL_METHODS:
-            raise DataError(f"unknown method {m!r}; expected subset of {EVAL_METHODS}")
+    check_methods(methods)
     if "random" in methods and rng is None:
         raise DataError("the random baseline needs a seeded generator")
     trace = forward(model, image, preprocessed=False)
@@ -119,15 +124,17 @@ def patch_masking_eval(
         random_center = (int(rng.integers(0, w)), int(rng.integers(0, h)))
     fill = model.preprocessing.means
     maps = explain_all(model, trace, target, tuple(m for m in methods if m != "random"))
+    if not patch_sizes:
+        return []
     results = []
     for method in methods:
         if method == "random":
             point = random_center
         else:
             point = maximal_point(maps[method].values)
-        for p in patch_sizes:
-            masked = mask_patch(image, point, p, fill)
-            after = float(forward(model, masked, preprocessed=False).probabilities[target])
+        masked = np.stack([mask_patch(image, point, p, fill) for p in patch_sizes])
+        probs = forward(model, masked, preprocessed=False).probabilities[:, target]
+        for p, after in zip(patch_sizes, map(float, probs)):
             results.append(
                 MaskingResult(
                     method=method,
@@ -264,13 +271,6 @@ def _spawn_rngs(seed: int | None, n: int) -> list[np.random.Generator | None]:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
 
 
-def _map_ordered(fn, items, workers: int):
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def run_masking(
     model: NetworkModel,
     samples: list[MaskSample],
@@ -281,27 +281,26 @@ def run_masking(
     seed: int | None = None,
     workers: int = 1,
 ) -> list[tuple[str, MaskingResult]]:
-    """Masking protocol over a dataset; rows come back in sample order."""
+    """Masking protocol over a dataset; rows come back in sample order.
+
+    workers is accepted for compatibility; images run serially.
+    """
+    check_methods(methods)
     if "random" in methods and seed is None:
         raise DataError("runs with the random baseline need a seed")
-    rngs = _spawn_rngs(seed, len(samples))
-
-    def one(pair):
-        sample, rng = pair
-        return [
-            (sample.image_id, r)
-            for r in patch_masking_eval(
-                model,
-                sample.image,
-                target_mode=target_mode,
-                label=sample.label,
-                methods=methods,
-                patch_sizes=patch_sizes,
-                rng=rng,
-            )
-        ]
-    nested = _map_ordered(one, list(zip(samples, rngs)), workers)
-    return [row for group in nested for row in group]
+    rows = []
+    for sample, rng in zip(samples, _spawn_rngs(seed, len(samples))):
+        results = patch_masking_eval(
+            model,
+            sample.image,
+            target_mode=target_mode,
+            label=sample.label,
+            methods=methods,
+            patch_sizes=patch_sizes,
+            rng=rng,
+        )
+        rows.extend((sample.image_id, r) for r in results)
+    return rows
 
 
 def run_pointing(
@@ -313,17 +312,16 @@ def run_pointing(
     seed: int | None = None,
     workers: int = 1,
 ) -> list[PointingRow]:
-    """Pointing game over a dataset; each box's class is the explanation target."""
-    for m in methods:
-        if m not in EVAL_METHODS:
-            raise DataError(f"unknown method {m!r}; expected subset of {EVAL_METHODS}")
+    """Pointing game over a dataset; each box's class is the explanation target.
+
+    workers is accepted for compatibility; images run serially.
+    """
+    check_methods(methods)
     if "random" in methods and seed is None:
         raise DataError("runs with the random baseline need a seed")
-    rngs = _spawn_rngs(seed, len(samples))
     explained = tuple(m for m in methods if m != "random")
-
-    def one(pair):
-        sample, rng = pair
+    rows = []
+    for sample, rng in zip(samples, _spawn_rngs(seed, len(samples))):
         h, w, _ = sample.image.shape
         box = sample.box.clip(w, h)
         if box.class_index >= model.num_classes:
@@ -334,7 +332,6 @@ def run_pointing(
         trace = forward(model, sample.image, preprocessed=False)
         noise = random_relevance_map(h, w, rng) if "random" in methods else None
         maps = explain_all(model, trace, box.class_index, explained)
-        rows = []
         for method in methods:
             values = noise if method == "random" else maps[method].values
             try:
@@ -347,10 +344,7 @@ def run_pointing(
             rows.extend(
                 PointingRow(sample.image_id, method, r.energy, r) for r in scored
             )
-        return rows
-
-    nested = _map_ordered(one, list(zip(samples, rngs)), workers)
-    return [row for group in nested for row in group]
+    return rows
 
 
 def read_bounding_boxes(path: str | Path) -> list[tuple[str, BoundingBox]]:
@@ -419,60 +413,48 @@ def aggregate_pointing(rows: list[PointingRow]) -> list[dict]:
     return out
 
 
+def _write_csv(path: Path, header: list[str], rows) -> Path:
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
 def write_masking_reports(
     rows: list[tuple[str, MaskingResult]], out_dir: str | Path
 ) -> tuple[Path, Path]:
     """Write per-image and aggregate masking CSVs; returns their paths."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    per_image = out_dir / "masking.csv"
-    with per_image.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "image_id",
-                "method",
-                "patch_size",
-                "target",
-                "prob_before",
-                "prob_after",
-                "drop",
-                "point_x",
-                "point_y",
-            ]
-        )
-        for image_id, r in rows:
-            writer.writerow(
-                [
-                    image_id,
-                    r.method,
-                    r.patch_size,
-                    r.target,
-                    _fmt(r.prob_before),
-                    _fmt(r.prob_after),
-                    _fmt(r.drop),
-                    r.point[0],
-                    r.point[1],
-                ]
-            )
-    aggregate = out_dir / "masking_aggregate.csv"
-    with aggregate.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["method", "patch_size", "n", "mean_prob_before", "mean_prob_after", "mean_drop"]
-        )
-        for g in aggregate_masking(rows):
-            writer.writerow(
-                [
-                    g["method"],
-                    g["patch_size"],
-                    g["n"],
-                    _fmt(g["mean_prob_before"]),
-                    _fmt(g["mean_prob_after"]),
-                    _fmt(g["mean_drop"]),
-                ]
-            )
+    per_image = _write_csv(
+        out_dir / "masking.csv",
+        ["image_id", "method", "patch_size", "target", "prob_before", "prob_after", "drop",
+         "point_x", "point_y"],
+        (
+            [image_id, r.method, r.patch_size, r.target, _fmt(r.prob_before),
+             _fmt(r.prob_after), _fmt(r.drop), r.point[0], r.point[1]]
+            for image_id, r in rows
+        ),
+    )
+    means = ("mean_prob_before", "mean_prob_after", "mean_drop")
+    aggregate = _write_csv(
+        out_dir / "masking_aggregate.csv",
+        ["method", "patch_size", "n", *means],
+        (
+            [g["method"], g["patch_size"], g["n"], *(_fmt(g[m]) for m in means)]
+            for g in aggregate_masking(rows)
+        ),
+    )
     return per_image, aggregate
+
+
+def _pointing_line(row: PointingRow) -> list:
+    r = row.result
+    if r is None:
+        return [row.image_id, row.method, _fmt(row.energy), "", "", "", "", "skipped"]
+    return [row.image_id, row.method, _fmt(r.energy), _fmt(r.tau), r.hits, r.misses,
+            _fmt(r.accuracy), "ok"]
 
 
 def write_pointing_reports(
@@ -481,38 +463,18 @@ def write_pointing_reports(
     """Write per-image and aggregate pointing CSVs; returns their paths."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    per_image = out_dir / "pointing.csv"
-    with per_image.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["image_id", "method", "energy", "tau", "hits", "misses", "accuracy", "status"]
-        )
-        for row in rows:
-            if row.result is None:
-                writer.writerow(
-                    [row.image_id, row.method, _fmt(row.energy), "", "", "", "", "skipped"]
-                )
-            else:
-                r = row.result
-                writer.writerow(
-                    [
-                        row.image_id,
-                        row.method,
-                        _fmt(r.energy),
-                        _fmt(r.tau),
-                        r.hits,
-                        r.misses,
-                        _fmt(r.accuracy),
-                        "ok",
-                    ]
-                )
-    aggregate = out_dir / "pointing_aggregate.csv"
-    with aggregate.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "energy", "n", "mean_accuracy"])
-        for g in aggregate_pointing(rows):
-            mean = g["mean_accuracy"]
-            writer.writerow(
-                [g["method"], _fmt(g["energy"]), g["n"], _fmt(mean) if mean != "" else ""]
-            )
+    per_image = _write_csv(
+        out_dir / "pointing.csv",
+        ["image_id", "method", "energy", "tau", "hits", "misses", "accuracy", "status"],
+        map(_pointing_line, rows),
+    )
+    aggregate = _write_csv(
+        out_dir / "pointing_aggregate.csv",
+        ["method", "energy", "n", "mean_accuracy"],
+        (
+            [g["method"], _fmt(g["energy"]), g["n"],
+             _fmt(g["mean_accuracy"]) if g["mean_accuracy"] != "" else ""]
+            for g in aggregate_pointing(rows)
+        ),
+    )
     return per_image, aggregate

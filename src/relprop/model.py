@@ -32,13 +32,13 @@ from .errors import BlobError, ChainError, ManifestError, ShapeError, UnknownLay
 
 MAGIC = "RELPROP-MODEL 1"
 
-_LAYER_KEYS = {
-    "conv2d": {"in", "out", "kh", "kw", "stride", "pad", "bias"},
-    "maxpool": {"kh", "kw", "stride"},
-    "dense": {"in", "out", "bias"},
-    "relu": set(),
-    "flatten": set(),
-    "softmax": set(),
+_LAYER_KEYS = {  # in the order save_model writes them
+    "conv2d": ("in", "out", "kh", "kw", "stride", "pad", "bias"),
+    "maxpool": ("kh", "kw", "stride"),
+    "dense": ("in", "out", "bias"),
+    "relu": (),
+    "flatten": (),
+    "softmax": (),
 }
 
 
@@ -52,7 +52,7 @@ class LayerSpec:
     def __post_init__(self):
         if self.kind not in _LAYER_KEYS:
             raise UnknownLayerError(f"unknown layer kind {self.kind!r}")
-        expected = _LAYER_KEYS[self.kind]
+        expected = set(_LAYER_KEYS[self.kind])
         got = set(self.params)
         if got != expected:
             raise ManifestError(
@@ -328,16 +328,8 @@ def save_model(model: NetworkModel, manifest_path: str | Path, weights_path: str
     """
     lines = [MAGIC, "input {} {} {}".format(*model.input_shape)]
     for layer in model.layers:
-        if layer.params:
-            keys = {
-                "conv2d": ["in", "out", "kh", "kw", "stride", "pad", "bias"],
-                "maxpool": ["kh", "kw", "stride"],
-                "dense": ["in", "out", "bias"],
-            }[layer.kind]
-            rendered = " ".join(f"{k}={layer.params[k]}" for k in keys)
-            lines.append(f"layer {layer.kind} {rendered}")
-        else:
-            lines.append(f"layer {layer.kind}")
+        rendered = "".join(f" {k}={layer.params[k]}" for k in _LAYER_KEYS[layer.kind])
+        lines.append(f"layer {layer.kind}{rendered}")
     lines.append("mean " + " ".join(_format_number(m) for m in model.preprocessing.means))
     lines.append("pixel_range {} {}".format(*(_format_number(v) for v in model.preprocessing.pixel_range)))
     Path(manifest_path).write_text("\n".join(lines) + "\n")
@@ -361,9 +353,19 @@ class LayerTrace:
     argmax: tensor.PoolArgmax | None = None
 
 
+def _one_image(probs: np.ndarray, what: str) -> np.ndarray:
+    if probs.ndim != 1:
+        raise ShapeError(f"{what}: needs the trace of one image, got probabilities {probs.shape}")
+    return probs
+
+
 @dataclass(frozen=True)
 class ForwardTrace:
-    """Full record of one forward pass, one entry per layer."""
+    """Full record of one forward pass, one entry per layer.
+
+    A trace of a stack holds every layer's stacked arrays; only its
+    probabilities are meaningful to read.
+    """
 
     entries: tuple[LayerTrace, ...]
 
@@ -377,17 +379,22 @@ class ForwardTrace:
 
     @property
     def prediction(self) -> int:
-        return int(np.argmax(self.probabilities))
+        return int(np.argmax(_one_image(self.probabilities, "prediction")))
 
 
 def forward(model: NetworkModel, image: np.ndarray, preprocessed: bool = True) -> ForwardTrace:
     """Run the chain on one image, recording every layer's input and output.
 
+    image may also be a stack [N, H, W, C]; every layer then maps the images
+    side by side, and row k of the probabilities is image k's.
     With preprocessed=False the per-channel dataset means are subtracted first.
     """
     x = np.asarray(image, dtype=np.float64)
-    if x.shape != model.input_shape:
-        raise ShapeError(f"forward: image shape {x.shape} != model input {model.input_shape}")
+    if x.ndim not in (3, 4) or x.shape[-3:] != model.input_shape or x.size == 0:
+        raise ShapeError(
+            f"forward: need an image {model.input_shape} or a non-empty stack, got {x.shape}"
+        )
+    lead = x.ndim - 3
     if not np.all(np.isfinite(x)):
         raise ShapeError("forward: image contains non-finite values")
     if not preprocessed:
@@ -404,11 +411,12 @@ def forward(model: NetworkModel, image: np.ndarray, preprocessed: bool = True) -
                 y, arg = tensor.maxpool_forward(x, p["kh"], p["kw"], p["stride"])
             elif layer.kind == "dense":
                 bias = lp.bias if lp.bias is not None else np.zeros(p["out"])
-                y = tensor.dense_forward(tensor.flatten(x) if x.ndim > 1 else x, lp.weights, bias)
+                flat = tensor.flatten(x, lead) if x.ndim > lead + 1 else x
+                y = tensor.dense_forward(flat, lp.weights, bias)
             elif layer.kind == "relu":
                 y = tensor.relu(x)
             elif layer.kind == "flatten":
-                y = tensor.flatten(x)
+                y = tensor.flatten(x, lead)
             else:
                 y = tensor.softmax(x)
         except ShapeError as exc:
@@ -420,7 +428,7 @@ def forward(model: NetworkModel, image: np.ndarray, preprocessed: bool = True) -
 
 def predict_topk(trace: ForwardTrace, k: int) -> list[tuple[int, float]]:
     """Top-k (class, probability) pairs, descending; ties go to the lower class index."""
-    probs = trace.probabilities
+    probs = _one_image(trace.probabilities, "predict_topk")
     if not 1 <= k <= probs.shape[0]:
         raise ShapeError(f"predict_topk: k={k} outside 1..{probs.shape[0]}")
     order = np.argsort(-probs, kind="stable")

@@ -253,6 +253,8 @@ def explain_all(
     for method in methods:
         if method not in METHODS:
             raise ShapeError(f"unknown explanation method {method!r}; expected one of {METHODS}")
+    if len(set(methods)) != len(methods):
+        raise ShapeError(f"explanation methods {methods} list a method more than once")
     if len(trace.entries) != len(model.layers):
         raise ShapeError(
             f"trace has {len(trace.entries)} entries for {len(model.layers)} layers"

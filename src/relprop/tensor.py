@@ -2,7 +2,9 @@
 
 All kernels take and return float64 numpy arrays in row-major layout:
 images are [H, W, C], convolution weights [C_out, C_in, kh, kw], dense
-weights [out, in]. Every kernel is pure and allocates its result.
+weights [out, in]. The forward kernels also take a stack of images with one
+leading axis, which maps row by row. Every kernel is pure and allocates its
+result.
 """
 
 from __future__ import annotations
@@ -31,12 +33,13 @@ def conv2d_forward(
     """Cross-correlate x [H,W,C] with weights [C_out,C,kh,kw], zero padding only.
 
     Output extent is floor((H + 2*pad - kh) / stride) + 1 per spatial axis.
+    x may carry one leading image axis [N, H, W, C]; each image maps on its own.
     """
-    if x.ndim != 3:
-        raise ShapeError(f"conv2d: input must be [H,W,C], got shape {x.shape}")
+    if x.ndim not in (3, 4):
+        raise ShapeError(f"conv2d: input must be [H,W,C] or [N,H,W,C], got shape {x.shape}")
     if weights.ndim != 4:
         raise ShapeError(f"conv2d: weights must be [out,in,kh,kw], got shape {weights.shape}")
-    h, w, c = x.shape
+    h, w, c = x.shape[-3:]
     c_out, c_in, kh, kw = weights.shape
     if c_in != c:
         raise ShapeError(f"conv2d: input has {c} channels, weights expect {c_in}")
@@ -50,11 +53,12 @@ def conv2d_forward(
         raise ShapeError(
             f"conv2d: kernel {kh}x{kw} larger than padded input {h + 2 * pad}x{w + 2 * pad}"
         )
-    padded = np.pad(x, ((pad, pad), (pad, pad), (0, 0))) if pad else x
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(0, 1))
-    windows = windows[::stride, ::stride]
-    out = np.einsum("xyckl,ockl->xyo", windows, weights, optimize=True) + bias
-    assert out.shape == (h_out, w_out, c_out)
+    lead = ((0, 0),) * (x.ndim - 3)
+    padded = np.pad(x, lead + ((pad, pad), (pad, pad), (0, 0))) if pad else x
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(-3, -2))
+    windows = windows[..., ::stride, ::stride, :, :, :]
+    out = np.einsum("...xyckl,ockl->...xyo", windows, weights, optimize=True) + bias
+    assert out.shape == x.shape[:-3] + (h_out, w_out, c_out)
     return _check_finite(np.ascontiguousarray(out), "conv2d output")
 
 
@@ -100,7 +104,7 @@ class PoolArgmax:
     each output element, the flat row-major index of the winning element in
     the pool's input tensor; it is derived on first read and cached, so a
     forward pass that is never explained never pays for it. Ties resolve to
-    the lowest row-major index.
+    the lowest row-major index. A pooled stack [N, H, W, C] indexes within each image.
     """
 
     input: np.ndarray
@@ -110,23 +114,23 @@ class PoolArgmax:
     stride: int
 
     @property
-    def input_shape(self) -> tuple[int, int, int]:
+    def input_shape(self) -> tuple[int, ...]:
         return self.input.shape
 
     @property
-    def output_shape(self) -> tuple[int, int, int]:
+    def output_shape(self) -> tuple[int, ...]:
         return self.output.shape
 
     @cached_property
     def indices(self) -> np.ndarray:
-        _, w, c = self.input.shape
-        h_out, w_out, _ = self.output.shape
+        _, w, c = self.input.shape[-3:]
+        h_out, w_out, _ = self.output.shape[-3:]
         s = self.stride
         # Visit taps last to first so the first tap equal to the max is written last.
         offset = np.zeros(self.output.shape, dtype=np.int64)
         for i in reversed(range(self.kh)):
             for j in reversed(range(self.kw)):
-                tap = self.input[i : i + s * h_out : s, j : j + s * w_out : s]
+                tap = self.input[..., i : i + s * h_out : s, j : j + s * w_out : s, :]
                 offset[tap == self.output] = i * w + j
         corner = np.arange(h_out)[:, None, None] * s * w + np.arange(w_out)[None, :, None] * s
         return (corner + offset) * c + np.arange(c)
@@ -137,11 +141,12 @@ def maxpool_forward(
 ) -> tuple[np.ndarray, PoolArgmax]:
     """Max-pool x [H,W,C] with a kh x kw window. No padding; windows must tile exactly.
 
-    Ties inside a window resolve to the lowest row-major input index.
+    Ties inside a window resolve to the lowest row-major input index. x may
+    carry one leading image axis [N, H, W, C]; each image pools on its own.
     """
-    if x.ndim != 3:
-        raise ShapeError(f"maxpool: input must be [H,W,C], got shape {x.shape}")
-    h, w, _ = x.shape
+    if x.ndim not in (3, 4):
+        raise ShapeError(f"maxpool: input must be [H,W,C] or [N,H,W,C], got shape {x.shape}")
+    h, w, _ = x.shape[-3:]
     if kh < 1 or kw < 1 or stride < 1:
         raise ShapeError(f"maxpool: invalid window {kh}x{kw} stride={stride}")
     if h < kh or w < kw or (h - kh) % stride or (w - kw) % stride:
@@ -150,41 +155,48 @@ def maxpool_forward(
         )
     h_out = (h - kh) // stride + 1
     w_out = (w - kw) // stride + 1
-    out = x[: stride * h_out : stride, : stride * w_out : stride].copy()
+    out = x[..., : stride * h_out : stride, : stride * w_out : stride, :].copy()
     for i in range(kh):
         for j in range(kw):
             if i or j:
-                tap = x[i : i + stride * h_out : stride, j : j + stride * w_out : stride]
+                tap = x[..., i : i + stride * h_out : stride, j : j + stride * w_out : stride, :]
                 np.maximum(out, tap, out=out)
     return out, PoolArgmax(input=x, output=out, kh=kh, kw=kw, stride=stride)
 
 
 def dense_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Affine map weights [M,N] @ x [N] + bias [M]."""
-    if x.ndim != 1:
-        raise ShapeError(f"dense: input must be 1-D, got shape {x.shape}")
-    if weights.ndim != 2 or weights.shape[1] != x.shape[0]:
+    """Affine map weights [M,N] @ x [N] + bias [M].
+
+    x may carry one leading image axis [B, N]. Each row is its own matrix-vector
+    product, so a row sums in the same order as a call on that row alone.
+    """
+    if x.ndim not in (1, 2):
+        raise ShapeError(f"dense: input must be [N] or [B,N], got shape {x.shape}")
+    if weights.ndim != 2 or weights.shape[1] != x.shape[-1]:
         raise ShapeError(f"dense: weights {weights.shape} incompatible with input {x.shape}")
     if bias.shape != (weights.shape[0],):
         raise ShapeError(f"dense: bias shape {bias.shape} != ({weights.shape[0]},)")
-    return _check_finite(weights @ x + bias, "dense output")
+    return _check_finite((weights @ x[..., None])[..., 0] + bias, "dense output")
 
 
 def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def flatten(x: np.ndarray) -> np.ndarray:
-    """Row-major flatten to 1-D."""
-    return x.reshape(-1).copy()
+def flatten(x: np.ndarray, lead: int = 0) -> np.ndarray:
+    """Row-major flatten to 1-D, keeping the first `lead` axes (0 or 1)."""
+    return x.reshape(x.shape[:lead] + (-1,)).copy()
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    """Stable softmax of a 1-D logit vector (max subtracted before exponentiation)."""
-    if z.ndim != 1:
-        raise ShapeError(f"softmax: input must be 1-D, got shape {z.shape}")
+    """Stable softmax of a logit vector (max subtracted before exponentiation).
+
+    z may carry one leading image axis [N, classes]; each row normalizes on its own.
+    """
+    if z.ndim not in (1, 2):
+        raise ShapeError(f"softmax: input must be [classes] or [N,classes], got shape {z.shape}")
     if z.size == 0:
         raise ShapeError("softmax: empty input")
-    shifted = z - np.max(z)
+    shifted = z - np.max(z, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return _check_finite(e / np.sum(e), "softmax output")
+    return _check_finite(e / np.sum(e, axis=-1, keepdims=True), "softmax output")

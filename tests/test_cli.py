@@ -347,6 +347,14 @@ class TestMaskEval:
         assert exc.value.code == 2 and "more than once: lrp" in err
         assert not list(tmp_path.rglob("*.csv"))
 
+    def test_repeated_patch_rejected_by_parser(self, workspace, tmp_path, capsys):
+        """A repeated patch size would add a second row per method and image."""
+        with pytest.raises(SystemExit) as exc:
+            main(self._argv(workspace, tmp_path, "--patches", "3,1,3", "--seed", "1"))
+        _, err = capsys.readouterr()
+        assert exc.value.code == 2 and "more than once: 3" in err
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_random_only_run(self, workspace, tmp_path, capsys):
         code, _, _ = run_cli(
             self._argv(workspace, tmp_path, "--methods", "random", "--seed", "4"), capsys
@@ -476,6 +484,13 @@ class TestPointing:
             main(self._argv(workspace, tmp_path, "--methods", "sglrp,random,sglrp", "--seed", "1"))
         _, err = capsys.readouterr()
         assert exc.value.code == 2 and "more than once: sglrp" in err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_repeated_energy_rejected_by_parser(self, workspace, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(self._argv(workspace, tmp_path, "--energies", "0.5,1,0.5", "--seed", "1"))
+        _, err = capsys.readouterr()
+        assert exc.value.code == 2 and "more than once: 0.5" in err
         assert not list(tmp_path.rglob("*.csv"))
 
     def test_random_only_run(self, workspace, tmp_path, capsys):

@@ -175,6 +175,39 @@ class TestPatchMaskingEval:
                 model, np.zeros((6, 6, 1)), label=0, methods=("random",)
             )
 
+    def test_no_patch_sizes_gives_no_rows(self):
+        model = self._model()
+        image = np.random.default_rng(4).uniform(0, 255, size=(6, 6, 1))
+        rows = patch_masking_eval(
+            model, image, label=0, patch_sizes=(), rng=np.random.default_rng(1)
+        )
+        assert rows == []
+
+    def test_unknown_or_repeated_method_rejected(self):
+        model = self._model()
+        image = np.zeros((6, 6, 1))
+        for methods in (("lrp", "lrp"), ("random", "sglrp", "random"), ("saliency",)):
+            with pytest.raises(DataError):
+                patch_masking_eval(
+                    model, image, label=0, methods=methods, rng=np.random.default_rng(1)
+                )
+
+    def test_rows_match_one_forward_per_occlusion(self):
+        """Each row's prob_after is the target probability of its own occluded
+        image, although every method's occlusions are classified as one stack."""
+        rng = np.random.default_rng(42)
+        model = self._model()
+        image = rng.uniform(0, 255, size=(6, 6, 1))
+        rows = patch_masking_eval(
+            model, image, label=2, methods=("clrp", "random"), rng=np.random.default_rng(3)
+        )
+        assert len(rows) == 2 * len(DEFAULT_PATCH_SIZES)
+        fill = model.preprocessing.means
+        for r in rows:
+            masked = mask_patch(image, r.point, r.patch_size, fill)
+            single = forward(model, masked, preprocessed=False).probabilities[2]
+            assert abs(r.prob_after - single) <= 1e-12
+
     def test_masking_ignored_region_keeps_probability(self):
         """A model wired to the left half of the image cannot react to a patch
         placed in the right half: the drop is zero."""
@@ -396,6 +429,20 @@ class TestDatasetDrivers:
         model, samples, _ = small_dataset()
         with pytest.raises(DataError):
             run_masking(model, samples, methods=("random",))
+
+    def test_masking_repeated_method_rejected(self):
+        """A repeated method would add a second row per image and count it twice
+        in the aggregate; an unknown one is rejected even with no samples."""
+        model, samples, _ = small_dataset(n=2)
+        with pytest.raises(DataError):
+            run_masking(model, samples, methods=("lrp", "lrp"), patch_sizes=(1,))
+        with pytest.raises(DataError):
+            run_masking(model, [], methods=("lrp", "saliency"))
+
+    def test_pointing_repeated_method_rejected(self):
+        model, _, samples = small_dataset(n=1)
+        with pytest.raises(DataError):
+            run_pointing(model, samples, methods=("sglrp", "sglrp"))
 
     def test_pointing_rows_and_identity(self):
         model, _, samples = small_dataset()

@@ -302,6 +302,40 @@ class TestForward:
         with pytest.raises(ShapeError):
             forward(model, np.zeros((2, 2, 1)))
 
+    def test_stack_rows_are_single_forwards(self):
+        """A [3, H, W, C] stack gives one probability row per image."""
+        rng = np.random.default_rng(11)
+        model = dense_softmax_model(0.01 * rng.normal(size=(3, 4)), input_shape=(2, 2, 1))
+        stack = rng.uniform(0, 255, size=(3, 2, 2, 1))
+        probs = forward(model, stack, preprocessed=False).probabilities
+        assert probs.shape == (3, 3)
+        for k in range(3):
+            single = forward(model, stack[k], preprocessed=False).probabilities
+            np.testing.assert_array_equal(probs[k], single)
+
+    def test_stack_with_one_non_finite_image_raises(self):
+        model = dense_softmax_model(np.eye(2), input_shape=(1, 2, 1))
+        stack = np.zeros((4, 1, 2, 1))
+        stack[2, 0, 1, 0] = np.nan
+        with pytest.raises(ShapeError, match="non-finite"):
+            forward(model, stack)
+
+    def test_stack_of_wrong_image_shape_raises(self):
+        model = dense_softmax_model(np.eye(2), input_shape=(1, 2, 1))
+        for bad in (np.zeros((3, 2, 2, 1)), np.zeros((2, 3, 1, 2, 1)), np.zeros((0, 1, 2, 1))):
+            with pytest.raises(ShapeError):
+                forward(model, bad)
+
+    def test_stacked_trace_has_no_single_prediction(self):
+        """Only the probabilities of a stacked trace are meaningful; reading a
+        prediction from it is a shape error, not the argmax of the flat stack."""
+        model = dense_softmax_model(np.eye(2), input_shape=(1, 2, 1))
+        trace = forward(model, np.array([[1.0, 2.0], [2.0, 1.0]]).reshape(2, 1, 2, 1))
+        with pytest.raises(ShapeError):
+            trace.prediction
+        with pytest.raises(ShapeError):
+            predict_topk(trace, 1)
+
 
 class TestPredictTopk:
     def _trace_with_probs(self, probs):

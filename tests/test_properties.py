@@ -1,5 +1,6 @@
 """Property tests over random shapes for the convolution adjoint, max pooling,
-and the leading seed axis that lets every method share one backward pass."""
+the leading seed axis that lets every method share one backward pass, and the
+leading image axis that lets a stack of images share one forward pass."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -7,7 +8,13 @@ from hypothesis import strategies as st
 
 from relprop.model import LayerParams, LayerSpec, NetworkModel, Preprocessing, forward
 from relprop.relevance import explain, explain_all, propagate_maxpool
-from relprop.tensor import conv2d_forward, conv2d_transpose, maxpool_forward
+from relprop.tensor import (
+    conv2d_forward,
+    conv2d_transpose,
+    dense_forward,
+    maxpool_forward,
+    softmax,
+)
 
 from oracles import naive_maxpool
 from synth import make_two_shape_image, make_two_shape_model
@@ -173,3 +180,73 @@ def test_explain_all_matches_explain_per_method(seed, two_shape):
         np.testing.assert_allclose(maps[method].raw, single.raw, rtol=0, atol=atol)
         np.testing.assert_allclose(maps[method].values, single.values, rtol=0, atol=3 * atol)
         assert maps[method].method == method and maps[method].target == target
+
+
+STACK_SIZES = st.integers(1, 6)
+
+
+@PROPERTY_SETTINGS
+@given(conv_cases(), STACK_SIZES)
+def test_conv2d_forward_stack_rows_match_single_calls(case, n):
+    """Row k of a stacked conv is image k's conv. The batched contraction may
+    sum in another order, so rows agree to rounding, not always bit for bit."""
+    input_shape, weight_shape, stride, pad, seed = case
+    rng = np.random.default_rng(seed)
+    w, b = rng.normal(size=weight_shape), rng.normal(size=weight_shape[0])
+    stack = rng.normal(size=(n,) + input_shape)
+    out = conv2d_forward(stack, w, b, stride, pad)
+    for k in range(n):
+        single = conv2d_forward(stack[k], w, b, stride, pad)
+        assert out[k].shape == single.shape
+        np.testing.assert_allclose(out[k], single, rtol=0, atol=1e-12 * np.abs(single).max())
+
+
+@PROPERTY_SETTINGS
+@given(pool_cases(), STACK_SIZES)
+def test_maxpool_forward_stack_rows_match_single_calls(case, n):
+    """Pooled rows and their derived winner indices equal each image's own pool."""
+    x, kh, kw, stride, seed = case
+    extra = np.random.default_rng(seed + 1).integers(-2, 3, size=(n - 1,) + x.shape)
+    stack = np.concatenate([x[None], extra.astype(np.float64)])
+    out, arg = maxpool_forward(stack, kh, kw, stride)
+    for k in range(n):
+        single, single_arg = maxpool_forward(stack[k], kh, kw, stride)
+        np.testing.assert_array_equal(out[k], single)
+        np.testing.assert_array_equal(arg.indices[k], single_arg.indices)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 40), st.integers(1, 40), STACK_SIZES, st.integers(0, 2**32 - 1))
+def test_dense_forward_stack_rows_match_single_calls(m, n_in, n, seed):
+    """Each row is its own matrix-vector product, so rows match bit for bit."""
+    rng = np.random.default_rng(seed)
+    w, b = rng.normal(size=(m, n_in)), rng.normal(size=m)
+    stack = rng.normal(size=(n, n_in))
+    out = dense_forward(stack, w, b)
+    assert out.shape == (n, m)
+    for k in range(n):
+        np.testing.assert_array_equal(out[k], dense_forward(stack[k], w, b))
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 12), STACK_SIZES, st.integers(0, 2**32 - 1), st.floats(0.1, 300.0))
+def test_softmax_stack_rows_match_single_calls(classes, n, seed, scale):
+    """Each row is shifted by its own maximum and normalized by its own sum."""
+    logits = scale * np.random.default_rng(seed).normal(size=(n, classes))
+    out = softmax(logits)
+    for k in range(n):
+        np.testing.assert_array_equal(out[k], softmax(logits[k]))
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 2**32 - 1), STACK_SIZES)
+def test_forward_stack_rows_match_single_forwards(seed, n):
+    """Row k of a stacked forward's probabilities is image k's probabilities."""
+    rng = np.random.default_rng(seed)
+    model = _random_cnn(rng, classes=int(rng.integers(2, 6)))
+    stack = rng.uniform(0, 255, size=(n,) + model.input_shape)
+    probs = forward(model, stack, preprocessed=False).probabilities
+    assert probs.shape == (n, model.num_classes)
+    for k in range(n):
+        single = forward(model, stack[k], preprocessed=False).probabilities
+        np.testing.assert_allclose(probs[k], single, rtol=0, atol=1e-12 * np.abs(single).max())

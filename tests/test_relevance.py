@@ -497,6 +497,20 @@ class TestExplain:
         with pytest.raises(ShapeError):
             explain(model, trace, 0, "gradcam")
 
+    def test_repeated_method_rejected(self):
+        """A method named twice would return one map for two seed rows."""
+        model = self._two_pixel_model()
+        trace = forward(model, np.array([1.0, 2.0]).reshape(1, 2, 1))
+        with pytest.raises(ShapeError):
+            explain_all(model, trace, 0, ("lrp", "sglrp", "lrp"))
+
+    def test_stacked_trace_rejected(self):
+        """A trace of an image stack is good for its probabilities only."""
+        model = self._two_pixel_model()
+        trace = forward(model, np.array([[1.0, 2.0], [2.0, 1.0]]).reshape(2, 1, 2, 1))
+        with pytest.raises(ShapeError):
+            explain_all(model, trace, 0, ("lrp", "sglrp"))
+
     def test_contrastive_cancellation_vs_gradient_weighting(self):
         """On a chain where the target's evidence pixel is shared with a weak
         decoy class, the uniform contrastive penalty cancels that pixel exactly
