@@ -86,10 +86,6 @@ def _workers() -> int:
     return n
 
 
-def _load_model(args) -> NetworkModel:
-    return load_model(args.manifest, args.weights)
-
-
 def _load_raw_image(path: Path, model: NetworkModel) -> np.ndarray:
     return imaging.preprocess(imaging.read_ppm(path), model, subtract_mean=False)
 
@@ -136,7 +132,7 @@ def _write_metadata(path: Path, payload: dict) -> None:
 
 
 def cmd_predict(args) -> int:
-    model = _load_model(args)
+    model = load_model(args.manifest, args.weights)
     if args.top is None:
         top = min(5, model.num_classes)
     else:
@@ -151,7 +147,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    model = _load_model(args)
+    model = load_model(args.manifest, args.weights)
     trace = forward(model, _load_raw_image(Path(args.image), model), preprocessed=False)
     if args.target == "top":
         target = trace.prediction
@@ -179,7 +175,7 @@ def cmd_explain(args) -> int:
 def cmd_mask_eval(args) -> int:
     if "random" in args.methods and args.seed is None:
         raise UsageError("--seed is required when methods include 'random'")
-    model = _load_model(args)
+    model = load_model(args.manifest, args.weights)
     entries = _read_image_list(Path(args.images))
     target_mode = args.target.replace("-", "_")
     samples = []
@@ -220,7 +216,7 @@ def cmd_mask_eval(args) -> int:
 def cmd_pointing(args) -> int:
     if "random" in args.methods and args.seed is None:
         raise UsageError("--seed is required when methods include 'random'")
-    model = _load_model(args)
+    model = load_model(args.manifest, args.weights)
     entries = _read_image_list(Path(args.images))
     boxes = evaluate.read_bounding_boxes(Path(args.boxes))
     by_image: dict[str, list[evaluate.BoundingBox]] = {}

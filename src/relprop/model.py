@@ -14,9 +14,11 @@ raw little-endian float32 weight blob. The manifest format:
     mean 103.939 116.779 123.68
     pixel_range 0 255
 
-Blank lines and `#` comments are ignored. The blob is the concatenation, in
-manifest order, of each parametric layer's weights then bias (if bias=1), with
-no header. Weights are promoted to float64 in memory.
+Blank lines and `#` comments are ignored. Every conv2d or dense layer after
+the first must be fed through a relu, with maxpool or flatten allowed between,
+so that the relevance rules see non-negative activations. The blob is the
+concatenation, in manifest order, of each parametric layer's weights then bias
+(if bias=1), with no header. Weights are promoted to float64 in memory.
 """
 
 from __future__ import annotations
@@ -112,36 +114,26 @@ def infer_shapes(
         p = layer.params
         if i < len(layers) - 1 and layer.kind == "softmax":
             raise ChainError(f"{where}: softmax must be the final layer")
-        if layer.kind == "conv2d":
-            if len(current) != 3:
-                raise ChainError(f"{where}: needs [H,W,C] input, has {current}")
-            h, w, c = current
-            if c != p["in"]:
-                raise ChainError(f"{where}: expects {p['in']} channels, input has {c}")
-            h2 = (h + 2 * p["pad"] - p["kh"]) // p["stride"] + 1
-            w2 = (w + 2 * p["pad"] - p["kw"]) // p["stride"] + 1
-            if h + 2 * p["pad"] < p["kh"] or w + 2 * p["pad"] < p["kw"]:
-                raise ChainError(f"{where}: kernel exceeds padded input {current}")
-            current = (h2, w2, p["out"])
-        elif layer.kind == "maxpool":
-            if len(current) != 3:
-                raise ChainError(f"{where}: needs [H,W,C] input, has {current}")
-            h, w, c = current
-            if h < p["kh"] or w < p["kw"] or (h - p["kh"]) % p["stride"] or (w - p["kw"]) % p["stride"]:
-                raise ChainError(
-                    f"{where}: window {p['kh']}x{p['kw']} stride {p['stride']}"
-                    f" does not tile {h}x{w}"
-                )
-            current = ((h - p["kh"]) // p["stride"] + 1, (w - p["kw"]) // p["stride"] + 1, c)
-        elif layer.kind == "dense":
+        if layer.kind in ("conv2d", "maxpool") and len(current) != 3:
+            raise ChainError(f"{where}: needs [H,W,C] input, has {current}")
+        if layer.kind == "conv2d" and current[2] != p["in"]:
+            raise ChainError(f"{where}: expects {p['in']} channels, input has {current[2]}")
+        try:
+            if layer.kind == "conv2d":
+                extent = tensor.conv_extent(*current[:2], p["kh"], p["kw"], p["stride"], p["pad"])
+                current = (*extent, p["out"])
+            elif layer.kind == "maxpool":
+                extent = tensor.pool_extent(*current[:2], p["kh"], p["kw"], p["stride"])
+                current = (*extent, current[2])
+        except ShapeError as exc:
+            raise ChainError(f"{where}: {exc}") from exc
+        if layer.kind == "dense":
             n = math.prod(current)
             if n != p["in"]:
                 raise ChainError(f"{where}: expects {p['in']} inputs, chain provides {n}")
             current = (p["out"],)
         elif layer.kind == "flatten":
             current = (math.prod(current),)
-        elif layer.kind == "relu":
-            pass
         elif layer.kind == "softmax":
             if len(current) != 1:
                 raise ChainError(f"{where}: needs a 1-D input, has {current}")
@@ -206,7 +198,7 @@ def _float_count(layers: list[LayerSpec]) -> int:
 
 
 def load_model(manifest_path: str | Path, weights_path: str | Path) -> NetworkModel:
-    """Parse a manifest and its weight blob into a validated NetworkModel."""
+    """Parse a manifest and its weight blob into a validated, explainable NetworkModel."""
     manifest_path = Path(manifest_path)
     lines = manifest_path.read_text().splitlines()
     entries: list[tuple[int, list[str]]] = []
@@ -305,7 +297,7 @@ def load_model(manifest_path: str | Path, weights_path: str | Path) -> NetworkMo
         params.append(LayerParams(weights=weights.copy(), bias=bias))
 
     try:
-        return NetworkModel(
+        model = NetworkModel(
             input_shape=input_shape,
             layers=tuple(layers),
             params=tuple(params),
@@ -314,6 +306,14 @@ def load_model(manifest_path: str | Path, weights_path: str | Path) -> NetworkMo
     except ChainError as exc:
         lineinfo = f" (layers at lines {layer_lines})" if layer_lines else ""
         raise ChainError(f"{manifest_path}: {exc}{lineinfo}") from exc
+    # Each parametric layer after the first (which reads pixels, under zbeta) runs zplus and
+    # needs non-negative input: a relu since the previous one, kept by any maxpool or flatten.
+    fed = True
+    for lineno, layer in zip(layer_lines, layers):
+        if layer.is_parametric and not fed:
+            raise ChainError(f"{manifest_path}:{lineno}: {layer.kind} layer not fed through relu")
+        fed = layer.kind == "relu" or (fed and not layer.is_parametric)
+    return model
 
 
 def _format_number(v: float) -> str:

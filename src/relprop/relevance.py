@@ -4,10 +4,13 @@ Relevance starts at the logit layer as a method-specific seed vector and flows
 backward through the chain. Linear layers redistribute it proportionally to
 each input's positive forward contribution; the layer touching raw pixels uses
 a bounded variant that accounts for the admissible pixel range, so negative
-inputs cannot invert signs. Max-pool routes winner-take-all; relu, flatten and
-softmax are skipped. All rules are linear, so relevance may carry a leading
-seed axis, which explain_all fills with one row per method. The result is a
-signed per-pixel tensor; its 2-D map sums positive evidence over channels.
+inputs cannot invert signs. Each of the two rules has one body, written over a
+layer's bias-free linear map and its adjoint: W @ x and s @ W for dense layers,
+conv2d_forward and conv2d_transpose for conv layers. Max-pool routes
+winner-take-all; relu, flatten and softmax are skipped. All rules are linear,
+so relevance may carry a leading seed axis, which explain_all fills with one
+row per method. The result is a signed per-pixel tensor; its 2-D map sums
+positive evidence over channels.
 
 Seeding styles:
 
@@ -96,6 +99,32 @@ def _stabilized_ratio(relevance: np.ndarray, denom: np.ndarray) -> np.ndarray:
     return out
 
 
+def _dense_map(shape: tuple[int, ...]):
+    """Bias-free W @ x over inputs shaped `shape`, and its adjoint s @ W onto that shape."""
+    return (
+        lambda x, w: w @ x.reshape(-1),
+        lambda s, w: (s @ w).reshape(s.shape[:-1] + shape),
+    )
+
+
+def _conv_map(shape: tuple[int, int, int], stride: int, pad: int):
+    """Bias-free conv over inputs shaped `shape`, and its adjoint conv2d_transpose."""
+    return (
+        lambda x, w: conv2d_forward(x, w, np.zeros(w.shape[0]), stride, pad),
+        lambda s, w: conv2d_transpose(s, w, shape, stride, pad),
+    )
+
+
+def _zplus(relevance: np.ndarray, weights: np.ndarray, a: np.ndarray, apply, adjoint, what: str):
+    """zplus over one layer's map pair: a * adjoint(R / apply(a, W+), W+), W+ = max(W, 0)."""
+    if np.any(a < 0):
+        raise ShapeError(f"{what}: negative activations")
+    wp = np.maximum(weights, 0.0)
+    denom = apply(a, wp)
+    _seed_axis(relevance, denom.shape, what)
+    return a * adjoint(_stabilized_ratio(relevance, denom), wp)
+
+
 def propagate_zplus_dense(
     relevance: np.ndarray, weights: np.ndarray, activations: np.ndarray
 ) -> np.ndarray:
@@ -106,16 +135,8 @@ def propagate_zplus_dense(
     floor absorb their relevance.
     """
     if activations.ndim != 1 or weights.ndim != 2 or weights.shape[1] != activations.shape[0]:
-        raise ShapeError(
-            f"zplus dense: weights {weights.shape} incompatible with input {activations.shape}"
-        )
-    _seed_axis(relevance, (weights.shape[0],), "zplus dense")
-    if np.any(activations < 0):
-        raise ShapeError("zplus dense: negative activations")
-    wp = np.maximum(weights, 0.0)
-    denom = wp @ activations
-    s = _stabilized_ratio(relevance, denom)
-    return activations * (s @ wp)
+        raise ShapeError(f"zplus dense: weights {weights.shape} != input {activations.shape}")
+    return _zplus(relevance, weights, activations, *_dense_map(activations.shape), "zplus dense")
 
 
 def propagate_zplus_conv(
@@ -126,14 +147,8 @@ def propagate_zplus_conv(
     pad: int,
 ) -> np.ndarray:
     """Conv analogue of propagate_zplus_dense over the unrolled linear map."""
-    if np.any(activations < 0):
-        raise ShapeError("zplus conv: negative activations")
-    wp = np.maximum(weights, 0.0)
-    zeros = np.zeros(weights.shape[0])
-    denom = conv2d_forward(activations, wp, zeros, stride, pad)
-    _seed_axis(relevance, denom.shape, "zplus conv")
-    s = _stabilized_ratio(relevance, denom)
-    return activations * conv2d_transpose(s, wp, activations.shape, stride, pad)
+    maps = _conv_map(activations.shape, stride, pad)
+    return _zplus(relevance, weights, activations, *maps, "zplus conv")
 
 
 @dataclass(frozen=True)
@@ -173,9 +188,7 @@ def propagate_zbeta_input(
     if x.ndim != 3:
         raise ShapeError(f"zbeta: input must be [H,W,C], got {x.shape}")
     if bounds.lower.shape != (x.shape[2],):
-        raise ShapeError(
-            f"zbeta: bounds have {bounds.lower.shape[0]} channels, input has {x.shape[2]}"
-        )
+        raise ShapeError(f"zbeta: bounds have {bounds.lower.shape[0]} channels, input {x.shape[2]}")
     low = np.broadcast_to(bounds.lower, x.shape).astype(np.float64)
     high = np.broadcast_to(bounds.upper, x.shape).astype(np.float64)
     if np.any(x < low) or np.any(x > high):
@@ -183,33 +196,20 @@ def propagate_zbeta_input(
             f"zbeta: input values {x.min():.6g}..{x.max():.6g} (after mean subtraction)"
             " fall outside the declared pixel range"
         )
+    if layer.kind == "conv2d":
+        apply, adjoint = _conv_map(x.shape, layer.params["stride"], layer.params["pad"])
+    elif layer.kind == "dense":
+        if weights.shape[1] != x.size:
+            raise ShapeError(f"zbeta dense: weights {weights.shape} do not fit input {x.shape}")
+        apply, adjoint = _dense_map(x.shape)
+    else:
+        raise ShapeError(f"zbeta: unsupported layer kind {layer.kind}")
     wp = np.maximum(weights, 0.0)
     wm = np.minimum(weights, 0.0)
-    if layer.kind == "conv2d":
-        stride, pad = layer.params["stride"], layer.params["pad"]
-        zeros = np.zeros(weights.shape[0])
-        denom = (
-            conv2d_forward(x, weights, zeros, stride, pad)
-            - conv2d_forward(low, wp, zeros, stride, pad)
-            - conv2d_forward(high, wm, zeros, stride, pad)
-        )
-        _seed_axis(relevance, denom.shape, "zbeta conv")
-        s = _stabilized_ratio(relevance, denom)
-        return (
-            x * conv2d_transpose(s, weights, x.shape, stride, pad)
-            - low * conv2d_transpose(s, wp, x.shape, stride, pad)
-            - high * conv2d_transpose(s, wm, x.shape, stride, pad)
-        )
-    if layer.kind == "dense":
-        xf, lf, hf = x.reshape(-1), low.reshape(-1), high.reshape(-1)
-        if weights.shape[1] != xf.shape[0]:
-            raise ShapeError(f"zbeta dense: weights {weights.shape} do not fit input {x.shape}")
-        lead = _seed_axis(relevance, (weights.shape[0],), "zbeta dense")
-        denom = weights @ xf - wp @ lf - wm @ hf
-        s = _stabilized_ratio(relevance, denom)
-        flat = xf * (s @ weights) - lf * (s @ wp) - hf * (s @ wm)
-        return flat.reshape(lead + x.shape)
-    raise ShapeError(f"zbeta: unsupported layer kind {layer.kind}")
+    denom = apply(x, weights) - apply(low, wp) - apply(high, wm)
+    _seed_axis(relevance, denom.shape, f"zbeta {layer.kind}")
+    s = _stabilized_ratio(relevance, denom)
+    return x * adjoint(s, weights) - low * adjoint(s, wp) - high * adjoint(s, wm)
 
 
 def propagate_maxpool(relevance: np.ndarray, argmax: PoolArgmax) -> np.ndarray:
@@ -267,25 +267,18 @@ def explain_all(
     seed_fns = {"lrp": seed_lrp, "clrp": seed_clrp, "sglrp": seed_sglrp}
     relevance = np.stack([seed_fns[m](trace, target).values for m in methods])
     for i in reversed(range(len(model.layers))):
-        layer = model.layers[i]
-        entry = trace.entries[i]
+        layer, entry, lp = model.layers[i], trace.entries[i], model.params[i]
         if layer.kind == "maxpool":
             relevance = propagate_maxpool(relevance, entry.argmax)
         elif i == first_parametric:
-            relevance = propagate_zbeta_input(
-                relevance, layer, model.params[i].weights, entry.input, bounds
-            )
+            # A flatten ahead of a first dense layer keeps the pixel order; take the [H,W,C] view.
+            x = next(e.input for e in reversed(trace.entries[: i + 1]) if e.input.ndim == 3)
+            relevance = propagate_zbeta_input(relevance, layer, lp.weights, x, bounds)
         elif layer.kind == "dense":
-            a = entry.input.reshape(-1) if entry.input.ndim > 1 else entry.input
-            relevance = propagate_zplus_dense(relevance, model.params[i].weights, a)
+            relevance = propagate_zplus_dense(relevance, lp.weights, entry.input.reshape(-1))
         elif layer.kind == "conv2d":
-            relevance = propagate_zplus_conv(
-                relevance,
-                model.params[i].weights,
-                entry.input,
-                layer.params["stride"],
-                layer.params["pad"],
-            )
+            stride, pad = layer.params["stride"], layer.params["pad"]
+            relevance = propagate_zplus_conv(relevance, lp.weights, entry.input, stride, pad)
         relevance = relevance.reshape((len(methods),) + entry.input.shape)
 
     values = np.maximum(relevance, 0.0).sum(axis=3)

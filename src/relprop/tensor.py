@@ -5,6 +5,9 @@ images are [H, W, C], convolution weights [C_out, C_in, kh, kw], dense
 weights [out, in]. The forward kernels also take a stack of images with one
 leading axis, which maps row by row. Every kernel is pure and allocates its
 result.
+
+Output extents come only from conv_extent and pool_extent, which the kernels
+and the model's shape inference share, so a geometry fails the same way everywhere.
 """
 
 from __future__ import annotations
@@ -23,6 +26,25 @@ def _check_finite(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
+def conv_extent(h: int, w: int, kh: int, kw: int, stride: int, pad: int) -> tuple[int, int]:
+    """Output (rows, cols) of a kh x kw conv over h x w: (H + 2*pad - kh) // stride + 1.
+
+    Raises ShapeError for stride < 1, pad < 0, or a kernel larger than the padded input.
+    """
+    hp, wp = h + 2 * pad, w + 2 * pad
+    if stride < 1 or pad < 0 or hp < kh or wp < kw:
+        raise ShapeError(f"conv2d: kernel {kh}x{kw} stride={stride} pad={pad} does not fit {h}x{w}")
+    return (hp - kh) // stride + 1, (wp - kw) // stride + 1
+
+
+def pool_extent(h: int, w: int, kh: int, kw: int, stride: int) -> tuple[int, int]:
+    """Output (rows, cols) of an unpadded kh x kw pool over h x w, whose windows
+    must tile it exactly; raises ShapeError otherwise or for a size below 1."""
+    if min(kh, kw, stride) < 1 or h < kh or w < kw or (h - kh) % stride or (w - kw) % stride:
+        raise ShapeError(f"maxpool: window {kh}x{kw} stride={stride} does not tile {h}x{w}")
+    return (h - kh) // stride + 1, (w - kw) // stride + 1
+
+
 def conv2d_forward(
     x: np.ndarray,
     weights: np.ndarray,
@@ -32,8 +54,8 @@ def conv2d_forward(
 ) -> np.ndarray:
     """Cross-correlate x [H,W,C] with weights [C_out,C,kh,kw], zero padding only.
 
-    Output extent is floor((H + 2*pad - kh) / stride) + 1 per spatial axis.
-    x may carry one leading image axis [N, H, W, C]; each image maps on its own.
+    The output extent is conv_extent's. x may carry one leading image axis
+    [N, H, W, C]; each image maps on its own.
     """
     if x.ndim not in (3, 4):
         raise ShapeError(f"conv2d: input must be [H,W,C] or [N,H,W,C], got shape {x.shape}")
@@ -45,14 +67,7 @@ def conv2d_forward(
         raise ShapeError(f"conv2d: input has {c} channels, weights expect {c_in}")
     if bias.shape != (c_out,):
         raise ShapeError(f"conv2d: bias shape {bias.shape} != ({c_out},)")
-    if stride < 1 or pad < 0:
-        raise ShapeError(f"conv2d: invalid stride={stride} pad={pad}")
-    h_out = (h + 2 * pad - kh) // stride + 1
-    w_out = (w + 2 * pad - kw) // stride + 1
-    if h + 2 * pad < kh or w + 2 * pad < kw:
-        raise ShapeError(
-            f"conv2d: kernel {kh}x{kw} larger than padded input {h + 2 * pad}x{w + 2 * pad}"
-        )
+    h_out, w_out = conv_extent(h, w, kh, kw, stride, pad)
     lead = ((0, 0),) * (x.ndim - 3)
     padded = np.pad(x, lead + ((pad, pad), (pad, pad), (0, 0))) if pad else x
     windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(-3, -2))
@@ -79,8 +94,7 @@ def conv2d_transpose(
     c_out, c_in, kh, kw = weights.shape
     if c_in != c:
         raise ShapeError(f"conv2d_transpose: input has {c} channels, weights expect {c_in}")
-    h_out = (h + 2 * pad - kh) // stride + 1
-    w_out = (w + 2 * pad - kw) // stride + 1
+    h_out, w_out = conv_extent(h, w, kh, kw, stride, pad)
     if grad.ndim > 4 or grad.shape[-3:] != (h_out, w_out, c_out):
         raise ShapeError(f"conv2d_transpose: grad {grad.shape} != output {(h_out, w_out, c_out)}")
     # One GEMM gives every tap's contribution at every output position; the
@@ -146,15 +160,7 @@ def maxpool_forward(
     """
     if x.ndim not in (3, 4):
         raise ShapeError(f"maxpool: input must be [H,W,C] or [N,H,W,C], got shape {x.shape}")
-    h, w, _ = x.shape[-3:]
-    if kh < 1 or kw < 1 or stride < 1:
-        raise ShapeError(f"maxpool: invalid window {kh}x{kw} stride={stride}")
-    if h < kh or w < kw or (h - kh) % stride or (w - kw) % stride:
-        raise ShapeError(
-            f"maxpool: window {kh}x{kw} stride {stride} does not tile input {h}x{w}"
-        )
-    h_out = (h - kh) // stride + 1
-    w_out = (w - kw) // stride + 1
+    h_out, w_out = pool_extent(*x.shape[-3:-1], kh, kw, stride)
     out = x[..., : stride * h_out : stride, : stride * w_out : stride, :].copy()
     for i in range(kh):
         for j in range(kw):

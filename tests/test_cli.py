@@ -4,6 +4,7 @@ import json
 import re
 import struct
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,6 +141,19 @@ class TestPredict:
             capsys,
         )
         assert code == 1
+
+    def test_relu_less_manifest_is_runtime_error(self, workspace, tmp_path, capsys):
+        """Without its relu the workspace model cannot be explained, so predict
+        rejects it at load, naming the dense layer on line 6."""
+        lines = Path(workspace["manifest"]).read_text().splitlines(keepends=True)
+        manifest = tmp_path / "norelu.txt"
+        manifest.write_text("".join(line for line in lines if line != "layer relu\n"))
+        code, out, err = run_cli(
+            ["predict", str(manifest), workspace["weights"], str(workspace["root"] / "img0.ppm")],
+            capsys,
+        )
+        assert code == 1 and not out
+        assert f"{manifest}:6:" in err
 
     def test_no_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -128,6 +128,34 @@ class TestLoadModel:
         model = load_model(manifest, weights)
         assert model.input_shape == (2, 2, 1)
 
+    def test_parametric_layer_without_relu_names_its_line(self, tmp_path):
+        """A chain whose second conv is fed without relu loads with its relu lines
+        and is rejected without them, at the line of that conv."""
+        layer_lines = [
+            "layer conv2d in=3 out=4 kh=3 kw=3 stride=1 pad=1 bias=1",
+            "layer relu",
+            "layer maxpool kh=2 kw=2 stride=2",
+            "layer conv2d in=4 out=8 kh=3 kw=3 stride=1 pad=1 bias=1",
+            "layer relu",
+            "layer maxpool kh=2 kw=2 stride=2",
+            "layer flatten",
+            "layer dense in=32 out=6 bias=1",
+            "layer relu",
+            "layer dense in=6 out=3 bias=1",
+            "layer softmax",
+        ]
+        weights = tmp_path / "model.bin"
+        weights.write_bytes(np.zeros(112 + 296 + 198 + 21, dtype="<f4").tobytes())
+        manifest = tmp_path / "model.txt"
+        for lines in (layer_lines, [line for line in layer_lines if line != "layer relu"]):
+            header, footer = ["RELPROP-MODEL 1", "input 8 8 3"], ["mean 0 0 0", "pixel_range 0 255"]
+            manifest.write_text("\n".join(header + lines + footer))
+            if "layer relu" in lines:
+                assert load_model(manifest, weights).num_classes == 3
+        with pytest.raises(ChainError) as err:
+            load_model(manifest, weights)
+        assert f"{manifest}:5:" in str(err.value) and "conv2d" in str(err.value)
+
     def test_save_load_blob_round_trip(self, tmp_path):
         """Reserializing a loaded model reproduces the weight blob byte for byte."""
         rng = np.random.default_rng(42)

@@ -1,16 +1,28 @@
 """Property tests over random shapes for the convolution adjoint, max pooling,
-the leading seed axis that lets every method share one backward pass, and the
-leading image axis that lets a stack of images share one forward pass."""
+the leading seed axis that lets every method share one backward pass, the
+leading image axis that lets a stack of images share one forward pass, and the
+relevance rules' invariants on random chains of conv and dense layers."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relprop.model import LayerParams, LayerSpec, NetworkModel, Preprocessing, forward
-from relprop.relevance import explain, explain_all, propagate_maxpool
+from relprop.relevance import (
+    METHODS,
+    InputBounds,
+    explain,
+    explain_all,
+    propagate_maxpool,
+    propagate_zbeta_input,
+    seed_clrp,
+    seed_lrp,
+    seed_sglrp,
+)
 from relprop.tensor import (
     conv2d_forward,
     conv2d_transpose,
+    conv_extent,
     dense_forward,
     maxpool_forward,
     softmax,
@@ -157,12 +169,17 @@ def _random_cnn(rng: np.random.Generator, classes: int) -> NetworkModel:
     )
 
 
+SEEDS = {"lrp": seed_lrp, "clrp": seed_clrp, "sglrp": seed_sglrp}
+
+
 @PROPERTY_SETTINGS
 @given(st.integers(0, 2**32 - 1), st.booleans())
+@example(749503, False)  # clrp and sglrp maps cancel to ~1e-18 of their seed mass
 def test_explain_all_matches_explain_per_method(seed, two_shape):
     """Superposition: one pass over the stacked lrp, clrp and sglrp seeds gives
     each method's map from its own pass, on the two-shape net and on random
-    two-conv chains with an arbitrary target."""
+    two-conv chains with an arbitrary target. Rounding is bounded by the seed's
+    L1 norm, which a map whose terms cancel does not reach."""
     rng = np.random.default_rng(seed)
     if two_shape:
         model, image = make_two_shape_model(), make_two_shape_image(rng)[0]
@@ -176,7 +193,7 @@ def test_explain_all_matches_explain_per_method(seed, two_shape):
     assert list(maps) == list(methods)
     for method in methods:
         single = explain(model, trace, target, method)
-        atol = 1e-12 * np.abs(single.raw).max()
+        atol = 1e-12 * np.abs(SEEDS[method](trace, target).values).sum()
         np.testing.assert_allclose(maps[method].raw, single.raw, rtol=0, atol=atol)
         np.testing.assert_allclose(maps[method].values, single.values, rtol=0, atol=3 * atol)
         assert maps[method].method == method and maps[method].target == target
@@ -250,3 +267,113 @@ def test_forward_stack_rows_match_single_forwards(seed, n):
     for k in range(n):
         single = forward(model, stack[k], preprocessed=False).probabilities
         np.testing.assert_allclose(probs[k], single, rtol=0, atol=1e-12 * np.abs(single).max())
+
+
+@st.composite
+def chain_cases(draw):
+    """A random chain of conv and dense layers, each fed through relu: 0-2 convs,
+    each optionally followed by an overlapping 2x2 maxpool, then flatten, an
+    optional hidden dense layer and a dense head with 2-4 classes. Returns the
+    layers, the input shape and a weight seed."""
+    shape = (draw(st.integers(2, 6)), draw(st.integers(2, 6)), draw(st.integers(1, 3)))
+    input_shape, layers = shape, []
+    for _ in range(draw(st.integers(0, 2))):
+        k, stride = draw(st.integers(1, min(3, *shape[:2]))), draw(st.integers(1, 2))
+        conv = {"in": shape[2], "out": draw(st.integers(1, 4)), "kh": k, "kw": k}
+        conv.update(stride=stride, pad=draw(st.integers(0, 1)), bias=1)
+        layers += [LayerSpec("conv2d", conv), LayerSpec("relu")]
+        shape = (*conv_extent(*shape[:2], k, k, stride, conv["pad"]), conv["out"])
+        if min(shape[:2]) >= 2 and draw(st.booleans()):
+            layers.append(LayerSpec("maxpool", {"kh": 2, "kw": 2, "stride": 1}))
+            shape = (shape[0] - 1, shape[1] - 1, shape[2])
+    width = int(np.prod(shape))
+    layers.append(LayerSpec("flatten"))
+    if draw(st.booleans()):
+        hidden = draw(st.integers(1, 6))
+        layers += [LayerSpec("dense", {"in": width, "out": hidden, "bias": 1}), LayerSpec("relu")]
+        width = hidden
+    layers += [
+        LayerSpec("dense", {"in": width, "out": draw(st.integers(2, 4)), "bias": 1}),
+        LayerSpec("softmax"),
+    ]
+    return tuple(layers), input_shape, draw(st.integers(0, 2**32 - 1))
+
+
+def _chain_model(layers, input_shape, rng, positive=False, bias=True) -> NetworkModel:
+    """Random weights for `layers`: |N(0,1)| when positive, and zero bias unless bias."""
+    params = []
+    for layer in layers:
+        if not layer.is_parametric:
+            params.append(None)
+            continue
+        weights = rng.normal(size=layer.weight_shape()) / np.sqrt(np.prod(layer.weight_shape()[1:]))
+        out = layer.params["out"]
+        params.append(
+            LayerParams(np.abs(weights) if positive else weights, 0.1 * rng.normal(size=out) * bias)
+        )
+    return NetworkModel(
+        input_shape=input_shape,
+        layers=layers,
+        params=tuple(params),
+        preprocessing=Preprocessing(
+            means=rng.uniform(0, 255, input_shape[2]), pixel_range=(0.0, 255.0)
+        ),
+    )
+
+
+@PROPERTY_SETTINGS
+@given(chain_cases())
+def test_bias_free_positive_chain_conserves_lrp_seed(case):
+    """With positive weights and no bias no relevance leaks, so the input map
+    sums to the lrp seed, through every conv, pool and dense layer."""
+    layers, input_shape, seed = case
+    rng = np.random.default_rng(seed)
+    model = _chain_model(layers, input_shape, rng, positive=True, bias=False)
+    trace = forward(model, rng.uniform(0, 255, size=input_shape), preprocessed=False)
+    target = int(rng.integers(model.num_classes))
+    total = explain(model, trace, target, "lrp").raw.sum()
+    want = seed_lrp(trace, target).values.sum()
+    assert abs(total - want) <= 1e-8 * abs(want)
+
+
+@PROPERTY_SETTINGS
+@given(chain_cases())
+def test_every_method_map_is_non_negative(case):
+    """Signed weights and biases still give each method a finite, non-negative
+    map with the input's extent."""
+    layers, input_shape, seed = case
+    rng = np.random.default_rng(seed)
+    model = _chain_model(layers, input_shape, rng)
+    trace = forward(model, rng.uniform(0, 255, size=input_shape), preprocessed=False)
+    maps = explain_all(model, trace, int(rng.integers(model.num_classes)), METHODS)
+    for relevance_map in maps.values():
+        assert relevance_map.values.shape == input_shape[:2]
+        assert np.all(np.isfinite(relevance_map.values)) and np.all(relevance_map.values >= 0)
+
+
+@PROPERTY_SETTINGS
+@given(chain_cases(), st.integers(1, 3))
+def test_zbeta_keeps_non_negative_relevance_non_negative(case, rows):
+    """Inside the pixel range every zbeta contribution is non-negative, so
+    non-negative relevance stays non-negative on the first conv or dense layer.
+    The three adjoint sums round apart by a few ulps of the bound-weighted
+    total, which the tolerance allows."""
+    layers, input_shape, seed = case
+    rng = np.random.default_rng(seed)
+    layer = next(l for l in layers if l.is_parametric)  # reads the pixels
+    weights = rng.normal(size=layer.weight_shape())
+    lower = -rng.uniform(0, 150, input_shape[2])
+    bounds = InputBounds(lower=lower, upper=lower + rng.uniform(1, 150, input_shape[2]))
+    x = bounds.lower + rng.uniform(0.05, 0.95, input_shape) * (bounds.upper - bounds.lower)
+    width = np.min(bounds.upper - bounds.lower)
+    if layer.kind == "conv2d":
+        p = layer.params
+        out_shape = conv2d_forward(x, weights, np.zeros(p["out"]), p["stride"], p["pad"]).shape
+    else:
+        out_shape = (layer.params["out"],)
+    relevance = np.abs(rng.normal(size=(rows,) + out_shape))
+    got = propagate_zbeta_input(relevance, layer, weights, x, bounds)
+    assert got.shape == (rows,) + input_shape
+    reach = np.maximum(np.abs(bounds.lower), np.abs(bounds.upper)).max() / width
+    for row in range(rows):
+        assert got[row].min() >= -1e-12 * reach * relevance[row].sum()

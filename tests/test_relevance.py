@@ -511,6 +511,23 @@ class TestExplain:
         with pytest.raises(ShapeError):
             explain_all(model, trace, 0, ("lrp", "sglrp"))
 
+    def test_flatten_ahead_of_first_dense(self):
+        """A flatten in front of the pixel-reading dense layer changes no value,
+        so every method's map equals the one without it."""
+        rng = np.random.default_rng(5)
+        plain = dense_softmax_model(0.01 * rng.normal(size=(3, 8)), input_shape=(2, 2, 2))
+        flat = NetworkModel(
+            input_shape=plain.input_shape,
+            layers=(LayerSpec("flatten"),) + plain.layers,
+            params=(None,) + plain.params,
+            preprocessing=plain.preprocessing,
+        )
+        image = rng.uniform(0, 255, size=(2, 2, 2))
+        want = explain_all(plain, forward(plain, image), 1, ("lrp", "clrp", "sglrp"))
+        got = explain_all(flat, forward(flat, image), 1, ("lrp", "clrp", "sglrp"))
+        for method, relevance_map in got.items():
+            np.testing.assert_array_equal(relevance_map.raw, want[method].raw)
+
     def test_contrastive_cancellation_vs_gradient_weighting(self):
         """On a chain where the target's evidence pixel is shared with a weak
         decoy class, the uniform contrastive penalty cancels that pixel exactly

@@ -114,6 +114,18 @@ class TestConv2dTranspose:
             with pytest.raises(ShapeError):
                 conv2d_transpose(np.ones((side, side, 1)), w, (4, 4, 1))
 
+    def test_bad_geometry_is_the_forward_shape_error(self):
+        """A zero stride, a kernel larger than the padded input, or a negative pad
+        raises the same ShapeError as conv2d_forward on that geometry."""
+        cases = [(3, (4, 4, 1), 0, 0), (5, (2, 2, 1), 1, 0), (1, (2, 2, 1), 1, -1)]
+        for kernel, shape, stride, pad in cases:
+            w = np.ones((1, 1, kernel, kernel))
+            with pytest.raises(ShapeError) as fwd:
+                conv2d_forward(np.ones(shape), w, np.zeros(1), stride, pad)
+            with pytest.raises(ShapeError) as back:
+                conv2d_transpose(np.ones((1, 1, 1)), w, shape, stride, pad)
+            assert str(back.value) == str(fwd.value)
+
 
 class TestMaxpoolForward:
     def test_2x2_window(self):
