@@ -181,6 +181,18 @@ class BoundingBox:
         return m
 
 
+def _threshold_ranks(values: np.ndarray, energies) -> tuple[np.ndarray, list[int]]:
+    """The map's positive entries, and per energy the ascending rank among them of
+    the k-th largest, k = max(1, floor(energy * K)) for K positive entries."""
+    for energy in energies:
+        if not 0.0 < energy <= 1.0:
+            raise ShapeError(f"energy {energy} outside (0, 1]")
+    positives = values[values > 0]
+    if positives.size == 0:
+        raise NoPositiveRelevanceError("map has no positive entries")
+    return positives, [positives.size - max(1, math.floor(e * positives.size)) for e in energies]
+
+
 def energy_threshold(values: np.ndarray, energy: float) -> float:
     """Smallest threshold keeping at least `energy` of the positive pixels.
 
@@ -188,14 +200,8 @@ def energy_threshold(values: np.ndarray, energy: float) -> float:
     for k = max(1, floor(energy * K)), so energy = 1.0 admits every positive
     pixel and never any zero.
     """
-    if not 0.0 < energy <= 1.0:
-        raise ShapeError(f"energy {energy} outside (0, 1]")
-    positives = values[values > 0]
-    k_total = positives.size
-    if k_total == 0:
-        raise NoPositiveRelevanceError("map has no positive entries")
-    k = max(1, math.floor(energy * k_total))
-    return float(np.partition(positives, k_total - k)[k_total - k])
+    positives, (rank,) = _threshold_ranks(values, (energy,))
+    return float(np.partition(positives, rank)[rank])
 
 
 @dataclass(frozen=True)
@@ -212,19 +218,19 @@ class PointingResult:
 def pointing_game(
     values: np.ndarray, box: BoundingBox, energies: tuple[float, ...] = DEFAULT_ENERGIES
 ) -> list[PointingResult]:
-    """Score one map against one box at each energy level."""
+    """Score one map against one box at each energy level, at energy_threshold's thresholds."""
     if values.ndim != 2:
         raise ShapeError(f"pointing_game: map must be 2-D, got {values.shape}")
     h, w = values.shape
     if box.x_max >= w or box.y_max >= h:
         raise ShapeError(f"box ..({box.x_max},{box.y_max}) exceeds {w}x{h} map")
-    inside = box.mask(h, w)
+    positives, ranks = _threshold_ranks(values, energies)
+    ranked, ranked_inside = np.sort(positives), np.sort(values[box.mask(h, w) & (values > 0)])
     results = []
-    for energy in energies:
-        tau = energy_threshold(values, energy)
-        above = values >= tau
-        hits = int(np.count_nonzero(above & inside))
-        total = int(np.count_nonzero(above))
+    for energy, rank in zip(energies, ranks):
+        tau = float(ranked[rank])  # > 0, so the pixels at or above it are positives
+        total = ranked.size - int(np.searchsorted(ranked, tau))
+        hits = ranked_inside.size - int(np.searchsorted(ranked_inside, tau))
         misses = total - hits
         results.append(
             PointingResult(

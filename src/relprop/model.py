@@ -143,12 +143,14 @@ def infer_shapes(
 
 @dataclass(frozen=True)
 class NetworkModel:
-    """A validated layer chain with loaded parameters and preprocessing record."""
+    """A validated layer chain with loaded parameters and preprocessing record. They must
+    not change after the first explain caches rule_constants from them (load_model freezes them)."""
 
     input_shape: tuple[int, int, int]
     layers: tuple[LayerSpec, ...]
     params: tuple[LayerParams | None, ...]
     preprocessing: Preprocessing
+    rule_constants: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.input_shape) != 3 or any(d < 1 for d in self.input_shape):
@@ -187,14 +189,15 @@ class NetworkModel:
         return self.layers[-2].params["out"]
 
 
-def _float_count(layers: list[LayerSpec]) -> int:
-    total = 0
-    for layer in layers:
-        if layer.is_parametric:
-            total += math.prod(layer.weight_shape())
-            if layer.has_bias:
-                total += layer.params["out"]
-    return total
+def _finite_values(tokens: list[str], where: str) -> list[float]:
+    """The numbers after a `mean` or `pixel_range` directive; each must be finite."""
+    try:
+        values = [float(v) for v in tokens[1:]]
+    except ValueError as exc:
+        raise ManifestError(f"{where}: non-numeric {tokens[0]}") from exc
+    if not all(map(math.isfinite, values)):
+        raise ManifestError(f"{where}: non-finite {' '.join(tokens)}")
+    return values
 
 
 def load_model(manifest_path: str | Path, weights_path: str | Path) -> NetworkModel:
@@ -251,27 +254,22 @@ def load_model(manifest_path: str | Path, weights_path: str | Path) -> NetworkMo
         elif head == "mean":
             if state != "layers":
                 raise ManifestError(f"{manifest_path}:{lineno}: duplicate mean line")
-            try:
-                means = np.array([float(v) for v in tokens[1:]], dtype=np.float64)
-            except ValueError as exc:
-                raise ManifestError(f"{manifest_path}:{lineno}: non-numeric mean") from exc
+            means = np.array(_finite_values(tokens, f"{manifest_path}:{lineno}"), dtype=np.float64)
             state = "mean"
         elif head == "pixel_range":
             if state != "mean":
                 raise ManifestError(f"{manifest_path}:{lineno}: pixel_range must follow mean")
             if len(tokens) != 3:
                 raise ManifestError(f"{manifest_path}:{lineno}: pixel_range needs two values")
-            try:
-                pixel_range = (float(tokens[1]), float(tokens[2]))
-            except ValueError as exc:
-                raise ManifestError(f"{manifest_path}:{lineno}: non-numeric pixel_range") from exc
+            pixel_range = tuple(_finite_values(tokens, f"{manifest_path}:{lineno}"))
             state = "done"
         else:
             raise ManifestError(f"{manifest_path}:{lineno}: unrecognized directive {head!r}")
     if means is None or pixel_range is None:
         raise ManifestError(f"{manifest_path}: missing mean or pixel_range line")
 
-    expected = _float_count(layers)
+    parametric = [l for l in layers if l.is_parametric]
+    expected = sum(math.prod(l.weight_shape()) + l.has_bias * l.params["out"] for l in parametric)
     blob = Path(weights_path).read_bytes()
     if len(blob) != 4 * expected:
         raise BlobError(
@@ -288,13 +286,15 @@ def load_model(manifest_path: str | Path, weights_path: str | Path) -> NetworkMo
             continue
         shape = layer.weight_shape()
         n = math.prod(shape)
-        weights = values[cursor : cursor + n].reshape(shape)
+        weights = values[cursor : cursor + n].reshape(shape).copy()
+        weights.flags.writeable = False  # see NetworkModel
         cursor += n
         bias = None
         if layer.has_bias:
             bias = values[cursor : cursor + layer.params["out"]].copy()
+            bias.flags.writeable = False
             cursor += layer.params["out"]
-        params.append(LayerParams(weights=weights.copy(), bias=bias))
+        params.append(LayerParams(weights=weights, bias=bias))
 
     try:
         model = NetworkModel(

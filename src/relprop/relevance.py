@@ -12,6 +12,11 @@ so relevance may carry a leading seed axis, which explain_all fills with one
 row per method. The result is a signed per-pixel tensor; its 2-D map sums
 positive evidence over channels.
 
+The rules' model-fixed parts (W+; the pixel layer's W-, bounds and bound
+terms) are built by the rules' own calls on a model's first explain and kept in
+its rule_constants, so they change no byte. Conv terms keep conv2d_forward's
+rounding, with its size-1-axis drift from einsum (see tensor).
+
 Seeding styles:
 
 - "lrp": the target logit's value on the target entry, zero elsewhere.
@@ -115,40 +120,36 @@ def _conv_map(shape: tuple[int, int, int], stride: int, pad: int):
     )
 
 
-def _zplus(relevance: np.ndarray, weights: np.ndarray, a: np.ndarray, apply, adjoint, what: str):
+def _zplus(relevance: np.ndarray, weights: np.ndarray, a: np.ndarray, apply, adjoint, what, wp):
     """zplus over one layer's map pair: a * adjoint(R / apply(a, W+), W+), W+ = max(W, 0)."""
     if np.any(a < 0):
         raise ShapeError(f"{what}: negative activations")
-    wp = np.maximum(weights, 0.0)
+    wp = np.maximum(weights, 0.0) if wp is None else wp
     denom = apply(a, wp)
     _seed_axis(relevance, denom.shape, what)
     return a * adjoint(_stabilized_ratio(relevance, denom), wp)
 
 
 def propagate_zplus_dense(
-    relevance: np.ndarray, weights: np.ndarray, activations: np.ndarray
+    relevance: np.ndarray, weights: np.ndarray, activations: np.ndarray, wp=None
 ) -> np.ndarray:
     """Redistribute dense-layer relevance along positive-weight contributions.
 
     activations must be the layer's non-negative input vector. Bias receives
     nothing. Output nodes whose positive pre-activation is below the stability
-    floor absorb their relevance.
+    floor absorb their relevance. wp, if given, must be max(weights, 0).
     """
     if activations.ndim != 1 or weights.ndim != 2 or weights.shape[1] != activations.shape[0]:
         raise ShapeError(f"zplus dense: weights {weights.shape} != input {activations.shape}")
-    return _zplus(relevance, weights, activations, *_dense_map(activations.shape), "zplus dense")
+    return _zplus(relevance, weights, activations, *_dense_map(activations.shape), "zplus dense", wp)
 
 
 def propagate_zplus_conv(
-    relevance: np.ndarray,
-    weights: np.ndarray,
-    activations: np.ndarray,
-    stride: int,
-    pad: int,
+    relevance: np.ndarray, weights: np.ndarray, activations: np.ndarray, stride: int, pad: int, wp=None
 ) -> np.ndarray:
     """Conv analogue of propagate_zplus_dense over the unrolled linear map."""
     maps = _conv_map(activations.shape, stride, pad)
-    return _zplus(relevance, weights, activations, *maps, "zplus conv")
+    return _zplus(relevance, weights, activations, *maps, "zplus conv", wp)
 
 
 @dataclass(frozen=True)
@@ -171,42 +172,44 @@ class InputBounds:
         return cls(lower=lo - means, upper=hi - means)
 
 
+def _zbeta_terms(layer: LayerSpec, weights: np.ndarray, shape: tuple, bounds: InputBounds):
+    """zbeta's model-fixed parts over inputs `shape`: maps, W+, W-, low, high and the bound terms."""
+    if layer.kind not in ("conv2d", "dense"):
+        raise ShapeError(f"zbeta: unsupported layer kind {layer.kind}")
+    if layer.kind == "dense" and weights.shape[1] != np.prod(shape):
+        raise ShapeError(f"zbeta dense: weights {weights.shape} do not fit input {shape}")
+    maps = _dense_map(shape)
+    if layer.kind == "conv2d":
+        maps = _conv_map(shape, layer.params["stride"], layer.params["pad"])
+    low, high = (np.broadcast_to(b, shape).astype(np.float64) for b in (bounds.lower, bounds.upper))
+    wp, wm = np.maximum(weights, 0.0), np.minimum(weights, 0.0)
+    return (*maps, wp, wm, low, high, maps[0](low, wp), maps[0](high, wm))
+
+
 def propagate_zbeta_input(
-    relevance: np.ndarray,
-    layer: LayerSpec,
-    weights: np.ndarray,
-    x: np.ndarray,
-    bounds: InputBounds,
+    relevance: np.ndarray, layer: LayerSpec, weights: np.ndarray, x: np.ndarray, bounds: InputBounds,
+    terms: tuple | None = None,
 ) -> np.ndarray:
     """Range-bounded rule for the layer that consumes raw (mean-subtracted) pixels.
 
     Each input contributes x*w - lower*max(w,0) - upper*min(w,0); with x inside
     the bounds every contribution is non-negative, so seed signs survive the
     pixel layer intact. Bias receives nothing. Input outside the bounds would
-    break that guarantee, so it is rejected.
+    break that guarantee, so it is rejected. terms, if given, must be
+    _zbeta_terms(layer, weights, x.shape, bounds).
     """
     if x.ndim != 3:
         raise ShapeError(f"zbeta: input must be [H,W,C], got {x.shape}")
     if bounds.lower.shape != (x.shape[2],):
         raise ShapeError(f"zbeta: bounds have {bounds.lower.shape[0]} channels, input {x.shape[2]}")
-    low = np.broadcast_to(bounds.lower, x.shape).astype(np.float64)
-    high = np.broadcast_to(bounds.upper, x.shape).astype(np.float64)
+    terms = terms or _zbeta_terms(layer, weights, x.shape, bounds)
+    apply, adjoint, wp, wm, low, high, lo, hi = terms
     if np.any(x < low) or np.any(x > high):
         raise ShapeError(
             f"zbeta: input values {x.min():.6g}..{x.max():.6g} (after mean subtraction)"
             " fall outside the declared pixel range"
         )
-    if layer.kind == "conv2d":
-        apply, adjoint = _conv_map(x.shape, layer.params["stride"], layer.params["pad"])
-    elif layer.kind == "dense":
-        if weights.shape[1] != x.size:
-            raise ShapeError(f"zbeta dense: weights {weights.shape} do not fit input {x.shape}")
-        apply, adjoint = _dense_map(x.shape)
-    else:
-        raise ShapeError(f"zbeta: unsupported layer kind {layer.kind}")
-    wp = np.maximum(weights, 0.0)
-    wm = np.minimum(weights, 0.0)
-    denom = apply(x, weights) - apply(low, wp) - apply(high, wm)
+    denom = apply(x, weights) - lo - hi
     _seed_axis(relevance, denom.shape, f"zbeta {layer.kind}")
     s = _stabilized_ratio(relevance, denom)
     return x * adjoint(s, weights) - low * adjoint(s, wp) - high * adjoint(s, wm)
@@ -255,30 +258,34 @@ def explain_all(
             raise ShapeError(f"unknown explanation method {method!r}; expected one of {METHODS}")
     if len(set(methods)) != len(methods):
         raise ShapeError(f"explanation methods {methods} list a method more than once")
-    if len(trace.entries) != len(model.layers):
-        raise ShapeError(
-            f"trace has {len(trace.entries)} entries for {len(model.layers)} layers"
-        )
+    if len(trace.entries) != len(model.layers) or trace.entries[0].input.shape[-3:] != model.input_shape:
+        raise ShapeError(f"trace of {len(trace.entries)} layers does not fit the model")
     if not methods:
         return {}
-    first_parametric = next(i for i, l in enumerate(model.layers) if l.is_parametric)
-    bounds = InputBounds.from_model(model)
-
     seed_fns = {"lrp": seed_lrp, "clrp": seed_clrp, "sglrp": seed_sglrp}
     relevance = np.stack([seed_fns[m](trace, target).values for m in methods])
+    first = next(i for i, l in enumerate(model.layers) if l.is_parametric)
+    # A flatten ahead of a first dense layer keeps the pixel order; take the [H,W,C] view.
+    pixels = next(e.input for e in reversed(trace.entries[: first + 1]) if e.input.ndim == 3)
+    bounds = InputBounds.from_model(model)
+    const = model.rule_constants  # built whole on the model's first explain
+    if not const:
+        const.update({
+            i: _zbeta_terms(l, p.weights, pixels.shape, bounds) if i == first
+            else np.maximum(p.weights, 0.0)
+            for i, (l, p) in enumerate(zip(model.layers, model.params)) if l.is_parametric
+        })
     for i in reversed(range(len(model.layers))):
         layer, entry, lp = model.layers[i], trace.entries[i], model.params[i]
         if layer.kind == "maxpool":
             relevance = propagate_maxpool(relevance, entry.argmax)
-        elif i == first_parametric:
-            # A flatten ahead of a first dense layer keeps the pixel order; take the [H,W,C] view.
-            x = next(e.input for e in reversed(trace.entries[: i + 1]) if e.input.ndim == 3)
-            relevance = propagate_zbeta_input(relevance, layer, lp.weights, x, bounds)
+        elif i == first:
+            relevance = propagate_zbeta_input(relevance, layer, lp.weights, pixels, bounds, const[i])
         elif layer.kind == "dense":
-            relevance = propagate_zplus_dense(relevance, lp.weights, entry.input.reshape(-1))
+            relevance = propagate_zplus_dense(relevance, lp.weights, entry.input.reshape(-1), const[i])
         elif layer.kind == "conv2d":
             stride, pad = layer.params["stride"], layer.params["pad"]
-            relevance = propagate_zplus_conv(relevance, lp.weights, entry.input, stride, pad)
+            relevance = propagate_zplus_conv(relevance, lp.weights, entry.input, stride, pad, const[i])
         relevance = relevance.reshape((len(methods),) + entry.input.shape)
 
     values = np.maximum(relevance, 0.0).sum(axis=3)

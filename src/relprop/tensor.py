@@ -8,6 +8,9 @@ result.
 
 Output extents come only from conv_extent and pool_extent, which the kernels
 and the model's shape inference share, so a geometry fails the same way everywhere.
+conv2d_forward runs the GEMM np.einsum("...xyckl,ockl->...xyo", optimize=True)
+lowers to (numpy 2.4), so it matches einsum's bytes when C_in, C_out, kh and kw
+are all >= 2; with a size-1 axis, which einsum squeezes, it may differ by an ulp.
 """
 
 from __future__ import annotations
@@ -68,13 +71,16 @@ def conv2d_forward(
     if bias.shape != (c_out,):
         raise ShapeError(f"conv2d: bias shape {bias.shape} != ({c_out},)")
     h_out, w_out = conv_extent(h, w, kh, kw, stride, pad)
-    lead = ((0, 0),) * (x.ndim - 3)
-    padded = np.pad(x, lead + ((pad, pad), (pad, pad), (0, 0))) if pad else x
+    lead, n = x.shape[:-3], x.ndim - 3
+    padded = np.zeros(lead + (h + 2 * pad, w + 2 * pad, c)) if pad else x
+    if pad:
+        padded[..., pad : pad + h, pad : pad + w, :] = x
     windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(-3, -2))
-    windows = windows[..., ::stride, ::stride, :, :, :]
-    out = np.einsum("...xyckl,ockl->...xyo", windows, weights, optimize=True) + bias
-    assert out.shape == x.shape[:-3] + (h_out, w_out, c_out)
-    return _check_finite(np.ascontiguousarray(out), "conv2d output")
+    # im2col as (c, kh, kw, ...lead, x, y), the layout einsum's GEMM uses (module docstring).
+    cols = windows.transpose(n + 2, n + 3, n + 4, *range(n + 2))[..., ::stride, ::stride]
+    gemm = weights.reshape(c_out, -1) @ cols.reshape(c * kh * kw, -1)
+    out = np.add(gemm.T.reshape(lead + (h_out, w_out, c_out)), bias, order="C")
+    return _check_finite(out, "conv2d output")
 
 
 def conv2d_transpose(

@@ -593,3 +593,32 @@ class TestInputHygiene:
         )
         assert code == 1 and "dup.txt:3:" in err and "img0" in err
         assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "directive, edited, lineno",
+        [
+            ("pixel_range 0 255", "pixel_range 0 inf", 10),
+            ("pixel_range 0 255", "pixel_range -inf 255", 10),
+            ("mean 10 20 30", "mean nan 20 30", 9),
+        ],
+    )
+    def test_non_finite_preprocessing_rejected_at_load(
+        self, workspace, tmp_path, capsys, directive, edited, lineno
+    ):
+        """A non-finite mean or pixel range would make the input rule's bound
+        terms non-finite; load rejects it, naming the line, before explain or
+        predict writes anything."""
+        manifest = tmp_path / "model.txt"
+        text = (workspace["root"] / "model.txt").read_text()
+        assert text.splitlines()[lineno - 1] == directive
+        manifest.write_text(text.replace(directive, edited))
+        model = [str(manifest), workspace["weights"], str(workspace["root"] / "img1.ppm")]
+        out = tmp_path / "maps" / "heat"
+        for argv in (
+            ["explain", *model, "--method", "sglrp", "--target", "top", "--out", str(out)],
+            ["predict", *model],
+        ):
+            code, stdout, err = run_cli(argv, capsys)
+            assert code == 1 and f"{manifest}:{lineno}:" in err and "non-finite" in err
+            assert stdout == ""
+        assert not list(tmp_path.rglob("*.pgm")) and not list(tmp_path.rglob("*.f32"))

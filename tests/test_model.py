@@ -168,6 +168,19 @@ class TestLoadModel:
         reloaded = load_model(manifest2, weights2)
         np.testing.assert_array_equal(reloaded.params[0].weights, model.params[0].weights)
 
+    def test_loaded_parameters_are_frozen(self, tmp_path):
+        """The relevance rules' per-model constants derive from the weights, so
+        a loaded model refuses in-place writes to any weight or bias, and load
+        itself builds none of those constants."""
+        manifest, weights = write_minimal(tmp_path, np.arange(34.0))
+        model = load_model(manifest, weights)
+        for array in (model.params[0].weights, model.params[0].bias):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            model.params[0].weights += 1.0
+        assert model.rule_constants == {}
+
 
 class TestChainValidation:
     def test_infer_shapes_conv_chain(self):

@@ -1,12 +1,21 @@
-"""Property tests over random shapes for the convolution adjoint, max pooling,
-the leading seed axis that lets every method share one backward pass, the
-leading image axis that lets a stack of images share one forward pass, and the
-relevance rules' invariants on random chains of conv and dense layers."""
+"""Property tests over random shapes for the convolution kernel and its adjoint,
+max pooling, the leading seed axis that lets every method share one backward
+pass, the leading image axis that lets a stack of images share one forward
+pass, the relevance rules' invariants on random chains of conv and dense
+layers, and the pointing game's thresholds."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from relprop.evaluate import (
+    DEFAULT_ENERGIES,
+    BoundingBox,
+    NoPositiveRelevanceError,
+    energy_threshold,
+    pointing_game,
+)
 from relprop.model import LayerParams, LayerSpec, NetworkModel, Preprocessing, forward
 from relprop.relevance import (
     METHODS,
@@ -377,3 +386,64 @@ def test_zbeta_keeps_non_negative_relevance_non_negative(case, rows):
     reach = np.maximum(np.abs(bounds.lower), np.abs(bounds.upper)).max() / width
     for row in range(rows):
         assert got[row].min() >= -1e-12 * reach * relevance[row].sum()
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.integers(2, 5), st.integers(2, 5), st.integers(2, 5), st.integers(2, 5),
+    st.integers(1, 3), st.integers(0, 2), st.one_of(st.none(), st.integers(1, 6)),
+    st.integers(0, 2**32 - 1),
+)
+def test_conv2d_forward_is_the_einsum_contraction(c_in, c_out, kh, kw, stride, pad, n, seed):
+    """With every channel and kernel extent at least 2, conv2d_forward returns
+    the bytes of the einsum contraction it replaced, as a C-contiguous array,
+    with or without a leading image axis."""
+    rng = np.random.default_rng(seed)
+    h = int(rng.integers(max(1, kh - 2 * pad), kh + 8))
+    w = int(rng.integers(max(1, kw - 2 * pad), kw + 8))
+    lead = () if n is None else (n,)
+    x = rng.normal(size=lead + (h, w, c_in))
+    weights, bias = rng.normal(size=(c_out, c_in, kh, kw)), rng.normal(size=c_out)
+    got = conv2d_forward(x, weights, bias, stride, pad)
+    padded = np.pad(x, ((0, 0),) * len(lead) + ((pad, pad), (pad, pad), (0, 0)))
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(-3, -2))
+    windows = windows[..., ::stride, ::stride, :, :, :]
+    want = np.einsum("...xyckl,ockl->...xyo", windows, weights, optimize=True) + bias
+    assert got.flags.c_contiguous
+    assert got.shape == want.shape and got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.integers(1, 9), st.integers(1, 9), st.integers(0, 2**32 - 1),
+    st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=4),
+)
+def test_pointing_game_matches_per_energy_thresholds(h, w, seed, extra):
+    """Reading every threshold from one sort, and counting by bisection, gives
+    the rows of thresholding at energy_threshold and counting pixels at or
+    above it, exactly: on maps with tied values, zeros and negatives, at the
+    default energies and arbitrary ones. A map with no positive entry has no
+    threshold."""
+    rng = np.random.default_rng(seed)
+    values = rng.integers(-2, 5, size=(h, w)) * rng.choice([0.25, 1.0, np.pi])
+    x0, y0 = int(rng.integers(w)), int(rng.integers(h))
+    box = BoundingBox(0, x0, y0, int(rng.integers(x0, w)), int(rng.integers(y0, h)))
+    energies = DEFAULT_ENERGIES + tuple(extra)
+    if not np.any(values > 0):
+        with pytest.raises(NoPositiveRelevanceError):
+            pointing_game(values, box, energies)
+        return
+    inside = box.mask(h, w)
+    for row, energy in zip(pointing_game(values, box, energies), energies):
+        tau = energy_threshold(values, energy)
+        above = values >= tau
+        hits, total = int(np.count_nonzero(above & inside)), int(np.count_nonzero(above))
+        assert (row.energy, row.tau, row.hits, row.misses) == (energy, tau, hits, total - hits)
+        assert row.accuracy == hits / total
+
+
+def test_pointing_game_without_positive_entries_raises():
+    box = BoundingBox(0, 0, 0, 1, 1)
+    for values in (np.zeros((2, 3)), -np.ones((2, 3))):
+        with pytest.raises(NoPositiveRelevanceError):
+            pointing_game(values, box)

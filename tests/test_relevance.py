@@ -10,9 +10,18 @@ import numpy as np
 import pytest
 
 from relprop.errors import ShapeError
-from relprop.model import LayerParams, LayerSpec, NetworkModel, Preprocessing, forward
+from relprop.model import (
+    LayerParams,
+    LayerSpec,
+    NetworkModel,
+    Preprocessing,
+    forward,
+    load_model,
+    save_model,
+)
 from relprop.relevance import (
     DENOMINATOR_FLOOR,
+    METHODS,
     InputBounds,
     RelevanceMap,
     explain,
@@ -561,3 +570,100 @@ class TestRelevanceMapValidation:
 
     def test_floor_constant_sane(self):
         assert 0 < DENOMINATOR_FLOOR < 1e-6
+
+
+def _explain_by_public_rules(model, trace, target):
+    """explain_all's backward pass over the lrp, clrp and sglrp seeds, written
+    with the public rules on the raw weights and no per-model constants. The
+    first parametric layer here reads the image itself."""
+    relevance = np.stack([seed(trace, target).values for seed in (seed_lrp, seed_clrp, seed_sglrp)])
+    first = next(i for i, layer in enumerate(model.layers) if layer.is_parametric)
+    bounds = InputBounds.from_model(model)
+    for i in reversed(range(len(model.layers))):
+        layer, entry, lp = model.layers[i], trace.entries[i], model.params[i]
+        if layer.kind == "maxpool":
+            relevance = propagate_maxpool(relevance, entry.argmax)
+        elif i == first:
+            image = trace.entries[0].input
+            relevance = propagate_zbeta_input(relevance, layer, lp.weights, image, bounds)
+        elif layer.kind == "dense":
+            relevance = propagate_zplus_dense(relevance, lp.weights, entry.input.reshape(-1))
+        elif layer.kind == "conv2d":
+            p = layer.params
+            relevance = propagate_zplus_conv(relevance, lp.weights, entry.input, p["stride"], p["pad"])
+        relevance = relevance.reshape((3,) + entry.input.shape)
+    return relevance
+
+
+class TestRuleConstants:
+    CONV = {"kh": 3, "kw": 3, "stride": 1, "pad": 1, "bias": 1}
+    CHAINS = {
+        "conv-first": (
+            (6, 6, 3),
+            (
+                LayerSpec("conv2d", {"in": 3, "out": 4, **CONV}),
+                LayerSpec("relu"),
+                LayerSpec("maxpool", {"kh": 2, "kw": 2, "stride": 2}),
+                LayerSpec("conv2d", {"in": 4, "out": 3, **CONV}),
+                LayerSpec("relu"),
+                LayerSpec("flatten"),
+                LayerSpec("dense", {"in": 27, "out": 4, "bias": 1}),
+                LayerSpec("softmax"),
+            ),
+        ),
+        "flatten-dense-first": (
+            (3, 2, 2),
+            (
+                LayerSpec("flatten"),
+                LayerSpec("dense", {"in": 12, "out": 5, "bias": 1}),
+                LayerSpec("relu"),
+                LayerSpec("dense", {"in": 5, "out": 3, "bias": 1}),
+                LayerSpec("softmax"),
+            ),
+        ),
+    }
+
+    @pytest.mark.parametrize("chain", sorted(CHAINS))
+    def test_cached_constants_change_no_byte(self, chain, tmp_path):
+        """A freshly loaded model's first explain builds the per-model
+        constants, the second reuses them, and the public rules on the raw
+        weights rebuild them each time: all three give the same bytes for
+        every method. Signed weights and nonzero means exercise every bound term."""
+        input_shape, layers = self.CHAINS[chain]
+        rng = np.random.default_rng(7)
+        params = tuple(
+            LayerParams(
+                rng.normal(size=l.weight_shape()) / 10, 0.1 * rng.normal(size=l.params["out"])
+            )
+            if l.is_parametric
+            else None
+            for l in layers
+        )
+        means = rng.uniform(50, 200, input_shape[2])
+        built = NetworkModel(input_shape, layers, params, Preprocessing(means, (0.0, 255.0)))
+        save_model(built, tmp_path / "m.txt", tmp_path / "m.bin")
+        model = load_model(tmp_path / "m.txt", tmp_path / "m.bin")
+        assert model.rule_constants == {}
+        image = rng.uniform(0, 255, size=input_shape)
+        trace = forward(model, image, preprocessed=False)
+        for target in range(model.num_classes):
+            first = explain_all(model, trace, target, METHODS)
+            assert set(model.rule_constants) == {
+                i for i, l in enumerate(layers) if l.is_parametric
+            }
+            second = explain_all(model, trace, target, METHODS)
+            want = _explain_by_public_rules(model, trace, target)
+            for k, method in enumerate(METHODS):
+                assert first[method].raw.tobytes() == want[k].tobytes()
+                assert second[method].raw.tobytes() == want[k].tobytes()
+                assert first[method].values.tobytes() == second[method].values.tobytes()
+
+    def test_trace_of_another_input_extent_rejected(self):
+        """The constants cached on a model's first explain fit its own input
+        extent only; a trace from a model with another extent is a ShapeError,
+        not a broadcasting failure."""
+        model = dense_softmax_model(np.full((2, 3), 0.01))
+        other = dense_softmax_model(np.full((2, 4), 0.01))
+        explain_all(model, forward(model, np.ones((1, 3, 1))), 0, METHODS)
+        with pytest.raises(ShapeError, match="does not fit"):
+            explain_all(model, forward(other, np.ones((1, 4, 1))), 0, METHODS)
