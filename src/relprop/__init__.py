@@ -1,5 +1,7 @@
 """Class-discriminative relevance propagation for small CNNs."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     BlobError,
     ChainError,
@@ -50,54 +52,9 @@ from .relevance import (
     seed_sglrp,
 )
 
-__all__ = [
-    "BlobError",
-    "BoundingBox",
-    "ChainError",
-    "DataError",
-    "ForwardTrace",
-    "ImageFormatError",
-    "InputBounds",
-    "LayerParams",
-    "LayerSpec",
-    "ManifestError",
-    "MaskSample",
-    "MaskingResult",
-    "NetworkModel",
-    "NoPositiveRelevanceError",
-    "PointSample",
-    "PointingResult",
-    "PointingRow",
-    "Preprocessing",
-    "RelevanceMap",
-    "RelpropError",
-    "RgbImage",
-    "Seed",
-    "ShapeError",
-    "UnknownLayerError",
-    "energy_threshold",
-    "explain",
-    "explain_all",
-    "forward",
-    "load_model",
-    "mask_patch",
-    "maximal_point",
-    "patch_masking_eval",
-    "pointing_game",
-    "predict_topk",
-    "preprocess",
-    "random_relevance_map",
-    "read_pgm",
-    "read_ppm",
-    "render_heatmap",
-    "run_masking",
-    "run_pointing",
-    "save_model",
-    "seed_clrp",
-    "seed_lrp",
-    "seed_sglrp",
-    "write_pgm",
-    "write_ppm",
-]
+# The public API is every name imported above, so it is written down once.
+__all__ = sorted(
+    n for n, v in globals().items() if not n.startswith("_") and not isinstance(v, _ModuleType)
+)
 
 __version__ = "0.1.0"

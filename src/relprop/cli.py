@@ -21,7 +21,7 @@ import numpy as np
 
 from . import evaluate, imaging
 from .errors import DataError, RelpropError
-from .model import NetworkModel, forward, load_model, predict_topk
+from .model import NetworkModel, forward, load_model, predict_topk, read_entries
 from .relevance import METHODS, explain
 
 
@@ -98,11 +98,7 @@ def _read_image_list(path: Path) -> list[tuple[str, Path, int | None]]:
     """
     entries = []
     first_line: dict[str, int] = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
-        parts = text.split()
+    for lineno, parts in read_entries(path, DataError):
         if len(parts) > 2:
             raise DataError(f"{path}:{lineno}: expected `image_path [label]`")
         label = None

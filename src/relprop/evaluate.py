@@ -4,7 +4,8 @@ Masking: classify, explain, find the maximal point of the map, replace a
 p x p patch around it with the dataset means, re-classify, and record the
 drop in the target probability. The `random` method replaces the explanation
 with a uniformly drawn center. Each method's occluded images, one per patch
-size, are re-classified as one stack in a single forward pass.
+size, are re-classified as one stack by a forward from the unmasked image's
+trace, which recomputes only the positions the patches reach (see model.forward).
 
 Pointing: threshold the map so that at least a fraction E of its positive
 pixels survive, then count surviving pixels inside (hits) and outside
@@ -26,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, RelpropError, ShapeError
-from .model import ForwardTrace, NetworkModel, forward, predict_topk
+from .model import ForwardTrace, NetworkModel, forward, predict_topk, read_entries
 from .relevance import METHODS, explain_all
 
 EVAL_METHODS = METHODS + ("random",)
@@ -133,7 +134,7 @@ def patch_masking_eval(
         else:
             point = maximal_point(maps[method].values)
         masked = np.stack([mask_patch(image, point, p, fill) for p in patch_sizes])
-        probs = forward(model, masked, preprocessed=False).probabilities[:, target]
+        probs = forward(model, masked, preprocessed=False, base=trace).probabilities[:, target]
         for p, after in zip(patch_sizes, map(float, probs)):
             results.append(
                 MaskingResult(
@@ -357,11 +358,7 @@ def read_bounding_boxes(path: str | Path) -> list[tuple[str, BoundingBox]]:
     """Parse `image_id class x_min y_min x_max y_max` lines, preserving order."""
     path = Path(path)
     boxes = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
-        parts = text.split()
+    for lineno, parts in read_entries(path, DataError):
         if len(parts) != 6:
             raise DataError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
         try:

@@ -14,11 +14,12 @@ raw little-endian float32 weight blob. The manifest format:
     mean 103.939 116.779 123.68
     pixel_range 0 255
 
-Blank lines and `#` comments are ignored. Every conv2d or dense layer after
-the first must be fed through a relu, with maxpool or flatten allowed between,
-so that the relevance rules see non-negative activations. The blob is the
-concatenation, in manifest order, of each parametric layer's weights then bias
-(if bias=1), with no header. Weights are promoted to float64 in memory.
+The text must be UTF-8; blank lines and `#` comments are ignored. Every conv2d
+or dense layer after the first must be fed through a relu, with maxpool or
+flatten allowed between, so that the relevance rules see non-negative
+activations. The blob is the concatenation, in manifest order, of each
+parametric layer's weights then bias (if bias=1), with no header. Weights are
+promoted to float64 in memory.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor
-from .errors import BlobError, ChainError, ManifestError, ShapeError, UnknownLayerError
+from .errors import BlobError, ChainError, ManifestError, RelpropError, ShapeError, UnknownLayerError
 
 MAGIC = "RELPROP-MODEL 1"
 
@@ -200,15 +201,23 @@ def _finite_values(tokens: list[str], where: str) -> list[float]:
     return values
 
 
+def read_entries(path: Path, error: type[RelpropError]) -> list[tuple[int, list[str]]]:
+    """(line number, tokens) of each line of a UTF-8 text file that holds more than
+    a `#` comment; bytes that are not UTF-8, or a NUL, raise `error` naming the file."""
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+    if "\0" in text:
+        raise error(f"{path}: NUL byte in a text file")
+    lines = (raw.split("#", 1)[0].split() for raw in text.splitlines())
+    return [(lineno, tokens) for lineno, tokens in enumerate(lines, start=1) if tokens]
+
+
 def load_model(manifest_path: str | Path, weights_path: str | Path) -> NetworkModel:
     """Parse a manifest and its weight blob into a validated, explainable NetworkModel."""
     manifest_path = Path(manifest_path)
-    lines = manifest_path.read_text().splitlines()
-    entries: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.split("#", 1)[0].strip()
-        if text:
-            entries.append((lineno, text.split()))
+    entries = read_entries(manifest_path, ManifestError)
     if not entries or " ".join(entries[0][1]) != MAGIC:
         raise ManifestError(f"{manifest_path}:1: expected magic line {MAGIC!r}")
     if len(entries) < 2 or entries[1][1][0] != "input":
@@ -223,49 +232,53 @@ def load_model(manifest_path: str | Path, weights_path: str | Path) -> NetworkMo
 
     layers: list[LayerSpec] = []
     layer_lines: list[int] = []
-    means: np.ndarray | None = None
-    pixel_range: tuple[float, float] | None = None
     state = "layers"
     for lineno, tokens in entries[2:]:
-        head = tokens[0]
+        head, where = tokens[0], f"{manifest_path}:{lineno}"
         if head == "layer":
             if state != "layers":
-                raise ManifestError(f"{manifest_path}:{lineno}: layer after {state} line")
+                raise ManifestError(f"{where}: layer after {state} line")
             if len(tokens) < 2:
-                raise ManifestError(f"{manifest_path}:{lineno}: layer line missing kind")
+                raise ManifestError(f"{where}: layer line missing kind")
             params: dict[str, int] = {}
             for item in tokens[2:]:
                 key, sep, value = item.partition("=")
                 if not sep:
-                    raise ManifestError(f"{manifest_path}:{lineno}: malformed parameter {item!r}")
+                    raise ManifestError(f"{where}: malformed parameter {item!r}")
                 try:
                     params[key] = int(value)
                 except ValueError as exc:
-                    raise ManifestError(
-                        f"{manifest_path}:{lineno}: non-integer value in {item!r}"
-                    ) from exc
+                    raise ManifestError(f"{where}: non-integer value in {item!r}") from exc
             try:
                 layers.append(LayerSpec(tokens[1], params))
             except UnknownLayerError as exc:
-                raise UnknownLayerError(f"{manifest_path}:{lineno}: {exc}") from exc
+                raise UnknownLayerError(f"{where}: {exc}") from exc
             except ManifestError as exc:
-                raise ManifestError(f"{manifest_path}:{lineno}: {exc}") from exc
+                raise ManifestError(f"{where}: {exc}") from exc
             layer_lines.append(lineno)
         elif head == "mean":
             if state != "layers":
-                raise ManifestError(f"{manifest_path}:{lineno}: duplicate mean line")
-            means = np.array(_finite_values(tokens, f"{manifest_path}:{lineno}"), dtype=np.float64)
+                raise ManifestError(f"{where}: duplicate mean line")
+            means = np.array(_finite_values(tokens, where), dtype=np.float64)
+            if means.size != input_shape[2]:
+                raise ManifestError(
+                    f"{where}: mean entries {means.size} != input channels {input_shape[2]}"
+                )
             state = "mean"
         elif head == "pixel_range":
             if state != "mean":
-                raise ManifestError(f"{manifest_path}:{lineno}: pixel_range must follow mean")
+                raise ManifestError(f"{where}: pixel_range must follow mean")
             if len(tokens) != 3:
-                raise ManifestError(f"{manifest_path}:{lineno}: pixel_range needs two values")
-            pixel_range = tuple(_finite_values(tokens, f"{manifest_path}:{lineno}"))
+                raise ManifestError(f"{where}: pixel_range needs two values")
+            pixel_range = tuple(_finite_values(tokens, where))
+            try:
+                preprocessing = Preprocessing(means, pixel_range)
+            except ManifestError as exc:
+                raise ManifestError(f"{where}: {exc}") from exc
             state = "done"
         else:
-            raise ManifestError(f"{manifest_path}:{lineno}: unrecognized directive {head!r}")
-    if means is None or pixel_range is None:
+            raise ManifestError(f"{where}: unrecognized directive {head!r}")
+    if state != "done":
         raise ManifestError(f"{manifest_path}: missing mean or pixel_range line")
 
     parametric = [l for l in layers if l.is_parametric]
@@ -301,7 +314,7 @@ def load_model(manifest_path: str | Path, weights_path: str | Path) -> NetworkMo
             input_shape=input_shape,
             layers=tuple(layers),
             params=tuple(params),
-            preprocessing=Preprocessing(means=means, pixel_range=pixel_range),
+            preprocessing=preprocessing,
         )
     except ChainError as exc:
         lineinfo = f" (layers at lines {layer_lines})" if layer_lines else ""
@@ -382,12 +395,67 @@ class ForwardTrace:
         return int(np.argmax(_one_image(self.probabilities, "prediction")))
 
 
-def forward(model: NetworkModel, image: np.ndarray, preprocessed: bool = True) -> ForwardTrace:
+def _dirty_box(x: np.ndarray, start: np.ndarray) -> tuple[int, int, int, int]:
+    """Rows [r0, r1) and columns [c0, c1) outside which every image of x equals start."""
+    h, w, c = start.shape
+    dirty = (x != start).reshape(-1, h, w * c).any(axis=0)  # the fast reduction order
+    rows, cols = np.flatnonzero(dirty.any(1)), np.flatnonzero(dirty.any(0).reshape(w, c).any(1))
+    return (int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1) if rows.size else (0,) * 4
+
+
+def _reach(box: tuple, p: dict[str, int], out_rows: int, out_cols: int) -> tuple:
+    """The output box of a conv or maxpool whose input differs from base's only inside box:
+    every position whose window, in padded coordinates, meets it."""
+    s, pad, (r0, r1, c0, c1) = p["stride"], p.get("pad", 0), box
+    rows = max(0, -((p["kh"] - 1 - r0 - pad) // s)), min(out_rows, (r1 - 1 + pad) // s + 1)
+    cols = max(0, -((p["kw"] - 1 - c0 - pad) // s)), min(out_cols, (c1 - 1 + pad) // s + 1)
+    return (*rows, *cols) if r0 < r1 and rows[0] < rows[1] and cols[0] < cols[1] else (0,) * 4
+
+
+def _patch_layer(layer: LayerSpec, lp, x: np.ndarray, base_out: np.ndarray, box: tuple):
+    """A conv, relu or maxpool layer over x, which equals base's input outside box:
+    recompute the output positions box reaches, copy the rest from base_out.
+    Returns the output, its PoolArgmax for a maxpool, and the output's box."""
+    p = layer.params
+    y = np.empty(x.shape[:-3] + base_out.shape)
+    y[...] = base_out
+    r0, r1, c0, c1 = box = box if layer.kind == "relu" else _reach(box, p, *y.shape[-3:-1])
+    if r0 == r1:
+        pass
+    elif layer.kind == "relu":
+        y[..., r0:r1, c0:c1, :] = tensor.relu(x[..., r0:r1, c0:c1, :])
+    elif layer.kind == "conv2d":
+        bias = lp.bias if lp.bias is not None else np.zeros(p["out"])
+        y[..., r0:r1, c0:c1, :] = tensor.conv2d_forward(x, lp.weights, bias, p["stride"], p["pad"], box)
+    else:
+        s, kh, kw = p["stride"], p["kh"], p["kw"]
+        read = x[..., r0 * s : (r1 - 1) * s + kh, c0 * s : (c1 - 1) * s + kw, :]
+        y[..., r0:r1, c0:c1, :] = tensor.maxpool_forward(read, kh, kw, s)[0]
+    arg = tensor.PoolArgmax(x, y, p["kh"], p["kw"], p["stride"]) if layer.kind == "maxpool" else None
+    return y, arg, box
+
+
+def forward(
+    model: NetworkModel,
+    image: np.ndarray,
+    preprocessed: bool = True,
+    base: ForwardTrace | None = None,
+) -> ForwardTrace:
     """Run the chain on one image, recording every layer's input and output.
 
     image may also be a stack [N, H, W, C]; every layer then maps the images
     side by side, and row k of the probabilities is image k's.
     With preprocessed=False the per-channel dataset means are subtracted first.
+
+    base, the trace of one image through this model, makes the forward
+    incremental. The rows and columns where any image differs from base's input
+    bound a box, read from the data. Each conv, relu and maxpool layer before
+    the first flatten or dense layer recomputes only the output positions that
+    box reaches (a conv through conv2d_forward's window) and copies the rest
+    from base's output; the box grows by each layer's reach. From flatten or
+    dense on, every layer runs in full. Max and relu are exact, so the result
+    carries the full forward's bytes wherever every conv window does (see
+    tensor.conv2d_forward on its x8 column padding) and agrees to rounding elsewhere.
     """
     x = np.asarray(image, dtype=np.float64)
     if x.ndim not in (3, 4) or x.shape[-3:] != model.input_shape or x.size == 0:
@@ -399,12 +467,22 @@ def forward(model: NetworkModel, image: np.ndarray, preprocessed: bool = True) -
         raise ShapeError("forward: image contains non-finite values")
     if not preprocessed:
         x = x - model.preprocessing.means
+    box = None
+    if base is not None:
+        shapes = [e.input.shape for e in base.entries[:1]] + [e.output.shape for e in base.entries]
+        if shapes != [model.input_shape, *infer_shapes(model.input_shape, list(model.layers))]:
+            raise ShapeError("forward: base is not the trace of one image through this model")
+        box = _dirty_box(x, base.entries[0].input)
     entries: list[LayerTrace] = []
     for i, (layer, lp) in enumerate(zip(model.layers, model.params)):
         p = layer.params
         arg = None
+        if layer.kind not in ("conv2d", "relu", "maxpool"):
+            box = None  # from the first flatten or dense layer on, run in full
         try:
-            if layer.kind == "conv2d":
+            if box is not None:
+                y, arg, box = _patch_layer(layer, lp, x, base.entries[i].output, box)
+            elif layer.kind == "conv2d":
                 bias = lp.bias if lp.bias is not None else np.zeros(p["out"])
                 y = tensor.conv2d_forward(x, lp.weights, bias, p["stride"], p["pad"])
             elif layer.kind == "maxpool":

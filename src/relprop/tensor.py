@@ -54,11 +54,17 @@ def conv2d_forward(
     bias: np.ndarray,
     stride: int = 1,
     pad: int = 0,
+    window: tuple[int, int, int, int] | None = None,
 ) -> np.ndarray:
     """Cross-correlate x [H,W,C] with weights [C_out,C,kh,kw], zero padding only.
 
     The output extent is conv_extent's. x may carry one leading image axis
-    [N, H, W, C]; each image maps on its own.
+    [N, H, W, C]; each image maps on its own. window = (row0, row1, col0, col1)
+    computes only those output rows and columns (half-open). Its GEMM is padded
+    with zero columns to a multiple of 8, because OpenBLAS sums a tail of 1-4
+    (mod 8) columns in kernels that round differently. So a window carries the
+    full conv's bytes where the full GEMM's column count N*rows*cols is a multiple
+    of 8 and C_out >= 2, as on every bench shape; elsewhere it agrees to rounding.
     """
     if x.ndim not in (3, 4):
         raise ShapeError(f"conv2d: input must be [H,W,C] or [N,H,W,C], got shape {x.shape}")
@@ -78,7 +84,17 @@ def conv2d_forward(
     windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(-3, -2))
     # im2col as (c, kh, kw, ...lead, x, y), the layout einsum's GEMM uses (module docstring).
     cols = windows.transpose(n + 2, n + 3, n + 4, *range(n + 2))[..., ::stride, ::stride]
-    gemm = weights.reshape(c_out, -1) @ cols.reshape(c * kh * kw, -1)
+    if window is not None:
+        r0, r1, c0, c1 = window
+        if not (0 <= r0 < r1 <= h_out and 0 <= c0 < c1 <= w_out):
+            raise ShapeError(f"conv2d: window {window} outside output {h_out}x{w_out}")
+        cols, h_out, w_out = cols[..., r0:r1, c0:c1], r1 - r0, c1 - c0
+        m = cols[0, 0, 0].size
+        padded_cols = np.zeros((c * kh * kw, m + -m % 8))
+        padded_cols[:, :m].reshape(cols.shape)[...] = cols  # splits axes only, so a view
+        gemm = (weights.reshape(c_out, -1) @ padded_cols)[:, :m]
+    else:
+        gemm = weights.reshape(c_out, -1) @ cols.reshape(c * kh * kw, -1)
     out = np.add(gemm.T.reshape(lead + (h_out, w_out, c_out)), bias, order="C")
     return _check_finite(out, "conv2d output")
 

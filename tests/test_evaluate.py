@@ -28,7 +28,7 @@ from relprop.evaluate import (
     write_masking_reports,
     write_pointing_reports,
 )
-from relprop.model import forward, predict_topk
+from relprop.model import LayerParams, LayerSpec, NetworkModel, Preprocessing, forward, predict_topk
 
 from oracles import energy_threshold_by_sort
 from test_model import dense_softmax_model
@@ -208,6 +208,31 @@ class TestPatchMaskingEval:
             single = forward(model, masked, preprocessed=False).probabilities[2]
             assert abs(r.prob_after - single) <= 1e-12
 
+    def test_rows_are_the_full_stacked_forward_bytes_on_cnn32(self):
+        """On the benchmark's cnn32 architecture every row's prob_after carries the
+        bytes of one full forward over the method's stack of occluded images, in both
+        target modes, although the harness recomputes only what each patch reaches;
+        and so does a stack masked at the corners and edges."""
+        model = cnn32_model(np.random.default_rng(20190812))
+        rng = np.random.default_rng(5)
+        fill = model.preprocessing.means
+        for index in range(4):
+            image = rng.integers(0, 256, size=model.input_shape).astype(np.float64)
+            mode = ("ground_truth", "second_probable")[index % 2]
+            rows = patch_masking_eval(
+                model, image, target_mode=mode, label=index, rng=np.random.default_rng(index)
+            )
+            for method in ("lrp", "clrp", "sglrp", "random"):
+                mine = [r for r in rows if r.method == method]
+                stack = np.stack([mask_patch(image, r.point, r.patch_size, fill) for r in mine])
+                full = forward(model, stack, preprocessed=False).probabilities[:, mine[0].target]
+                assert [r.prob_after.hex() for r in mine] == [p.hex() for p in map(float, full)]
+        base = forward(model, image, preprocessed=False)
+        for centre in ((0, 0), (31, 0), (0, 31), (31, 31), (16, 0), (31, 15), (1, 30)):
+            stack = np.stack([mask_patch(image, centre, p, fill) for p in DEFAULT_PATCH_SIZES])
+            got = forward(model, stack, preprocessed=False, base=base).probabilities
+            assert got.tobytes() == forward(model, stack, preprocessed=False).probabilities.tobytes()
+
     def test_masking_ignored_region_keeps_probability(self):
         """A model wired to the left half of the image cannot react to a patch
         placed in the right half: the drop is zero."""
@@ -383,6 +408,42 @@ class TestBoundingBox:
         path.write_text("img0 1 2 x 10 12\n")
         with pytest.raises(DataError):
             read_bounding_boxes(path)
+
+
+def cnn32_model(rng) -> NetworkModel:
+    """The benchmark's cnn32 architecture with float32-rounded He-scaled weights:
+    32x32x3 > conv16 > relu > pool > conv32 > relu > pool > dense64 > relu > dense10."""
+    conv = {"kh": 3, "kw": 3, "stride": 1, "pad": 1, "bias": 1}
+    pool = {"kh": 2, "kw": 2, "stride": 2}
+    layers = (
+        LayerSpec("conv2d", {"in": 3, "out": 16, **conv}),
+        LayerSpec("relu"),
+        LayerSpec("maxpool", pool),
+        LayerSpec("conv2d", {"in": 16, "out": 32, **conv}),
+        LayerSpec("relu"),
+        LayerSpec("maxpool", pool),
+        LayerSpec("flatten"),
+        LayerSpec("dense", {"in": 2048, "out": 64, "bias": 1}),
+        LayerSpec("relu"),
+        LayerSpec("dense", {"in": 64, "out": 10, "bias": 1}),
+        LayerSpec("softmax"),
+    )
+    scales = iter([(27 * 64.0**2, 0.0), (72.0, 0.0), (1024.0, 0.0), (16.0, 4.0)])
+    params = []
+    for layer in layers:
+        if not layer.is_parametric:
+            params.append(None)
+            continue
+        divisor, shift = next(scales)
+        weights = rng.standard_normal(layer.weight_shape()) / np.sqrt(divisor)
+        bias = shift + 0.05 * rng.standard_normal(layer.params["out"])
+        params.append(LayerParams(*(a.astype(np.float32).astype(np.float64) for a in (weights, bias))))
+    return NetworkModel(
+        input_shape=(32, 32, 3),
+        layers=layers,
+        params=tuple(params),
+        preprocessing=Preprocessing(np.array([118.5, 112.25, 101.75]), pixel_range=(0.0, 255.0)),
+    )
 
 
 def small_dataset(n=6):

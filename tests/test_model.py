@@ -156,6 +156,21 @@ class TestLoadModel:
             load_model(manifest, weights)
         assert f"{manifest}:5:" in str(err.value) and "conv2d" in str(err.value)
 
+    def test_preprocessing_errors_name_their_line(self, tmp_path):
+        """A mean line whose length is not the channel count, and a pixel_range whose
+        lower bound exceeds its upper, are rejected naming the manifest and line."""
+        _, weights = write_minimal(tmp_path, np.zeros(34))
+        manifest = tmp_path / "bad.txt"
+        cases = {
+            ("mean 0", "mean 1 2"): ":6: mean entries 2 != input channels 1",
+            ("pixel_range 0 255", "pixel_range 255 0"): ":7: pixel_range lower bound 255.0 exceeds upper 0.0",
+        }
+        for (good, bad), message in cases.items():
+            manifest.write_text(MINIMAL_MANIFEST.replace(good, bad))
+            with pytest.raises(ManifestError) as err:
+                load_model(manifest, weights)
+            assert str(err.value) == f"{manifest}{message}"
+
     def test_save_load_blob_round_trip(self, tmp_path):
         """Reserializing a loaded model reproduces the weight blob byte for byte."""
         rng = np.random.default_rng(42)

@@ -1,7 +1,8 @@
 """Property tests over random shapes for the convolution kernel and its adjoint,
 max pooling, the leading seed axis that lets every method share one backward
 pass, the leading image axis that lets a stack of images share one forward
-pass, the relevance rules' invariants on random chains of conv and dense
+pass, the incremental forward that recomputes only what a masking patch
+reaches, the relevance rules' invariants on random chains of conv and dense
 layers, and the pointing game's thresholds."""
 
 import numpy as np
@@ -9,11 +10,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from relprop.errors import ShapeError
 from relprop.evaluate import (
     DEFAULT_ENERGIES,
     BoundingBox,
     NoPositiveRelevanceError,
     energy_threshold,
+    mask_patch,
     pointing_game,
 )
 from relprop.model import LayerParams, LayerSpec, NetworkModel, Preprocessing, forward
@@ -34,6 +37,7 @@ from relprop.tensor import (
     conv_extent,
     dense_forward,
     maxpool_forward,
+    pool_extent,
     softmax,
 )
 
@@ -276,6 +280,147 @@ def test_forward_stack_rows_match_single_forwards(seed, n):
     for k in range(n):
         single = forward(model, stack[k], preprocessed=False).probabilities
         np.testing.assert_allclose(probs[k], single, rtol=0, atol=1e-12 * np.abs(single).max())
+
+
+@PROPERTY_SETTINGS
+@given(conv_cases(), STACK_SIZES, st.data())
+def test_conv2d_forward_window_is_the_full_conv_slice(case, n, data):
+    """A window computes the same outputs as the full conv, to rounding; and to
+    the byte wherever the full GEMM has a multiple of 8 columns and at least two
+    rows, because the window's GEMM is padded with zero columns to a multiple of 8
+    and so sums every column in the kernels the full GEMM uses."""
+    input_shape, weight_shape, stride, pad, seed = case
+    rng = np.random.default_rng(seed)
+    w, b = rng.normal(size=weight_shape), rng.normal(size=weight_shape[0])
+    x = rng.normal(size=(n,) + input_shape)
+    full = conv2d_forward(x, w, b, stride, pad)
+    h_out, w_out = full.shape[1:3]
+    r0, c0 = data.draw(st.integers(0, h_out - 1)), data.draw(st.integers(0, w_out - 1))
+    r1, c1 = data.draw(st.integers(r0 + 1, h_out)), data.draw(st.integers(c0 + 1, w_out))
+    got = conv2d_forward(x, w, b, stride, pad, (r0, r1, c0, c1))
+    want = full[:, r0:r1, c0:c1]
+    assert got.shape == want.shape and got.flags.c_contiguous
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(full).max())
+    if (n * h_out * w_out) % 8 == 0 and weight_shape[0] >= 2:
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def test_conv2d_forward_rejects_a_window_outside_the_output():
+    x, w, b = np.zeros((4, 4, 1)), np.ones((2, 1, 3, 3)), np.zeros(2)
+    for window in ((0, 0, 0, 2), (0, 3, 0, 2), (1, 2, -1, 1), (2, 1, 0, 2)):
+        with pytest.raises(ShapeError):
+            conv2d_forward(x, w, b, 1, 0, window)
+
+
+@st.composite
+def incremental_cases(draw):
+    """A random chain for the incremental forward, and a stack of edits to its
+    input. 0-2 convs with stride 1-3, pad 0-2 and kh, kw 1-4, each through relu
+    and optionally an overlapping maxpool, then flatten > dense or a dense layer
+    read straight off the [H, W, C] map, an optional hidden dense layer and a head.
+    Each of 1-6 rows masks one odd patch (centres anywhere, borders and corners
+    favoured) or two pixels in opposite corners."""
+    corner_or_any = lambda n: st.one_of(st.sampled_from((0, n - 1)), st.integers(0, n - 1))
+    input_shape = (draw(st.integers(3, 12)), draw(st.integers(3, 12)), draw(st.integers(1, 3)))
+    shape, layers = input_shape, []
+    for _ in range(draw(st.integers(0, 2))):
+        pad, stride = draw(st.integers(0, 2)), draw(st.integers(1, 3))
+        kh = draw(st.integers(1, min(4, shape[0] + 2 * pad)))
+        kw = draw(st.integers(1, min(4, shape[1] + 2 * pad)))
+        conv = {"in": shape[2], "out": draw(st.integers(1, 4)), "kh": kh, "kw": kw}
+        conv.update(stride=stride, pad=pad, bias=1)
+        layers += [LayerSpec("conv2d", conv), LayerSpec("relu")]
+        shape = (*conv_extent(*shape[:2], kh, kw, stride, pad), conv["out"])
+        if min(shape[:2]) >= 2 and draw(st.booleans()):
+            ph, pw = draw(st.integers(1, min(3, shape[0]))), draw(st.integers(1, min(3, shape[1])))
+            tiling = [s for s in (1, 2, 3) if (shape[0] - ph) % s == 0 == (shape[1] - pw) % s]
+            pool = {"kh": ph, "kw": pw, "stride": draw(st.sampled_from(tiling))}
+            layers.append(LayerSpec("maxpool", pool))
+            shape = (*pool_extent(*shape[:2], ph, pw, pool["stride"]), shape[2])
+    width = int(np.prod(shape))
+    if draw(st.booleans()):
+        layers.append(LayerSpec("flatten"))
+    if draw(st.booleans()):
+        hidden = draw(st.integers(1, 6))
+        layers += [LayerSpec("dense", {"in": width, "out": hidden, "bias": 1}), LayerSpec("relu")]
+        width = hidden
+    layers += [
+        LayerSpec("dense", {"in": width, "out": draw(st.integers(2, 4)), "bias": 1}),
+        LayerSpec("softmax"),
+    ]
+    h, w = input_shape[:2]
+    edits = []
+    for _ in range(draw(STACK_SIZES)):
+        if draw(st.booleans()):
+            centre = (draw(corner_or_any(w)), draw(corner_or_any(h)))
+            edits.append(("patch", centre, draw(st.sampled_from((1, 3, 5, 7, 9)))))
+        else:
+            near = (draw(st.integers(0, (h - 1) // 3)), draw(st.integers(0, (w - 1) // 3)))
+            edits.append(("pair", near, (h - 1 - near[0], w - 1 - near[1])))
+    return tuple(layers), input_shape, edits, draw(st.integers(0, 2**32 - 1))
+
+
+def _edited(image: np.ndarray, edit, fill: np.ndarray) -> np.ndarray:
+    kind, a, b = edit
+    if kind == "patch":
+        return mask_patch(image, a, b, fill)
+    out = image.copy()
+    out[a], out[b] = fill, fill
+    return out
+
+
+@PROPERTY_SETTINGS
+@given(incremental_cases())
+def test_incremental_forward_matches_the_full_stacked_forward(case):
+    """Given the trace of the unmasked image, the forward recomputes only what the
+    edits reach and still gives the full stacked forward's probabilities; a stack
+    of unedited copies gives the base's own probabilities bit for bit."""
+    layers, input_shape, edits, seed = case
+    rng = np.random.default_rng(seed)
+    model = _chain_model(layers, input_shape, rng)
+    image = rng.uniform(0, 255, size=input_shape)
+    base = forward(model, image, preprocessed=False)
+    fill = model.preprocessing.means
+    stack = np.stack([_edited(image, edit, fill) for edit in edits])
+    got = forward(model, stack, preprocessed=False, base=base).probabilities
+    want = forward(model, stack, preprocessed=False).probabilities
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    copies = forward(model, np.stack([image] * len(edits)), preprocessed=False, base=base)
+    for row in copies.probabilities:
+        assert row.tobytes() == base.probabilities.tobytes()
+
+
+def test_incremental_forward_of_one_image_is_an_explainable_trace():
+    """With one edited image the incremental trace carries every layer's full
+    arrays, so explaining it gives the full forward's maps."""
+    rng = np.random.default_rng(7)
+    model = _random_cnn(rng, classes=4)
+    image = rng.uniform(0, 255, size=model.input_shape)
+    edited = mask_patch(image, (6, 1), 3, model.preprocessing.means)
+    base = forward(model, image, preprocessed=False)
+    got = forward(model, edited, preprocessed=False, base=base)
+    want = forward(model, edited, preprocessed=False)
+    for a, b in zip(got.entries, want.entries):
+        np.testing.assert_allclose(a.output, b.output, rtol=0, atol=1e-12 * np.abs(b.output).max())
+    for method in METHODS:
+        np.testing.assert_allclose(
+            explain(model, got, 1, method).values, explain(model, want, 1, method).values,
+            rtol=1e-9, atol=1e-12,
+        )
+
+
+def test_incremental_forward_rejects_a_base_from_another_input():
+    """The base must be the trace of one image through this model: not a stack's
+    trace, and not the trace of a model with other shapes."""
+    rng = np.random.default_rng(3)
+    model = _random_cnn(rng, classes=3)
+    image = rng.uniform(0, 255, size=model.input_shape)
+    stacked = forward(model, np.stack([image, image]), preprocessed=False)
+    other = make_two_shape_model()
+    foreign = forward(other, make_two_shape_image(rng)[0], preprocessed=False)
+    for base in (stacked, foreign):
+        with pytest.raises(ShapeError, match="base"):
+            forward(model, image, preprocessed=False, base=base)
 
 
 @st.composite
