@@ -232,53 +232,53 @@ def load_model(manifest_path: str | Path, weights_path: str | Path) -> NetworkMo
 
     layers: list[LayerSpec] = []
     layer_lines: list[int] = []
+    preprocessing: Preprocessing | None = None
     state = "layers"
     for lineno, tokens in entries[2:]:
-        head, where = tokens[0], f"{manifest_path}:{lineno}"
+        head = tokens[0]
         if head == "layer":
             if state != "layers":
-                raise ManifestError(f"{where}: layer after {state} line")
+                raise ManifestError(f"{manifest_path}:{lineno}: layer after {state} line")
             if len(tokens) < 2:
-                raise ManifestError(f"{where}: layer line missing kind")
+                raise ManifestError(f"{manifest_path}:{lineno}: layer line missing kind")
             params: dict[str, int] = {}
             for item in tokens[2:]:
                 key, sep, value = item.partition("=")
                 if not sep:
-                    raise ManifestError(f"{where}: malformed parameter {item!r}")
+                    raise ManifestError(f"{manifest_path}:{lineno}: malformed parameter {item!r}")
                 try:
                     params[key] = int(value)
                 except ValueError as exc:
-                    raise ManifestError(f"{where}: non-integer value in {item!r}") from exc
+                    raise ManifestError(
+                        f"{manifest_path}:{lineno}: non-integer value in {item!r}"
+                    ) from exc
             try:
                 layers.append(LayerSpec(tokens[1], params))
             except UnknownLayerError as exc:
-                raise UnknownLayerError(f"{where}: {exc}") from exc
+                raise UnknownLayerError(f"{manifest_path}:{lineno}: {exc}") from exc
             except ManifestError as exc:
-                raise ManifestError(f"{where}: {exc}") from exc
+                raise ManifestError(f"{manifest_path}:{lineno}: {exc}") from exc
             layer_lines.append(lineno)
         elif head == "mean":
             if state != "layers":
-                raise ManifestError(f"{where}: duplicate mean line")
-            means = np.array(_finite_values(tokens, where), dtype=np.float64)
-            if means.size != input_shape[2]:
-                raise ManifestError(
-                    f"{where}: mean entries {means.size} != input channels {input_shape[2]}"
-                )
+                raise ManifestError(f"{manifest_path}:{lineno}: duplicate mean line")
+            means = np.array(_finite_values(tokens, f"{manifest_path}:{lineno}"), dtype=np.float64)
+            mean_line = lineno
             state = "mean"
         elif head == "pixel_range":
             if state != "mean":
-                raise ManifestError(f"{where}: pixel_range must follow mean")
+                raise ManifestError(f"{manifest_path}:{lineno}: pixel_range must follow mean")
             if len(tokens) != 3:
-                raise ManifestError(f"{where}: pixel_range needs two values")
-            pixel_range = tuple(_finite_values(tokens, where))
+                raise ManifestError(f"{manifest_path}:{lineno}: pixel_range needs two values")
+            pixel_range = tuple(_finite_values(tokens, f"{manifest_path}:{lineno}"))
             try:
-                preprocessing = Preprocessing(means, pixel_range)
+                preprocessing = Preprocessing(means=means, pixel_range=pixel_range)
             except ManifestError as exc:
-                raise ManifestError(f"{where}: {exc}") from exc
+                raise ManifestError(f"{manifest_path}:{lineno}: {exc}") from exc
             state = "done"
         else:
-            raise ManifestError(f"{where}: unrecognized directive {head!r}")
-    if state != "done":
+            raise ManifestError(f"{manifest_path}:{lineno}: unrecognized directive {head!r}")
+    if preprocessing is None:
         raise ManifestError(f"{manifest_path}: missing mean or pixel_range line")
 
     parametric = [l for l in layers if l.is_parametric]
@@ -319,6 +319,8 @@ def load_model(manifest_path: str | Path, weights_path: str | Path) -> NetworkMo
     except ChainError as exc:
         lineinfo = f" (layers at lines {layer_lines})" if layer_lines else ""
         raise ChainError(f"{manifest_path}: {exc}{lineinfo}") from exc
+    except ManifestError as exc:  # the only one the model raises: mean entries != channels
+        raise ManifestError(f"{manifest_path}:{mean_line}: {exc}") from exc
     # Each parametric layer after the first (which reads pixels, under zbeta) runs zplus and
     # needs non-negative input: a relu since the previous one, kept by any maxpool or flatten.
     fed = True
@@ -377,10 +379,11 @@ class ForwardTrace:
     """Full record of one forward pass, one entry per layer.
 
     A trace of a stack holds every layer's stacked arrays; only its
-    probabilities are meaningful to read.
+    probabilities are meaningful to read. model is the model that ran it.
     """
 
     entries: tuple[LayerTrace, ...]
+    model: NetworkModel | None = field(default=None, repr=False, compare=False)
 
     @property
     def logits(self) -> np.ndarray:
@@ -447,15 +450,17 @@ def forward(
     side by side, and row k of the probabilities is image k's.
     With preprocessed=False the per-channel dataset means are subtracted first.
 
-    base, the trace of one image through this model, makes the forward
-    incremental. The rows and columns where any image differs from base's input
-    bound a box, read from the data. Each conv, relu and maxpool layer before
-    the first flatten or dense layer recomputes only the output positions that
-    box reaches (a conv through conv2d_forward's window) and copies the rest
-    from base's output; the box grows by each layer's reach. From flatten or
-    dense on, every layer runs in full. Max and relu are exact, so the result
-    carries the full forward's bytes wherever every conv window does (see
-    tensor.conv2d_forward on its x8 column padding) and agrees to rounding elsewhere.
+    base, the trace of one image through this model object (a trace that any
+    other model produced, even one of the same shapes, is a ShapeError), makes
+    the forward incremental. The rows and columns where any image differs from
+    base's input bound a box, read from the data. Each conv, relu and maxpool
+    layer before the first flatten or dense layer recomputes only the output
+    positions that box reaches (a conv through conv2d_forward's window) and
+    copies the rest from base's output; the box grows by each layer's reach.
+    From flatten or dense on, every layer runs in full. Max and relu are exact,
+    so the result carries the full forward's bytes wherever every conv window
+    does (see tensor.conv2d_forward on its x8 column padding) and agrees to
+    rounding elsewhere.
     """
     x = np.asarray(image, dtype=np.float64)
     if x.ndim not in (3, 4) or x.shape[-3:] != model.input_shape or x.size == 0:
@@ -469,8 +474,7 @@ def forward(
         x = x - model.preprocessing.means
     box = None
     if base is not None:
-        shapes = [e.input.shape for e in base.entries[:1]] + [e.output.shape for e in base.entries]
-        if shapes != [model.input_shape, *infer_shapes(model.input_shape, list(model.layers))]:
+        if base.model is not model or base.entries[0].input.ndim != 3:
             raise ShapeError("forward: base is not the trace of one image through this model")
         box = _dirty_box(x, base.entries[0].input)
     entries: list[LayerTrace] = []
@@ -501,7 +505,7 @@ def forward(
             raise ShapeError(f"layer {i} ({layer.kind}): {exc}") from exc
         entries.append(LayerTrace(input=x, output=y, argmax=arg))
         x = y
-    return ForwardTrace(entries=tuple(entries))
+    return ForwardTrace(entries=tuple(entries), model=model)
 
 
 def predict_topk(trace: ForwardTrace, k: int) -> list[tuple[int, float]]:

@@ -411,14 +411,16 @@ def test_incremental_forward_of_one_image_is_an_explainable_trace():
 
 def test_incremental_forward_rejects_a_base_from_another_input():
     """The base must be the trace of one image through this model: not a stack's
-    trace, and not the trace of a model with other shapes."""
+    trace, not the trace of a model with other shapes, and not that of a model
+    with the same shapes but other weights."""
     rng = np.random.default_rng(3)
     model = _random_cnn(rng, classes=3)
     image = rng.uniform(0, 255, size=model.input_shape)
     stacked = forward(model, np.stack([image, image]), preprocessed=False)
     other = make_two_shape_model()
     foreign = forward(other, make_two_shape_image(rng)[0], preprocessed=False)
-    for base in (stacked, foreign):
+    twin = forward(_random_cnn(np.random.default_rng(4), classes=3), image, preprocessed=False)
+    for base in (stacked, foreign, twin):
         with pytest.raises(ShapeError, match="base"):
             forward(model, image, preprocessed=False, base=base)
 

@@ -8,7 +8,7 @@ Each side is a git revision of this repository (its `src/` is extracted with
 repository's metadata are left alone) or a directory: a checkout holding
 `src/relprop`, or a `src` directory holding `relprop`. Both sides run the same
 commands on the same inputs, which bench/inputs.py generates (imported, never
-changed): the cnn32 and cnn64 models and --images PPMs with labels and boxes.
+changed): the cnn32 and cnn64 models and IMAGES (24) PPMs each, with labels and boxes.
 Per model the commands are mask-eval in both target modes, pointing, explain
 with every method on every image, and predict on every image. Each side runs
 in its own Python process with one BLAS thread.
@@ -33,6 +33,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 MODELS = {"cnn32": 32, "cnn64": 64}
 METHODS = ("lrp", "clrp", "sglrp")
+IMAGES = 24  # generated images per model
 IMAGE_SEED, RUN_SEED = 77, 5  # seed of the generated images; --seed of every CLI call
 
 
@@ -61,14 +62,14 @@ def resolve_src(side: str, scratch: Path) -> Path:
     return target / "src"
 
 
-def write_inputs(out: Path, images: int) -> None:
+def write_inputs(out: Path) -> None:
     sys.path.insert(0, str(ROOT / "bench"))
     sys.dont_write_bytecode = True  # leave bench/ exactly as checked in
     import inputs
 
     for name, size in MODELS.items():
         inputs.write_model(name, size, out / name)
-        written = inputs.write_images(IMAGE_SEED, images, size, out / name / "images")
+        written = inputs.write_images(IMAGE_SEED, IMAGES, size, out / name / "images")
         inputs.write_list(written, out / name / "images" / "list.txt")
         inputs.write_boxes(written, out / name / "images" / "boxes.txt")
 
@@ -137,7 +138,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("a", nargs="?", help="revision or source tree A")
     parser.add_argument("b", nargs="?", help="revision or source tree B")
-    parser.add_argument("--images", type=int, default=24, help="images per model (default 24)")
     parser.add_argument("--run-side", nargs=3, metavar=("SRC", "INPUTS", "OUT"), help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.run_side:
@@ -150,7 +150,7 @@ def main() -> int:
         tmp = Path(tmp)
         (tmp / "trees").mkdir()
         srcs = [resolve_src(side, tmp / "trees") for side in (args.a, args.b)]
-        write_inputs(tmp / "inputs", args.images)
+        write_inputs(tmp / "inputs")
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
                "MKL_NUM_THREADS": "1", "PYTHONDONTWRITEBYTECODE": "1"}
         env.pop("RELPROP_THREADS", None)
