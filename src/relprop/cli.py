@@ -29,47 +29,28 @@ class UsageError(Exception):
     """Invalid argument combination detected after parsing."""
 
 
-def _no_repeats(values: tuple, what: str) -> tuple:
-    repeated = sorted({v for v in values if values.count(v) > 1})
-    if repeated:
-        raise argparse.ArgumentTypeError(
-            f"{what} listed more than once: {', '.join(map(str, repeated))}"
-        )
-    return values
+def _comma_list(what: str, convert, valid, rule: str):
+    """An argparse type for a non-empty comma-separated list without repeats: each item goes
+    through convert (blank items it keeps as "" are dropped) and must pass valid (rule says why)."""
 
-
-def _parse_methods(text: str) -> tuple[str, ...]:
-    methods = tuple(m.strip() for m in text.split(",") if m.strip())
-    for m in methods:
-        if m not in evaluate.EVAL_METHODS:
+    def parse(text: str) -> tuple:
+        try:
+            values = tuple(v for v in map(convert, text.split(",")) if v != "")
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"malformed {what} in {text!r}") from exc
+        for v in values:
+            if not valid(v):
+                raise argparse.ArgumentTypeError(f"{what} {v!r} invalid: {rule}")
+        if not values:
+            raise argparse.ArgumentTypeError(f"at least one {what} required")
+        repeated = sorted({v for v in values if values.count(v) > 1})
+        if repeated:
             raise argparse.ArgumentTypeError(
-                f"unknown method {m!r}; choose from {', '.join(evaluate.EVAL_METHODS)}"
+                f"{what} listed more than once: {', '.join(map(str, repeated))}"
             )
-    if not methods:
-        raise argparse.ArgumentTypeError("at least one method required")
-    return _no_repeats(methods, "method")
+        return values
 
-
-def _parse_patches(text: str) -> tuple[int, ...]:
-    try:
-        patches = tuple(int(p) for p in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"non-integer patch size in {text!r}") from exc
-    for p in patches:
-        if p < 1 or p % 2 == 0:
-            raise argparse.ArgumentTypeError(f"patch sizes must be odd and positive, got {p}")
-    return _no_repeats(patches, "patch size")
-
-
-def _parse_energies(text: str) -> tuple[float, ...]:
-    try:
-        energies = tuple(float(e) for e in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"non-numeric energy in {text!r}") from exc
-    for e in energies:
-        if not 0.0 < e <= 1.0:
-            raise argparse.ArgumentTypeError(f"energies must lie in (0, 1], got {e}")
-    return _no_repeats(energies, "energy")
+    return parse
 
 
 def _workers() -> int:
@@ -123,8 +104,13 @@ def _read_image_list(path: Path) -> list[tuple[str, Path, int | None]]:
     return entries
 
 
-def _write_metadata(path: Path, payload: dict) -> None:
+def _write_metadata(args, name: str, reports: tuple[Path, Path], protocol: dict) -> int:
+    """Write <out-dir>/<name>_meta.json: protocol plus the --methods and --seed of the run."""
+    path = Path(args.out_dir) / f"{name}_meta.json"
+    payload = {**protocol, "methods": list(args.methods), "seed": args.seed}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {reports[0]}, {reports[1]}, {path}")
+    return 0
 
 
 def cmd_predict(args) -> int:
@@ -169,8 +155,6 @@ def cmd_explain(args) -> int:
 
 
 def cmd_mask_eval(args) -> int:
-    if "random" in args.methods and args.seed is None:
-        raise UsageError("--seed is required when methods include 'random'")
     model = load_model(args.manifest, args.weights)
     entries = _read_image_list(Path(args.images))
     target_mode = args.target.replace("-", "_")
@@ -190,28 +174,18 @@ def cmd_mask_eval(args) -> int:
         seed=args.seed,
         workers=_workers(),
     )
-    out_dir = Path(args.out_dir)
-    per_image, aggregate = evaluate.write_masking_reports(rows, out_dir)
-    _write_metadata(
-        out_dir / "masking_meta.json",
-        {
-            "protocol": "maximal patch masking",
-            "methods": list(args.methods),
-            "patch_sizes": list(args.patches),
-            "target": args.target,
-            "seed": args.seed,
-            "images": len(samples),
-            "patch_fill": "per-channel dataset means",
-            "patch_clipping": "patches are clipped at image borders",
-        },
-    )
-    print(f"wrote {per_image}, {aggregate}, {out_dir / 'masking_meta.json'}")
-    return 0
+    reports = evaluate.write_masking_reports(rows, Path(args.out_dir))
+    return _write_metadata(args, "masking", reports, {
+        "protocol": "maximal patch masking",
+        "patch_sizes": list(args.patches),
+        "target": args.target,
+        "images": len(samples),
+        "patch_fill": "per-channel dataset means",
+        "patch_clipping": "patches are clipped at image borders",
+    })
 
 
 def cmd_pointing(args) -> int:
-    if "random" in args.methods and args.seed is None:
-        raise UsageError("--seed is required when methods include 'random'")
     model = load_model(args.manifest, args.weights)
     entries = _read_image_list(Path(args.images))
     boxes = evaluate.read_bounding_boxes(Path(args.boxes))
@@ -233,22 +207,14 @@ def cmd_pointing(args) -> int:
         seed=args.seed,
         workers=_workers(),
     )
-    out_dir = Path(args.out_dir)
-    per_image, aggregate = evaluate.write_pointing_reports(rows, out_dir)
-    _write_metadata(
-        out_dir / "pointing_meta.json",
-        {
-            "protocol": "energy-thresholded pointing game",
-            "methods": list(args.methods),
-            "energies": list(args.energies),
-            "seed": args.seed,
-            "images": len(entries),
-            "boxes": len(samples),
-            "box_clipping": "boxes are clipped to image bounds",
-        },
-    )
-    print(f"wrote {per_image}, {aggregate}, {out_dir / 'pointing_meta.json'}")
-    return 0
+    reports = evaluate.write_pointing_reports(rows, Path(args.out_dir))
+    return _write_metadata(args, "pointing", reports, {
+        "protocol": "energy-thresholded pointing game",
+        "energies": list(args.energies),
+        "images": len(entries),
+        "boxes": len(samples),
+        "box_clipping": "boxes are clipped to image bounds",
+    })
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -280,19 +246,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output prefix; writes <out>.pgm and <out>.f32")
     p.set_defaults(func=cmd_explain)
 
+    def add_dataset_args(p):
+        add_model_args(p)
+        p.add_argument("images", help="list file with `image_path [label]` lines")
+        p.add_argument("--out-dir", required=True)
+        p.add_argument(
+            "--methods",
+            type=_comma_list("method", str.strip, evaluate.EVAL_METHODS.__contains__,
+                             f"choose from {', '.join(evaluate.EVAL_METHODS)}"),
+            default=("lrp", "clrp", "sglrp", "random"),
+            help="comma-separated subset of lrp,clrp,sglrp,random",
+        )
+        p.add_argument("--seed", type=int, default=None, help="run seed; required with 'random'")
+
     p = sub.add_parser("mask-eval", help="maximal patch masking over an image list")
-    add_model_args(p)
-    p.add_argument("images", help="list file with `image_path [label]` lines")
-    p.add_argument("--out-dir", required=True)
-    p.add_argument(
-        "--methods",
-        type=_parse_methods,
-        default=("lrp", "clrp", "sglrp", "random"),
-        help="comma-separated subset of lrp,clrp,sglrp,random",
-    )
+    add_dataset_args(p)
     p.add_argument(
         "--patches",
-        type=_parse_patches,
+        type=_comma_list("patch size", int, lambda v: v >= 1 and v % 2, "must be odd and positive"),
         default=evaluate.DEFAULT_PATCH_SIZES,
         help="comma-separated odd patch sizes (default 1,3,5,7,9)",
     )
@@ -302,27 +273,17 @@ def build_parser() -> argparse.ArgumentParser:
         default="ground-truth",
         help="how to pick the explained class",
     )
-    p.add_argument("--seed", type=int, default=None, help="run seed; required with 'random'")
     p.set_defaults(func=cmd_mask_eval)
 
     p = sub.add_parser("pointing", help="energy-thresholded pointing game over an image list")
-    add_model_args(p)
-    p.add_argument("images", help="list file with `image_path [label]` lines")
+    add_dataset_args(p)
     p.add_argument("boxes", help="box file with `image_id class x_min y_min x_max y_max` lines")
-    p.add_argument("--out-dir", required=True)
-    p.add_argument(
-        "--methods",
-        type=_parse_methods,
-        default=("lrp", "clrp", "sglrp", "random"),
-        help="comma-separated subset of lrp,clrp,sglrp,random",
-    )
     p.add_argument(
         "--energies",
-        type=_parse_energies,
+        type=_comma_list("energy", float, lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
         default=evaluate.DEFAULT_ENERGIES,
         help="comma-separated energies in (0,1] (default 0.1..1.0)",
     )
-    p.add_argument("--seed", type=int, default=None, help="run seed; required with 'random'")
     p.set_defaults(func=cmd_pointing)
     return parser
 
@@ -331,6 +292,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "random" in getattr(args, "methods", ()) and args.seed is None:
+            raise UsageError("--seed is required when methods include 'random'")
         return args.func(args)
     except UsageError as exc:
         print(f"relprop: {exc}", file=sys.stderr)

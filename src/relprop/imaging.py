@@ -2,8 +2,8 @@
 
 Only 8-bit binary formats are supported: P6 for color reads/writes, P5 for
 grayscale. Headers follow the netpbm rules: whitespace-separated tokens,
-`#` comments running to end of line, and exactly one whitespace byte between
-the maxval and the sample data.
+`#` comments running to end of line, width, height and maxval in ASCII decimal
+digits, and exactly one whitespace byte between the maxval and the sample data.
 """
 
 from __future__ import annotations
@@ -63,10 +63,9 @@ class _HeaderReader:
 
     def int_token(self, what: str) -> int:
         tok = self.token()
-        try:
-            return int(tok)
-        except ValueError as exc:
-            raise ImageFormatError(f"{self.path}: non-numeric {what} {tok!r}") from exc
+        if not tok.isdigit():  # ASCII digits only; int() would also take "+4" and "1_0"
+            raise ImageFormatError(f"{self.path}: non-numeric {what} {tok!r}")
+        return int(tok)
 
     def payload_after_maxval(self, count: int) -> bytes:
         # exactly one whitespace byte separates maxval from samples
@@ -81,14 +80,12 @@ class _HeaderReader:
         return payload
 
 
-def read_ppm(path: str | Path) -> RgbImage:
-    """Read a binary P6 PPM with maxval 255."""
-    path = Path(path)
-    data = path.read_bytes()
-    reader = _HeaderReader(data, str(path))
-    magic = reader.token()
-    if magic != b"P6":
-        raise ImageFormatError(f"{path}: unsupported magic {magic!r}, only binary P6 is read")
+def _read_netpbm(path: str | Path, magic: bytes, samples: int) -> tuple[int, int, bytes]:
+    """(width, height, payload) of a binary netpbm file, maxval 255, `samples` bytes a pixel."""
+    reader = _HeaderReader(Path(path).read_bytes(), str(path))
+    found = reader.token()
+    if found != magic:
+        raise ImageFormatError(f"{path}: unsupported magic {found!r}, only binary {magic.decode()} is read")
     width = reader.int_token("width")
     height = reader.int_token("height")
     maxval = reader.int_token("maxval")
@@ -96,7 +93,12 @@ def read_ppm(path: str | Path) -> RgbImage:
         raise ImageFormatError(f"{path}: maxval {maxval} unsupported, must be 255")
     if width < 1 or height < 1:
         raise ImageFormatError(f"{path}: invalid extent {width}x{height}")
-    pixels = reader.payload_after_maxval(3 * width * height)
+    return width, height, reader.payload_after_maxval(samples * width * height)
+
+
+def read_ppm(path: str | Path) -> RgbImage:
+    """Read a binary P6 PPM with maxval 255."""
+    width, height, pixels = _read_netpbm(path, b"P6", 3)
     return RgbImage(width=width, height=height, pixels=pixels)
 
 
@@ -117,18 +119,7 @@ def write_pgm(samples: np.ndarray, path: str | Path) -> None:
 
 def read_pgm(path: str | Path) -> np.ndarray:
     """Read a binary P5 PGM with maxval 255 into a [H,W] uint8 array."""
-    path = Path(path)
-    data = path.read_bytes()
-    reader = _HeaderReader(data, str(path))
-    magic = reader.token()
-    if magic != b"P5":
-        raise ImageFormatError(f"{path}: unsupported magic {magic!r}, only binary P5 is read")
-    width = reader.int_token("width")
-    height = reader.int_token("height")
-    maxval = reader.int_token("maxval")
-    if maxval != 255:
-        raise ImageFormatError(f"{path}: maxval {maxval} unsupported, must be 255")
-    payload = reader.payload_after_maxval(width * height)
+    width, height, payload = _read_netpbm(path, b"P5", 1)
     return np.frombuffer(payload, dtype=np.uint8).reshape(height, width).copy()
 
 

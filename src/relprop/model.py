@@ -289,7 +289,8 @@ def load_model(manifest_path: str | Path, weights_path: str | Path) -> NetworkMo
             f"{weights_path}: expected {expected} float32 values ({4 * expected} bytes),"
             f" got {len(blob)} bytes (offset {min(len(blob), 4 * expected)})"
         )
-    values = np.frombuffer(blob, dtype="<f4").astype(np.float64)
+    with np.errstate(invalid="ignore"):  # a signalling NaN warns here; NetworkModel rejects it
+        values = np.frombuffer(blob, dtype="<f4").astype(np.float64)
 
     params: list[LayerParams | None] = []
     cursor = 0
@@ -407,35 +408,36 @@ def _dirty_box(x: np.ndarray, start: np.ndarray) -> tuple[int, int, int, int]:
 
 
 def _reach(box: tuple, p: dict[str, int], out_rows: int, out_cols: int) -> tuple:
-    """The output box of a conv or maxpool whose input differs from base's only inside box:
-    every position whose window, in padded coordinates, meets it."""
-    s, pad, (r0, r1, c0, c1) = p["stride"], p.get("pad", 0), box
-    rows = max(0, -((p["kh"] - 1 - r0 - pad) // s)), min(out_rows, (r1 - 1 + pad) // s + 1)
-    cols = max(0, -((p["kw"] - 1 - c0 - pad) // s)), min(out_cols, (c1 - 1 + pad) // s + 1)
+    """The output box of a conv, maxpool or relu (a 1x1 window of stride 1) whose input differs
+    from base's only inside box: every position whose window, in padded coordinates, meets it."""
+    s, pad, (r0, r1, c0, c1) = p.get("stride", 1), p.get("pad", 0), box
+    rows = max(0, -((p.get("kh", 1) - 1 - r0 - pad) // s)), min(out_rows, (r1 - 1 + pad) // s + 1)
+    cols = max(0, -((p.get("kw", 1) - 1 - c0 - pad) // s)), min(out_cols, (c1 - 1 + pad) // s + 1)
     return (*rows, *cols) if r0 < r1 and rows[0] < rows[1] and cols[0] < cols[1] else (0,) * 4
 
 
-def _patch_layer(layer: LayerSpec, lp, x: np.ndarray, base_out: np.ndarray, box: tuple):
-    """A conv, relu or maxpool layer over x, which equals base's input outside box:
-    recompute the output positions box reaches, copy the rest from base_out.
-    Returns the output, its PoolArgmax for a maxpool, and the output's box."""
+def _layer_output(layer: LayerSpec, lp, x: np.ndarray, lead: int, box: tuple | None) -> np.ndarray:
+    """One layer over x, which has `lead` image axes. A box (r0, r1, c0, c1) limits a conv, relu or
+    maxpool to those output positions: a conv by its window, the others by slicing x."""
     p = layer.params
-    y = np.empty(x.shape[:-3] + base_out.shape)
-    y[...] = base_out
-    r0, r1, c0, c1 = box = box if layer.kind == "relu" else _reach(box, p, *y.shape[-3:-1])
-    if r0 == r1:
-        pass
-    elif layer.kind == "relu":
-        y[..., r0:r1, c0:c1, :] = tensor.relu(x[..., r0:r1, c0:c1, :])
-    elif layer.kind == "conv2d":
+    if layer.kind in ("conv2d", "dense"):
         bias = lp.bias if lp.bias is not None else np.zeros(p["out"])
-        y[..., r0:r1, c0:c1, :] = tensor.conv2d_forward(x, lp.weights, bias, p["stride"], p["pad"], box)
-    else:
-        s, kh, kw = p["stride"], p["kh"], p["kw"]
-        read = x[..., r0 * s : (r1 - 1) * s + kh, c0 * s : (c1 - 1) * s + kw, :]
-        y[..., r0:r1, c0:c1, :] = tensor.maxpool_forward(read, kh, kw, s)[0]
-    arg = tensor.PoolArgmax(x, y, p["kh"], p["kw"], p["stride"]) if layer.kind == "maxpool" else None
-    return y, arg, box
+    if layer.kind == "conv2d":
+        return tensor.conv2d_forward(x, lp.weights, bias, p["stride"], p["pad"], box)
+    if box is not None:
+        r0, r1, c0, c1 = box
+        s, kh, kw = p.get("stride", 1), p.get("kh", 1), p.get("kw", 1)  # as in _reach
+        x = x[..., r0 * s : (r1 - 1) * s + kh, c0 * s : (c1 - 1) * s + kw, :]
+    if layer.kind == "maxpool":
+        return tensor.maxpool_forward(x, p["kh"], p["kw"], p["stride"])[0]
+    if layer.kind == "dense":
+        flat = tensor.flatten(x, lead) if x.ndim > lead + 1 else x
+        return tensor.dense_forward(flat, lp.weights, bias)
+    if layer.kind == "relu":
+        return tensor.relu(x)
+    if layer.kind == "flatten":
+        return tensor.flatten(x, lead)
+    return tensor.softmax(x)
 
 
 def forward(
@@ -480,29 +482,20 @@ def forward(
     entries: list[LayerTrace] = []
     for i, (layer, lp) in enumerate(zip(model.layers, model.params)):
         p = layer.params
-        arg = None
         if layer.kind not in ("conv2d", "relu", "maxpool"):
             box = None  # from the first flatten or dense layer on, run in full
         try:
-            if box is not None:
-                y, arg, box = _patch_layer(layer, lp, x, base.entries[i].output, box)
-            elif layer.kind == "conv2d":
-                bias = lp.bias if lp.bias is not None else np.zeros(p["out"])
-                y = tensor.conv2d_forward(x, lp.weights, bias, p["stride"], p["pad"])
-            elif layer.kind == "maxpool":
-                y, arg = tensor.maxpool_forward(x, p["kh"], p["kw"], p["stride"])
-            elif layer.kind == "dense":
-                bias = lp.bias if lp.bias is not None else np.zeros(p["out"])
-                flat = tensor.flatten(x, lead) if x.ndim > lead + 1 else x
-                y = tensor.dense_forward(flat, lp.weights, bias)
-            elif layer.kind == "relu":
-                y = tensor.relu(x)
-            elif layer.kind == "flatten":
-                y = tensor.flatten(x, lead)
-            else:
-                y = tensor.softmax(x)
+            if box is None:
+                y = _layer_output(layer, lp, x, lead, None)
+            else:  # recompute what box reaches, copy the rest from base's output
+                y = np.empty(x.shape[:-3] + base.entries[i].output.shape)
+                y[...] = base.entries[i].output
+                r0, r1, c0, c1 = box = _reach(box, p, *y.shape[-3:-1])
+                if r0 < r1:
+                    y[..., r0:r1, c0:c1, :] = _layer_output(layer, lp, x, lead, box)
         except ShapeError as exc:
             raise ShapeError(f"layer {i} ({layer.kind}): {exc}") from exc
+        arg = tensor.PoolArgmax(x, y, p["kh"], p["kw"], p["stride"]) if layer.kind == "maxpool" else None
         entries.append(LayerTrace(input=x, output=y, argmax=arg))
         x = y
     return ForwardTrace(entries=tuple(entries), model=model)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relprop.cli import main
+from relprop.cli import build_parser, main
 from relprop.imaging import RgbImage, read_pgm, write_ppm
 from relprop.model import LayerParams, LayerSpec, NetworkModel, Preprocessing, save_model
 
@@ -622,3 +622,32 @@ class TestInputHygiene:
             assert code == 1 and f"{manifest}:{lineno}:" in err and "non-finite" in err
             assert stdout == ""
         assert not list(tmp_path.rglob("*.pgm")) and not list(tmp_path.rglob("*.f32"))
+
+
+@pytest.mark.parametrize(
+    "command, flag, text, parsed",
+    [
+        ("mask-eval", "--methods", "lrp,,clrp", ("lrp", "clrp")),
+        ("pointing", "--methods", "lrp, clrp", ("lrp", "clrp")),
+        ("mask-eval", "--patches", "1, 3", (1, 3)),
+        ("mask-eval", "--methods", "", None),
+        ("mask-eval", "--patches", "3,,5", None),
+        ("mask-eval", "--patches", "2", None),
+        ("mask-eval", "--patches", "0", None),
+        ("mask-eval", "--patches", "abc", None),
+        ("pointing", "--energies", "0", None),
+        ("pointing", "--energies", "1.5", None),
+        ("pointing", "--energies", "x", None),
+    ],
+)
+def test_list_arguments(command, flag, text, parsed, capsys):
+    """The comma-list options: blank method items are dropped and spaces around an item
+    are ignored; an empty, malformed or out-of-range list is a usage error (exit 2)."""
+    boxes = ["boxes.txt"] if command == "pointing" else []
+    argv = [command, "model.txt", "model.bin", "images.txt", *boxes, "--out-dir", "out", flag, text]
+    if parsed is None:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2 and flag in capsys.readouterr().err
+    else:
+        assert getattr(build_parser().parse_args(argv), flag[2:]) == parsed

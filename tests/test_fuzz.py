@@ -1,4 +1,5 @@
-"""Fuzz tests over the text inputs: manifests, image lists and box files.
+"""Fuzz tests over the inputs read from files: manifests, image lists, box files,
+PPM images and weight blobs.
 
 Each test starts from a valid file and mutates its bytes (replacing, inserting
 and deleting bytes, favouring the ones the formats treat specially and bytes
@@ -16,9 +17,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from relprop.cli import _read_image_list, main
-from relprop.errors import DataError, RelpropError
+from relprop.errors import BlobError, DataError, RelpropError
 from relprop.evaluate import read_bounding_boxes
-from relprop.imaging import RgbImage, write_ppm
+from relprop.imaging import RgbImage, read_ppm, write_ppm
 from relprop.model import LayerParams, LayerSpec, NetworkModel, Preprocessing, load_model, save_model
 
 FUZZ_SETTINGS = settings(
@@ -156,3 +157,47 @@ def test_fuzzed_box_file_reads_or_raises_data_error(files, data):
     model = [str(root / "model.txt"), str(root / "model.bin")]
     _check_cli(["pointing", *model, str(root / "images.txt"), str(fuzz),
                 "--out-dir", str(root / "out"), "--seed", "1", "--energies", "0.5,1.0"])
+
+
+@FUZZ_SETTINGS
+@given(st.data())
+def test_fuzzed_ppm_reads_or_raises_relprop_error(files, data):
+    """A 2x2 PPM, so that most mutations land in the header."""
+    root, _ = files
+    fuzz = root / "fuzz.ppm"
+    fuzz.write_bytes(data.draw(mutated(b"P6\n2 2\n255\n" + bytes(range(0, 240, 20)))))
+    try:
+        read_ppm(fuzz)
+    except RelpropError as exc:
+        assert str(fuzz) in str(exc)
+    _check_cli(["predict", str(root / "model.txt"), str(root / "model.bin"), str(fuzz)])
+
+
+@FUZZ_SETTINGS
+@given(st.data())
+def test_fuzzed_blob_loads_or_raises_relprop_error(files, data):
+    root, _ = files
+    fuzz = root / "fuzz_model.bin"
+    fuzz.write_bytes(data.draw(mutated((root / "model.bin").read_bytes())))
+    try:
+        load_model(root / "model.txt", fuzz)
+    except RelpropError:
+        codes = (1,)
+    else:
+        codes = (0, 1)
+    argv = ["explain", str(root / "model.txt"), str(fuzz), str(root / "img0.ppm"),
+            "--method", "sglrp", "--target", "top", "--out", str(root / "out" / "heat")]
+    code, err = _exit_code(argv)
+    assert code in codes and (code == 0 or err.startswith("relprop: "))
+
+
+def test_signalling_nan_blob_is_blob_error(files):
+    """A float32 signalling NaN in the blob is a BlobError and exit 1, with no numpy
+    warning from the cast to float64 (this suite turns warnings into errors)."""
+    root, _ = files
+    snan = root / "snan_model.bin"
+    snan.write_bytes(b"\x01\x00\xa0\x7f" + (root / "model.bin").read_bytes()[4:])
+    with pytest.raises(BlobError, match="non-finite"):
+        load_model(root / "model.txt", snan)
+    code, err = _exit_code(["predict", str(root / "model.txt"), str(snan), str(root / "img0.ppm")])
+    assert code == 1 and err.startswith("relprop: ") and "non-finite" in err

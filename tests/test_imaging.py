@@ -80,6 +80,14 @@ class TestPpmIo:
         with pytest.raises(ImageFormatError):
             read_ppm(path)
 
+    @pytest.mark.parametrize("header", [b"1_0 1", b"+4 1", b"4 +1"])
+    def test_header_integers_are_ascii_digits(self, tmp_path, header):
+        """int() would read `1_0` as 10 and `+4` as 4."""
+        path = tmp_path / "d.ppm"
+        path.write_bytes(b"P6\n" + header + b"\n255\n" + b"\x00" * 30)
+        with pytest.raises(ImageFormatError, match="non-numeric"):
+            read_ppm(path)
+
     def test_payload_size_validated_on_construction(self):
         with pytest.raises(ImageFormatError):
             RgbImage(width=2, height=2, pixels=b"\x00" * 11)
@@ -109,6 +117,15 @@ class TestPgmIo:
     def test_color_magic_rejected(self, tmp_path):
         path = tmp_path / "p6.pgm"
         path.write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")
+        with pytest.raises(ImageFormatError):
+            read_pgm(path)
+
+    @pytest.mark.parametrize("extent", [b"-2 -3", b"0 4", b"4 0", b"1_0 1"])
+    def test_bad_extent_rejected(self, tmp_path, extent):
+        """A negative, zero or non-decimal extent is an ImageFormatError, not a numpy
+        error or an empty array."""
+        path = tmp_path / "e.pgm"
+        path.write_bytes(b"P5\n" + extent + b"\n255\n" + b"\x00" * 16)
         with pytest.raises(ImageFormatError):
             read_pgm(path)
 

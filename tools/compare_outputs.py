@@ -13,9 +13,10 @@ Per model the commands are mask-eval in both target modes, pointing, explain
 with every method on every image, and predict on every image. Each side runs
 in its own Python process with one BLAS thread.
 
-The report lists every artifact that differs or exists on one side only (CSVs,
-meta JSON, PGMs, .f32 maps, predict output, exit codes) and the largest
-relative difference of a pointing.csv `tau`. It prints "identical" and exits 0
+The report gives each side's `relprop/*.py` line count (as `wc -l` counts it)
+and lists every artifact that differs or exists on one side only (CSVs, meta
+JSON, PGMs, .f32 maps, predict output, exit codes) and the largest relative
+difference of a pointing.csv `tau`. It prints "identical" and exits 0
 when nothing differs, and exits 1 otherwise.
 """
 
@@ -60,6 +61,11 @@ def resolve_src(side: str, scratch: Path) -> Path:
             tar.extractall(target, filter="data")
         archive.unlink()
     return target / "src"
+
+
+def source_lines(src: Path) -> int:
+    """Newline count of the package's modules, as `wc -l src/relprop/*.py` totals it."""
+    return sum(path.read_bytes().count(b"\n") for path in (src / "relprop").glob("*.py"))
 
 
 def write_inputs(out: Path) -> None:
@@ -150,6 +156,7 @@ def main() -> int:
         tmp = Path(tmp)
         (tmp / "trees").mkdir()
         srcs = [resolve_src(side, tmp / "trees") for side in (args.a, args.b)]
+        lines = [source_lines(src) for src in srcs]
         write_inputs(tmp / "inputs")
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
                "MKL_NUM_THREADS": "1", "PYTHONDONTWRITEBYTECODE": "1"}
@@ -161,7 +168,8 @@ def main() -> int:
                 check=True, env=env,
             )
         differing, tau_gap, total = compare(tmp / "outA", tmp / "outB")
-    print(f"A: {args.a}\nB: {args.b}\n{total} artifacts over {len(MODELS)} models")
+    print(f"A: {args.a} (relprop/*.py: {lines[0]} lines)\nB: {args.b} (relprop/*.py: {lines[1]} lines)")
+    print(f"{total} artifacts over {len(MODELS)} models")
     print(f"largest relative tau difference in pointing.csv: {tau_gap:.3g}")
     if not differing:
         print("identical")
