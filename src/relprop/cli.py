@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--methods",
             type=_comma_list("method", str.strip, evaluate.EVAL_METHODS.__contains__,
                              f"choose from {', '.join(evaluate.EVAL_METHODS)}"),
-            default=("lrp", "clrp", "sglrp", "random"),
+            default=evaluate.EVAL_METHODS,
             help="comma-separated subset of lrp,clrp,sglrp,random",
         )
         p.add_argument("--seed", type=int, default=None, help="run seed; required with 'random'")

@@ -108,7 +108,7 @@ def patch_masking_eval(
     *,
     target_mode: str = "ground_truth",
     label: int | None = None,
-    methods: tuple[str, ...] = ("lrp", "clrp", "sglrp", "random"),
+    methods: tuple[str, ...] = EVAL_METHODS,
     patch_sizes: tuple[int, ...] = DEFAULT_PATCH_SIZES,
     rng: np.random.Generator | None = None,
 ) -> list[MaskingResult]:
@@ -283,7 +283,7 @@ def run_masking(
     samples: list[MaskSample],
     *,
     target_mode: str = "ground_truth",
-    methods: tuple[str, ...] = ("lrp", "clrp", "sglrp", "random"),
+    methods: tuple[str, ...] = EVAL_METHODS,
     patch_sizes: tuple[int, ...] = DEFAULT_PATCH_SIZES,
     seed: int | None = None,
     workers: int = 1,
@@ -314,7 +314,7 @@ def run_pointing(
     model: NetworkModel,
     samples: list[PointSample],
     *,
-    methods: tuple[str, ...] = ("lrp", "clrp", "sglrp", "random"),
+    methods: tuple[str, ...] = EVAL_METHODS,
     energies: tuple[float, ...] = DEFAULT_ENERGIES,
     seed: int | None = None,
     workers: int = 1,

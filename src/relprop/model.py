@@ -14,12 +14,13 @@ raw little-endian float32 weight blob. The manifest format:
     mean 103.939 116.779 123.68
     pixel_range 0 255
 
-The text must be UTF-8; blank lines and `#` comments are ignored. Every conv2d
-or dense layer after the first must be fed through a relu, with maxpool or
-flatten allowed between, so that the relevance rules see non-negative
-activations. The blob is the concatenation, in manifest order, of each
-parametric layer's weights then bias (if bias=1), with no header. Weights are
-promoted to float64 in memory.
+The text must be UTF-8; blank lines and `#` comments are ignored. An error in
+a manifest line names that line. Every conv2d or dense layer after the first
+must be fed through a relu, with maxpool or flatten allowed between, so that
+the relevance rules see non-negative activations. The blob is the
+concatenation, in manifest order, of each parametric layer's weights then bias
+(if bias=1), with no header. It is promoted to float64 once, in one read-only
+buffer of which every weight and bias is a view.
 """
 
 from __future__ import annotations
@@ -190,14 +191,14 @@ class NetworkModel:
         return self.layers[-2].params["out"]
 
 
-def _finite_values(tokens: list[str], where: str) -> list[float]:
+def _finite_values(tokens: list[str]) -> list[float]:
     """The numbers after a `mean` or `pixel_range` directive; each must be finite."""
     try:
         values = [float(v) for v in tokens[1:]]
     except ValueError as exc:
-        raise ManifestError(f"{where}: non-numeric {tokens[0]}") from exc
+        raise ManifestError(f"non-numeric {tokens[0]}") from exc
     if not all(map(math.isfinite, values)):
-        raise ManifestError(f"{where}: non-finite {' '.join(tokens)}")
+        raise ManifestError(f"non-finite {' '.join(tokens)}")
     return values
 
 
@@ -219,65 +220,61 @@ def load_model(manifest_path: str | Path, weights_path: str | Path) -> NetworkMo
     manifest_path = Path(manifest_path)
     entries = read_entries(manifest_path, ManifestError)
     if not entries or " ".join(entries[0][1]) != MAGIC:
-        raise ManifestError(f"{manifest_path}:1: expected magic line {MAGIC!r}")
-    if len(entries) < 2 or entries[1][1][0] != "input":
-        raise ManifestError(f"{manifest_path}: second entry must be 'input H W C'")
-    lineno, tokens = entries[1]
-    if len(tokens) != 4:
-        raise ManifestError(f"{manifest_path}:{lineno}: input needs exactly H W C")
-    try:
-        input_shape = (int(tokens[1]), int(tokens[2]), int(tokens[3]))
-    except ValueError as exc:
-        raise ManifestError(f"{manifest_path}:{lineno}: non-integer input extent") from exc
+        line = entries[0][0] if entries else 1
+        raise ManifestError(f"{manifest_path}:{line}: expected magic line {MAGIC!r}")
 
     layers: list[LayerSpec] = []
     layer_lines: list[int] = []
     preprocessing: Preprocessing | None = None
-    state = "layers"
-    for lineno, tokens in entries[2:]:
+    state = "input"
+    # A manifest that stops at its magic line fails on an empty entry standing in for the input line.
+    for lineno, tokens in entries[1:] or [(entries[0][0], [""])]:
         head = tokens[0]
-        if head == "layer":
-            if state != "layers":
-                raise ManifestError(f"{manifest_path}:{lineno}: layer after {state} line")
-            if len(tokens) < 2:
-                raise ManifestError(f"{manifest_path}:{lineno}: layer line missing kind")
-            params: dict[str, int] = {}
-            for item in tokens[2:]:
-                key, sep, value = item.partition("=")
-                if not sep:
-                    raise ManifestError(f"{manifest_path}:{lineno}: malformed parameter {item!r}")
+        try:
+            if state == "input":
+                if head != "input":
+                    raise ManifestError("second entry must be 'input H W C'")
+                if len(tokens) != 4:
+                    raise ManifestError("input needs exactly H W C")
                 try:
-                    params[key] = int(value)
+                    input_shape = (int(tokens[1]), int(tokens[2]), int(tokens[3]))
                 except ValueError as exc:
-                    raise ManifestError(
-                        f"{manifest_path}:{lineno}: non-integer value in {item!r}"
-                    ) from exc
-            try:
+                    raise ManifestError("non-integer input extent") from exc
+                state = "layers"
+            elif head == "layer":
+                if state != "layers":
+                    raise ManifestError(f"layer after {state} line")
+                if len(tokens) < 2:
+                    raise ManifestError("layer line missing kind")
+                params: dict[str, int] = {}
+                for item in tokens[2:]:
+                    key, sep, value = item.partition("=")
+                    if not sep:
+                        raise ManifestError(f"malformed parameter {item!r}")
+                    try:
+                        params[key] = int(value)
+                    except ValueError as exc:
+                        raise ManifestError(f"non-integer value in {item!r}") from exc
                 layers.append(LayerSpec(tokens[1], params))
-            except UnknownLayerError as exc:
-                raise UnknownLayerError(f"{manifest_path}:{lineno}: {exc}") from exc
-            except ManifestError as exc:
-                raise ManifestError(f"{manifest_path}:{lineno}: {exc}") from exc
-            layer_lines.append(lineno)
-        elif head == "mean":
-            if state != "layers":
-                raise ManifestError(f"{manifest_path}:{lineno}: duplicate mean line")
-            means = np.array(_finite_values(tokens, f"{manifest_path}:{lineno}"), dtype=np.float64)
-            mean_line = lineno
-            state = "mean"
-        elif head == "pixel_range":
-            if state != "mean":
-                raise ManifestError(f"{manifest_path}:{lineno}: pixel_range must follow mean")
-            if len(tokens) != 3:
-                raise ManifestError(f"{manifest_path}:{lineno}: pixel_range needs two values")
-            pixel_range = tuple(_finite_values(tokens, f"{manifest_path}:{lineno}"))
-            try:
+                layer_lines.append(lineno)
+            elif head == "mean":
+                if state != "layers":
+                    raise ManifestError("duplicate mean line")
+                means = np.array(_finite_values(tokens), dtype=np.float64)
+                mean_line = lineno
+                state = "mean"
+            elif head == "pixel_range":
+                if state != "mean":
+                    raise ManifestError("pixel_range must follow mean")
+                if len(tokens) != 3:
+                    raise ManifestError("pixel_range needs two values")
+                pixel_range = tuple(_finite_values(tokens))
                 preprocessing = Preprocessing(means=means, pixel_range=pixel_range)
-            except ManifestError as exc:
-                raise ManifestError(f"{manifest_path}:{lineno}: {exc}") from exc
-            state = "done"
-        else:
-            raise ManifestError(f"{manifest_path}:{lineno}: unrecognized directive {head!r}")
+                state = "done"
+            else:
+                raise ManifestError(f"unrecognized directive {head!r}")
+        except ManifestError as exc:  # UnknownLayerError keeps its type
+            raise type(exc)(f"{manifest_path}:{lineno}: {exc}") from exc
     if preprocessing is None:
         raise ManifestError(f"{manifest_path}: missing mean or pixel_range line")
 
@@ -291,6 +288,7 @@ def load_model(manifest_path: str | Path, weights_path: str | Path) -> NetworkMo
         )
     with np.errstate(invalid="ignore"):  # a signalling NaN warns here; NetworkModel rejects it
         values = np.frombuffer(blob, dtype="<f4").astype(np.float64)
+    values.flags.writeable = False  # every weight and bias is a view of it; see NetworkModel
 
     params: list[LayerParams | None] = []
     cursor = 0
@@ -300,13 +298,11 @@ def load_model(manifest_path: str | Path, weights_path: str | Path) -> NetworkMo
             continue
         shape = layer.weight_shape()
         n = math.prod(shape)
-        weights = values[cursor : cursor + n].reshape(shape).copy()
-        weights.flags.writeable = False  # see NetworkModel
+        weights = values[cursor : cursor + n].reshape(shape)
         cursor += n
         bias = None
         if layer.has_bias:
-            bias = values[cursor : cursor + layer.params["out"]].copy()
-            bias.flags.writeable = False
+            bias = values[cursor : cursor + layer.params["out"]]
             cursor += layer.params["out"]
         params.append(LayerParams(weights=weights, bias=bias))
 
@@ -366,7 +362,6 @@ class LayerTrace:
 
     input: np.ndarray
     output: np.ndarray
-    argmax: tensor.PoolArgmax | None = None
 
 
 def _one_image(probs: np.ndarray, what: str) -> np.ndarray:
@@ -429,7 +424,7 @@ def _layer_output(layer: LayerSpec, lp, x: np.ndarray, lead: int, box: tuple | N
         s, kh, kw = p.get("stride", 1), p.get("kh", 1), p.get("kw", 1)  # as in _reach
         x = x[..., r0 * s : (r1 - 1) * s + kh, c0 * s : (c1 - 1) * s + kw, :]
     if layer.kind == "maxpool":
-        return tensor.maxpool_forward(x, p["kh"], p["kw"], p["stride"])[0]
+        return tensor.maxpool_forward(x, p["kh"], p["kw"], p["stride"])
     if layer.kind == "dense":
         flat = tensor.flatten(x, lead) if x.ndim > lead + 1 else x
         return tensor.dense_forward(flat, lp.weights, bias)
@@ -481,7 +476,6 @@ def forward(
         box = _dirty_box(x, base.entries[0].input)
     entries: list[LayerTrace] = []
     for i, (layer, lp) in enumerate(zip(model.layers, model.params)):
-        p = layer.params
         if layer.kind not in ("conv2d", "relu", "maxpool"):
             box = None  # from the first flatten or dense layer on, run in full
         try:
@@ -490,13 +484,12 @@ def forward(
             else:  # recompute what box reaches, copy the rest from base's output
                 y = np.empty(x.shape[:-3] + base.entries[i].output.shape)
                 y[...] = base.entries[i].output
-                r0, r1, c0, c1 = box = _reach(box, p, *y.shape[-3:-1])
+                r0, r1, c0, c1 = box = _reach(box, layer.params, *y.shape[-3:-1])
                 if r0 < r1:
                     y[..., r0:r1, c0:c1, :] = _layer_output(layer, lp, x, lead, box)
         except ShapeError as exc:
             raise ShapeError(f"layer {i} ({layer.kind}): {exc}") from exc
-        arg = tensor.PoolArgmax(x, y, p["kh"], p["kw"], p["stride"]) if layer.kind == "maxpool" else None
-        entries.append(LayerTrace(input=x, output=y, argmax=arg))
+        entries.append(LayerTrace(input=x, output=y))
         x = y
     return ForwardTrace(entries=tuple(entries), model=model)
 

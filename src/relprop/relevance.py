@@ -7,24 +7,24 @@ a bounded variant that accounts for the admissible pixel range, so negative
 inputs cannot invert signs. Each of the two rules has one body, written over a
 layer's bias-free linear map and its adjoint: W @ x and s @ W for dense layers,
 conv2d_forward and conv2d_transpose for conv layers. Max-pool routes
-winner-take-all; relu, flatten and softmax are skipped. All rules are linear,
-so relevance may carry a leading seed axis, which explain_all fills with one
-row per method. The result is a signed per-pixel tensor; its 2-D map sums
-positive evidence over channels.
+winner-take-all through a PoolArgmax of the traced pool; relu, flatten and
+softmax are skipped. All rules are linear, so relevance may carry a leading
+seed axis, one row per method from _seed_rows. The result is a signed
+per-pixel tensor; its 2-D map sums positive evidence over channels.
 
 The rules' model-fixed parts (W+; the pixel layer's W-, bounds and bound
 terms) are built by the rules' own calls on a model's first explain and kept in
 its rule_constants, so they change no byte. Conv terms keep conv2d_forward's
 rounding, with its size-1-axis drift from einsum (see tensor).
 
-Seeding styles:
+Seeds (seed_lrp, seed_clrp and seed_sglrp each return one _seed_rows row):
 
-- "lrp": the target logit's value on the target entry, zero elsewhere.
+- "lrp": the target logit's value on the target entry, +0.0 elsewhere.
 - "clrp": the target logit on the target entry, and the same mass spread
   uniformly with negative sign over the other classes, so the seed sums to zero.
-- "sglrp": the gradient of the target's softmax output with respect to each
-  logit, which weights the negative mass by each competitor's probability;
-  this seed also sums to zero.
+- "sglrp": the target row of the softmax Jacobian, y_t*(delta_tn - y_n): the
+  gradient of the target's softmax output with respect to each logit. It weights
+  the negative mass by each competitor's probability and also sums to zero.
 """
 
 from __future__ import annotations
@@ -51,41 +51,38 @@ class Seed:
     method: str
 
 
-def _check_target(trace: ForwardTrace, target: int) -> np.ndarray:
-    logits = trace.logits
+def _seed_rows(trace: ForwardTrace, target: int, methods: tuple[str, ...]) -> np.ndarray:
+    """[K, classes]: the seed row of each of `methods`, in order; only those rows are built."""
+    logits, probs = trace.logits, trace.probabilities
     if logits.ndim != 1:
         raise ShapeError(f"seed: logits must be 1-D, got {logits.shape}")
-    if not 0 <= target < logits.shape[0]:
-        raise ShapeError(f"seed: target {target} outside 0..{logits.shape[0] - 1}")
-    return logits
+    n = logits.shape[0]
+    if not 0 <= target < n:
+        raise ShapeError(f"seed: target {target} outside 0..{n - 1}")
+    if "clrp" in methods and n < 2:
+        raise ShapeError("clrp seed needs at least two classes")
+    z, p = logits[target], probs[target]
+    rows = np.zeros((len(methods), n))  # lrp's off-target entries stay +0.0
+    for row, method in zip(rows, methods):
+        if method != "lrp":  # clrp's equal shares, or the softmax Jacobian's target row
+            row[:] = -z / (n - 1) if method == "clrp" else -p * probs
+        row[target] = p * (1.0 - p) if method == "sglrp" else z
+    return rows
 
 
 def seed_lrp(trace: ForwardTrace, target: int) -> Seed:
     """One-hot seed carrying the target logit's value."""
-    logits = _check_target(trace, target)
-    values = np.zeros_like(logits)
-    values[target] = logits[target]
-    return Seed(values=values, target=target, method="lrp")
+    return Seed(_seed_rows(trace, target, ("lrp",))[0], target, "lrp")
 
 
 def seed_clrp(trace: ForwardTrace, target: int) -> Seed:
     """Target logit at the target, minus an equal share at every other class."""
-    logits = _check_target(trace, target)
-    n = logits.shape[0]
-    if n < 2:
-        raise ShapeError("clrp seed needs at least two classes")
-    values = np.full(n, -logits[target] / (n - 1))
-    values[target] = logits[target]
-    return Seed(values=values, target=target, method="clrp")
+    return Seed(_seed_rows(trace, target, ("clrp",))[0], target, "clrp")
 
 
 def seed_sglrp(trace: ForwardTrace, target: int) -> Seed:
     """Softmax-gradient seed: y_t*(1 - y_t) at the target, -y_t*y_n elsewhere."""
-    _check_target(trace, target)
-    probs = trace.probabilities
-    values = -probs[target] * probs
-    values[target] = probs[target] * (1.0 - probs[target])
-    return Seed(values=values, target=target, method="sglrp")
+    return Seed(_seed_rows(trace, target, ("sglrp",))[0], target, "sglrp")
 
 
 def _seed_axis(relevance: np.ndarray, shape: tuple[int, ...], what: str) -> tuple[int, ...]:
@@ -262,8 +259,7 @@ def explain_all(
         raise ShapeError(f"trace of {len(trace.entries)} layers does not fit the model")
     if not methods:
         return {}
-    seed_fns = {"lrp": seed_lrp, "clrp": seed_clrp, "sglrp": seed_sglrp}
-    relevance = np.stack([seed_fns[m](trace, target).values for m in methods])
+    relevance = _seed_rows(trace, target, methods)
     first = next(i for i, l in enumerate(model.layers) if l.is_parametric)
     # A flatten ahead of a first dense layer keeps the pixel order; take the [H,W,C] view.
     pixels = next(e.input for e in reversed(trace.entries[: first + 1]) if e.input.ndim == 3)
@@ -278,7 +274,7 @@ def explain_all(
     for i in reversed(range(len(model.layers))):
         layer, entry, lp = model.layers[i], trace.entries[i], model.params[i]
         if layer.kind == "maxpool":
-            relevance = propagate_maxpool(relevance, entry.argmax)
+            relevance = propagate_maxpool(relevance, PoolArgmax(entry.input, entry.output, **layer.params))
         elif i == first:
             relevance = propagate_zbeta_input(relevance, layer, lp.weights, pixels, bounds, const[i])
         elif layer.kind == "dense":

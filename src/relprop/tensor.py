@@ -136,11 +136,11 @@ def conv2d_transpose(
 class PoolArgmax:
     """Winner positions of one max-pooling application.
 
-    Holds the pool's input and output arrays (not copies). indices holds, for
-    each output element, the flat row-major index of the winning element in
-    the pool's input tensor; it is derived on first read and cached, so a
-    forward pass that is never explained never pays for it. Ties resolve to
-    the lowest row-major index. A pooled stack [N, H, W, C] indexes within each image.
+    Holds the pool's input and output arrays (not copies), as a forward trace
+    records them; the backward pass builds it. indices holds, for each output
+    element, the flat row-major index of the winning element in the pool's
+    input tensor, derived on first read and cached. Ties resolve to the
+    lowest row-major index. A pooled stack [N, H, W, C] indexes within each image.
     """
 
     input: np.ndarray
@@ -172,13 +172,12 @@ class PoolArgmax:
         return (corner + offset) * c + np.arange(c)
 
 
-def maxpool_forward(
-    x: np.ndarray, kh: int, kw: int, stride: int
-) -> tuple[np.ndarray, PoolArgmax]:
+def maxpool_forward(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     """Max-pool x [H,W,C] with a kh x kw window. No padding; windows must tile exactly.
 
-    Ties inside a window resolve to the lowest row-major input index. x may
-    carry one leading image axis [N, H, W, C]; each image pools on its own.
+    x may carry one leading image axis [N, H, W, C]; each image pools on its
+    own. The winners are not recorded here: PoolArgmax(x, out, kh, kw, stride)
+    derives them when a backward pass needs them.
     """
     if x.ndim not in (3, 4):
         raise ShapeError(f"maxpool: input must be [H,W,C] or [N,H,W,C], got shape {x.shape}")
@@ -189,7 +188,7 @@ def maxpool_forward(
             if i or j:
                 tap = x[..., i : i + stride * h_out : stride, j : j + stride * w_out : stride, :]
                 np.maximum(out, tap, out=out)
-    return out, PoolArgmax(input=x, output=out, kh=kh, kw=kw, stride=stride)
+    return out
 
 
 def dense_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:

@@ -153,3 +153,21 @@ def energy_threshold_by_sort(values, energy):
         raise ValueError("no positive entries")
     k = max(1, math.floor(energy * len(positives)))
     return positives[k - 1]
+
+
+def seed_rows_by_formula(logits, probs, target):
+    """The lrp, clrp and sglrp seed rows, entry by entry.
+
+    lrp keeps the target logit z_t and puts +0.0 elsewhere; clrp puts -z_t/(n-1)
+    on every other class; sglrp is the target row of the softmax Jacobian,
+    y_t*(1 - y_t) at the target and -y_t*y_n elsewhere.
+    """
+    n = len(logits)
+    z, y = float(logits[target]), float(probs[target])
+    rows = {"lrp": [], "clrp": [], "sglrp": []}
+    for k in range(n):
+        on = k == target
+        rows["lrp"].append(z if on else 0.0)
+        rows["clrp"].append(z if on else -z / (n - 1))
+        rows["sglrp"].append(y * (1.0 - y) if on else -y * float(probs[k]))
+    return {method: np.array(row) for method, row in rows.items()}

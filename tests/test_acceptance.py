@@ -31,6 +31,7 @@ from relprop.relevance import (
     seed_sglrp,
 )
 from relprop.tensor import (
+    PoolArgmax,
     conv2d_forward,
     dense_forward,
     maxpool_forward,
@@ -144,7 +145,8 @@ def test_criterion_3_oracle_equivalence():
         )
         side = int(rng.integers(1, 4)) * 2
         px = rng.normal(size=(side, side, c_in))
-        got_vals, got_argmax = maxpool_forward(px, 2, 2, 2)
+        got_vals = maxpool_forward(px, 2, 2, 2)
+        got_argmax = PoolArgmax(px, got_vals, 2, 2, 2)
         exp_vals, exp_idx = naive_maxpool(px, 2, 2, 2)
         np.testing.assert_allclose(got_vals, exp_vals, rtol=0, atol=1e-10)
         np.testing.assert_array_equal(got_argmax.indices, exp_idx)

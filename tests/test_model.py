@@ -117,6 +117,27 @@ class TestLoadModel:
             load_model(manifest, weights)
         assert ":1:" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# c\n\nRELPROP-MODEL 2\ninput 4 4 1\n", ":3: expected magic line 'RELPROP-MODEL 1'"),
+            ("# c\n", ":1: expected magic line 'RELPROP-MODEL 1'"),
+            ("RELPROP-MODEL 1\n\n# c\nlayer relu\n", ":4: second entry must be 'input H W C'"),
+            ("\nRELPROP-MODEL 1\n", ":2: second entry must be 'input H W C'"),
+        ],
+    )
+    def test_magic_and_input_errors_name_their_line(self, tmp_path, text, message):
+        """A bad first or second entry names its own line, past comments and blank
+        lines; an empty manifest names line 1, and one that stops at its magic line
+        names that line."""
+        manifest = tmp_path / "model.txt"
+        manifest.write_text(text)
+        weights = tmp_path / "model.bin"
+        weights.write_bytes(b"")
+        with pytest.raises(ManifestError) as err:
+            load_model(manifest, weights)
+        assert str(err.value) == f"{manifest}{message}"
+
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         manifest = tmp_path / "model.txt"
         manifest.write_text(

@@ -32,6 +32,7 @@ from relprop.relevance import (
     seed_sglrp,
 )
 from relprop.tensor import (
+    PoolArgmax,
     conv2d_forward,
     conv2d_transpose,
     conv_extent,
@@ -41,8 +42,9 @@ from relprop.tensor import (
     softmax,
 )
 
-from oracles import naive_maxpool
+from oracles import naive_maxpool, seed_rows_by_formula
 from synth import make_two_shape_image, make_two_shape_model
+from test_model import dense_softmax_model
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -97,7 +99,8 @@ def test_maxpool_matches_naive_loop(case):
     """Pooled values and the winner indices derived from them equal the loop oracle,
     including the lowest-index rule inside tied windows."""
     x, kh, kw, stride, _ = case
-    got, arg = maxpool_forward(x, kh, kw, stride)
+    got = maxpool_forward(x, kh, kw, stride)
+    arg = PoolArgmax(x, got, kh, kw, stride)
     want, want_idx = naive_maxpool(x, kh, kw, stride)
     np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(arg.indices, want_idx)
@@ -110,7 +113,8 @@ def test_propagate_maxpool_conserves_relevance(case):
     """Routing moves every pooled unit's relevance onto one input element, so the
     total is unchanged even where overlapping windows share a winner."""
     x, kh, kw, stride, seed = case
-    out, arg = maxpool_forward(x, kh, kw, stride)
+    out = maxpool_forward(x, kh, kw, stride)
+    arg = PoolArgmax(x, out, kh, kw, stride)
     relevance = np.random.default_rng(seed + 1).normal(size=out.shape)
     routed = propagate_maxpool(relevance, arg)
     assert routed.shape == x.shape
@@ -140,7 +144,8 @@ def test_conv2d_transpose_rows_map_independently(case):
 def test_propagate_maxpool_rows_route_independently(case):
     """Batched routing equals routing each seed row alone, and each row keeps its sum."""
     x, kh, kw, stride, seed = case
-    out, arg = maxpool_forward(x, kh, kw, stride)
+    out = maxpool_forward(x, kh, kw, stride)
+    arg = PoolArgmax(x, out, kh, kw, stride)
     relevance = np.random.default_rng(seed + 1).normal(size=(3,) + out.shape)
     routed = propagate_maxpool(relevance, arg)
     assert routed.shape == (3,) + x.shape
@@ -212,6 +217,25 @@ def test_explain_all_matches_explain_per_method(seed, two_shape):
         assert maps[method].method == method and maps[method].target == target
 
 
+@PROPERTY_SETTINGS
+@given(
+    st.lists(st.sampled_from([-2.5, -1.0, 0.0, 1.0, 3.0]) | st.floats(-40, 40), min_size=2, max_size=12),
+    st.data(),
+)
+def test_seed_rows_match_their_formulas(values, data):
+    """Each seed_* row equals its method's formula byte for byte, over logits
+    with ties and negative target logits, and no off-target lrp entry is -0.0."""
+    target = data.draw(st.integers(0, len(values) - 1))
+    if data.draw(st.booleans()):
+        values[target] = -abs(values[target]) - 0.5
+    n = len(values)
+    trace = forward(dense_softmax_model(np.eye(n)), np.array(values).reshape(1, n, 1))
+    want = seed_rows_by_formula(trace.logits, trace.probabilities, target)
+    for method, seed in SEEDS.items():
+        assert seed(trace, target).values.tobytes() == want[method].tobytes(), method
+    assert not np.signbit(np.delete(seed_lrp(trace, target).values, target)).any()
+
+
 STACK_SIZES = st.integers(1, 6)
 
 
@@ -238,9 +262,11 @@ def test_maxpool_forward_stack_rows_match_single_calls(case, n):
     x, kh, kw, stride, seed = case
     extra = np.random.default_rng(seed + 1).integers(-2, 3, size=(n - 1,) + x.shape)
     stack = np.concatenate([x[None], extra.astype(np.float64)])
-    out, arg = maxpool_forward(stack, kh, kw, stride)
+    out = maxpool_forward(stack, kh, kw, stride)
+    arg = PoolArgmax(stack, out, kh, kw, stride)
     for k in range(n):
-        single, single_arg = maxpool_forward(stack[k], kh, kw, stride)
+        single = maxpool_forward(stack[k], kh, kw, stride)
+        single_arg = PoolArgmax(stack[k], single, kh, kw, stride)
         np.testing.assert_array_equal(out[k], single)
         np.testing.assert_array_equal(arg.indices[k], single_arg.indices)
 

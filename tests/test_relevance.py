@@ -34,7 +34,7 @@ from relprop.relevance import (
     seed_lrp,
     seed_sglrp,
 )
-from relprop.tensor import maxpool_forward
+from relprop.tensor import PoolArgmax, maxpool_forward
 
 from oracles import (
     naive_zbeta_dense,
@@ -382,7 +382,7 @@ class TestStructuralRouting:
     def test_maxpool_winner_takes_all(self):
         """Window [1,2;3,4] sends the pooled unit's relevance to where 4 was."""
         x = np.array([1.0, 2.0, 3.0, 4.0]).reshape(2, 2, 1)
-        _, arg = maxpool_forward(x, 2, 2, 2)
+        arg = PoolArgmax(x, maxpool_forward(x, 2, 2, 2), 2, 2, 2)
         routed = propagate_maxpool(np.array([[[1.0]]]), arg)
         np.testing.assert_array_equal(
             routed.reshape(-1), np.array([0.0, 0.0, 0.0, 1.0])
@@ -391,7 +391,7 @@ class TestStructuralRouting:
     def test_maxpool_conserves_sum(self):
         rng = np.random.default_rng(42)
         x = rng.normal(size=(6, 6, 3))
-        _, arg = maxpool_forward(x, 2, 2, 2)
+        arg = PoolArgmax(x, maxpool_forward(x, 2, 2, 2), 2, 2, 2)
         r = rng.normal(size=(3, 3, 3))
         routed = propagate_maxpool(r, arg)
         np.testing.assert_allclose(routed.sum(), r.sum(), rtol=1e-12)
@@ -582,7 +582,7 @@ def _explain_by_public_rules(model, trace, target):
     for i in reversed(range(len(model.layers))):
         layer, entry, lp = model.layers[i], trace.entries[i], model.params[i]
         if layer.kind == "maxpool":
-            relevance = propagate_maxpool(relevance, entry.argmax)
+            relevance = propagate_maxpool(relevance, PoolArgmax(entry.input, entry.output, **layer.params))
         elif i == first:
             image = trace.entries[0].input
             relevance = propagate_zbeta_input(relevance, layer, lp.weights, image, bounds)

@@ -11,13 +11,18 @@ commands on the same inputs, which bench/inputs.py generates (imported, never
 changed): the cnn32 and cnn64 models and IMAGES (24) PPMs each, with labels and boxes.
 Per model the commands are mask-eval in both target modes, pointing, explain
 with every method on every image, and predict on every image. Each side runs
-in its own Python process with one BLAS thread.
+in its own Python process with one BLAS thread. Each side also runs predict on
+malformed copies of the cnn32 manifest or blob (LOAD_ERRORS), one for each
+error load_model raises, and records its exit code and stderr, with the input
+directory written as <inputs>.
 
 The report gives each side's `relprop/*.py` line count (as `wc -l` counts it)
 and lists every artifact that differs or exists on one side only (CSVs, meta
 JSON, PGMs, .f32 maps, predict output, exit codes) and the largest relative
-difference of a pointing.csv `tau`. It prints "identical" and exits 0
-when nothing differs, and exits 1 otherwise.
+difference of a pointing.csv `tau`, then every load error whose exit code or
+message differs, with both sides' lines. It prints "identical" for the
+artifacts and for the load errors, and exits 0, when nothing differs; it exits
+1 otherwise.
 """
 
 from __future__ import annotations
@@ -31,11 +36,49 @@ import tarfile
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 MODELS = {"cnn32": 32, "cnn64": 64}
 METHODS = ("lrp", "clrp", "sglrp")
 IMAGES = 24  # generated images per model
 IMAGE_SEED, RUN_SEED = 77, 5  # seed of the generated images; --seed of every CLI call
+# name: (bytes of the cnn32 manifest to replace, or None for the whole text, and the replacement).
+# "blob-short" and "blob-nan" keep the manifest (an empty replacement) and alter the blob instead.
+LOAD_ERRORS = {
+    "not-utf8": (b"layer relu", b"layer \xffrelu"),
+    "nul-byte": (b"layer relu", b"layer\0relu"),
+    "empty": (None, b"# nothing but a comment\n\n"),
+    "bad-magic": (b"RELPROP-MODEL 1\n", b"# c\n\nRELPROP-MODEL 2\n"),
+    "magic-only": (None, b"\nRELPROP-MODEL 1\n"),
+    "no-input": (b"input 32 32 3\n", b"# c\n"),
+    "input-arity": (b"input 32 32 3", b"input 32 32"),
+    "input-extent": (b"input 32 32 3", b"input 32 x 3"),
+    "layer-no-kind": (b"layer relu", b"layer"),
+    "layer-param": (b"kh=2 kw=2", b"kh=2 kw2"),
+    "layer-int": (b"kh=2 kw=2", b"kh=2 kw=two"),
+    "layer-unknown": (b"layer relu", b"layer warp"),
+    "layer-keys": (b"kh=2 kw=2 stride=2", b"kh=2 kw=2"),
+    "layer-range": (b"stride=2", b"stride=0"),
+    "layer-bias": (b"out=64 bias=1", b"out=64 bias=2"),
+    "layer-after-mean": (b"pixel_range", b"layer relu\npixel_range"),
+    "layer-after-range": (b"pixel_range 0 255\n", b"pixel_range 0 255\nlayer relu\n"),
+    "mean-twice": (b"pixel_range", b"mean 1 2 3\npixel_range"),
+    "mean-text": (b"mean 118.5", b"mean x118.5"),
+    "mean-inf": (b"mean 118.5", b"mean inf"),
+    "mean-channels": (b"mean 118.5 112.25 101.75", b"mean 118.5 112.25"),
+    "range-first": (b"mean", b"pixel_range 0 255\nmean"),
+    "range-arity": (b"pixel_range 0 255", b"pixel_range 0"),
+    "range-text": (b"pixel_range 0 255", b"pixel_range 0 x"),
+    "range-nan": (b"pixel_range 0 255", b"pixel_range 0 nan"),
+    "range-inverted": (b"pixel_range 0 255", b"pixel_range 255 0"),
+    "no-range": (b"pixel_range 0 255\n", b""),
+    "directive": (b"layer flatten\n", b"layer flatten\ninput 1 1 1\n"),
+    "softmax-inside": (b"layer relu\n", b"layer relu\nlayer softmax\n"),
+    "not-fed": (b"out=64 bias=1\nlayer relu\n", b"out=64 bias=1\n"),
+    "blob-short": (b"", b""),
+    "blob-nan": (b"", b""),
+}
 
 
 def resolve_src(side: str, scratch: Path) -> Path:
@@ -78,10 +121,18 @@ def write_inputs(out: Path) -> None:
         written = inputs.write_images(IMAGE_SEED, IMAGES, size, out / name / "images")
         inputs.write_list(written, out / name / "images" / "list.txt")
         inputs.write_boxes(written, out / name / "images" / "boxes.txt")
+    errors, model = out / "errors", out / "cnn32" / "cnn32"
+    manifest, blob = model.with_suffix(".txt").read_bytes(), model.with_suffix(".bin").read_bytes()
+    blobs = {"blob-short": blob[:-4], "blob-nan": np.array(np.nan, "<f4").tobytes() + blob[4:]}
+    errors.mkdir()
+    for case, (old, new) in LOAD_ERRORS.items():
+        (errors / f"{case}.txt").write_bytes(new if old is None else manifest.replace(old, new, 1))
+        (errors / f"{case}.bin").write_bytes(blobs.get(case, blob))
 
 
-def run_side(src: Path, inputs_dir: Path, out: Path) -> None:
-    """Run every command against the relprop under src; called in a child process."""
+def run_side(src: Path, inputs_dir: Path, out: Path, errors_out: Path) -> None:
+    """Run every command against the relprop under src, writing artifacts to out and
+    each load error's exit code and stderr to errors_out; called in a child process."""
     sys.path.insert(0, str(src))
     import contextlib
     import io
@@ -114,6 +165,15 @@ def run_side(src: Path, inputs_dir: Path, out: Path) -> None:
             predicted = call(["predict", *model, str(image)])
             (out / name / "predict" / f"{image.stem}.txt").write_text(predicted)
     (out / "exit_codes.txt").write_text("\n".join(codes) + "\n")
+    image = str(sorted((inputs_dir / "cnn32" / "images").glob("*.ppm"))[0])
+    errors_out.mkdir(parents=True)
+    for case in LOAD_ERRORS:
+        stderr = io.StringIO()
+        files = [str(inputs_dir / "errors" / f"{case}{suffix}") for suffix in (".txt", ".bin")]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(["predict", *files, image])
+        message = stderr.getvalue().replace(str(inputs_dir), "<inputs>")
+        (errors_out / case).write_text(f"{code} {message}")
 
 
 def _taus(path: Path) -> list[str]:
@@ -144,11 +204,11 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("a", nargs="?", help="revision or source tree A")
     parser.add_argument("b", nargs="?", help="revision or source tree B")
-    parser.add_argument("--run-side", nargs=3, metavar=("SRC", "INPUTS", "OUT"), help=argparse.SUPPRESS)
+    parser.add_argument("--run-side", nargs=4, metavar=("SRC", "INPUTS", "OUT", "ERRORS"),
+                        help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.run_side:
-        src, inputs_dir, out = map(Path, args.run_side)
-        run_side(src, inputs_dir, out)
+        run_side(*map(Path, args.run_side))
         return 0
     if args.b is None:
         parser.error("two revisions or source trees are required")
@@ -164,20 +224,24 @@ def main() -> int:
         for label, src in zip("AB", srcs):
             subprocess.run(
                 [sys.executable, __file__, "--run-side", str(src), str(tmp / "inputs"),
-                 str(tmp / f"out{label}")],
+                 str(tmp / f"out{label}"), str(tmp / f"errors{label}")],
                 check=True, env=env,
             )
         differing, tau_gap, total = compare(tmp / "outA", tmp / "outB")
+        errors = [(case, *((tmp / f"errors{label}" / case).read_text().strip() for label in "AB"))
+                  for case in LOAD_ERRORS]
+    errors = [(case, a, b) for case, a, b in errors if a != b]
     print(f"A: {args.a} (relprop/*.py: {lines[0]} lines)\nB: {args.b} (relprop/*.py: {lines[1]} lines)")
     print(f"{total} artifacts over {len(MODELS)} models")
     print(f"largest relative tau difference in pointing.csv: {tau_gap:.3g}")
-    if not differing:
-        print("identical")
-        return 0
-    print(f"{len(differing)} differ:")
+    print(f"{len(differing)} differ:" if differing else "identical")
     for name in differing:
         print(f"  {name}")
-    return 1
+    print(f"{len(LOAD_ERRORS)} load errors of malformed cnn32 manifests and blobs")
+    print(f"{len(errors)} differ:" if errors else "identical")
+    for case, a, b in errors:
+        print(f"  {case}\n    A: {a}\n    B: {b}")
+    return 1 if differing or errors else 0
 
 
 if __name__ == "__main__":
