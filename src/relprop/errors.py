@@ -2,7 +2,12 @@
 
 
 class RelpropError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package. where, if given, names the part of
+    a model at fault ("input", "mean" or a layer's index), which load_model maps to a line."""
+
+    def __init__(self, message: str = "", where: int | str | None = None):
+        super().__init__(message)
+        self.where = where
 
 
 class ShapeError(RelpropError):

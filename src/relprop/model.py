@@ -15,9 +15,11 @@ raw little-endian float32 weight blob. The manifest format:
     pixel_range 0 255
 
 The text must be UTF-8; blank lines and `#` comments are ignored. An error in
-a manifest line names that line. Every conv2d or dense layer after the first
-must be fed through a relu, with maxpool or flatten allowed between, so that
-the relevance rules see non-negative activations. The blob is the
+a manifest line, or about the input, layer or mean it declares, names that line
+(a non-finite parameter names the blob file, then its layer's line). Every
+conv2d or dense layer after the first must be fed through a relu, with maxpool
+or flatten allowed between, so that the relevance rules see non-negative
+activations. The blob is the
 concatenation, in manifest order, of each parametric layer's weights then bias
 (if bias=1), with no header. It is promoted to float64 once, in one read-only
 buffer of which every weight and bias is a view.
@@ -112,14 +114,14 @@ def infer_shapes(
     shapes: list[tuple[int, ...]] = []
     current: tuple[int, ...] = input_shape
     for i, layer in enumerate(layers):
-        where = f"layer {i} ({layer.kind})"
+        name = f"layer {i} ({layer.kind})"
         p = layer.params
         if i < len(layers) - 1 and layer.kind == "softmax":
-            raise ChainError(f"{where}: softmax must be the final layer")
+            raise ChainError(f"{name}: softmax must be the final layer", i)
         if layer.kind in ("conv2d", "maxpool") and len(current) != 3:
-            raise ChainError(f"{where}: needs [H,W,C] input, has {current}")
+            raise ChainError(f"{name}: needs [H,W,C] input, has {current}", i)
         if layer.kind == "conv2d" and current[2] != p["in"]:
-            raise ChainError(f"{where}: expects {p['in']} channels, input has {current[2]}")
+            raise ChainError(f"{name}: expects {p['in']} channels, input has {current[2]}", i)
         try:
             if layer.kind == "conv2d":
                 extent = tensor.conv_extent(*current[:2], p["kh"], p["kw"], p["stride"], p["pad"])
@@ -128,17 +130,17 @@ def infer_shapes(
                 extent = tensor.pool_extent(*current[:2], p["kh"], p["kw"], p["stride"])
                 current = (*extent, current[2])
         except ShapeError as exc:
-            raise ChainError(f"{where}: {exc}") from exc
+            raise ChainError(f"{name}: {exc}", i) from exc
         if layer.kind == "dense":
             n = math.prod(current)
             if n != p["in"]:
-                raise ChainError(f"{where}: expects {p['in']} inputs, chain provides {n}")
+                raise ChainError(f"{name}: expects {p['in']} inputs, chain provides {n}", i)
             current = (p["out"],)
         elif layer.kind == "flatten":
             current = (math.prod(current),)
         elif layer.kind == "softmax":
             if len(current) != 1:
-                raise ChainError(f"{where}: needs a 1-D input, has {current}")
+                raise ChainError(f"{name}: needs a 1-D input, has {current}", i)
         shapes.append(current)
     return shapes
 
@@ -156,35 +158,31 @@ class NetworkModel:
 
     def __post_init__(self):
         if len(self.input_shape) != 3 or any(d < 1 for d in self.input_shape):
-            raise ChainError(f"input shape {self.input_shape} must be three positive extents")
+            raise ChainError(f"input shape {self.input_shape} must be three positive extents", "input")
         if len(self.layers) < 2 or self.layers[-1].kind != "softmax" or self.layers[-2].kind != "dense":
             raise ChainError("model must end with a dense layer followed by softmax")
         if len(self.params) != len(self.layers):
             raise ChainError("one parameter slot per layer required")
         infer_shapes(self.input_shape, list(self.layers))
         for i, (layer, lp) in enumerate(zip(self.layers, self.params)):
+            name = f"layer {i} ({layer.kind})"
             if not layer.is_parametric:
                 if lp is not None:
-                    raise ChainError(f"layer {i} ({layer.kind}) cannot carry parameters")
+                    raise ChainError(f"{name} cannot carry parameters", i)
                 continue
             if lp is None:
-                raise ChainError(f"layer {i} ({layer.kind}) is missing parameters")
+                raise ChainError(f"{name} is missing parameters", i)
             if lp.weights.shape != layer.weight_shape():
-                raise ShapeError(
-                    f"layer {i} ({layer.kind}): weights {lp.weights.shape}"
-                    f" != {layer.weight_shape()}"
-                )
+                raise ShapeError(f"{name}: weights {lp.weights.shape} != {layer.weight_shape()}", i)
             if layer.has_bias != (lp.bias is not None):
-                raise ChainError(f"layer {i} ({layer.kind}): bias presence mismatch")
+                raise ChainError(f"{name}: bias presence mismatch", i)
             if not np.all(np.isfinite(lp.weights)) or (
                 lp.bias is not None and not np.all(np.isfinite(lp.bias))
             ):
-                raise BlobError(f"layer {i} ({layer.kind}): non-finite parameters")
-        if self.preprocessing.means.shape != (self.input_shape[2],):
-            raise ManifestError(
-                f"mean entries {self.preprocessing.means.shape[0]}"
-                f" != input channels {self.input_shape[2]}"
-            )
+                raise BlobError(f"{name}: non-finite parameters", i)
+        means, channels = self.preprocessing.means.shape[0], self.input_shape[2]
+        if self.preprocessing.means.shape != (channels,):
+            raise ManifestError(f"mean entries {means} != input channels {channels}", "mean")
 
     @property
     def num_classes(self) -> int:
@@ -224,7 +222,7 @@ def load_model(manifest_path: str | Path, weights_path: str | Path) -> NetworkMo
         raise ManifestError(f"{manifest_path}:{line}: expected magic line {MAGIC!r}")
 
     layers: list[LayerSpec] = []
-    layer_lines: list[int] = []
+    lines: dict[int | str, int] = {}  # keyed by a RelpropError's where
     preprocessing: Preprocessing | None = None
     state = "input"
     # A manifest that stops at its magic line fails on an empty entry standing in for the input line.
@@ -240,6 +238,7 @@ def load_model(manifest_path: str | Path, weights_path: str | Path) -> NetworkMo
                     input_shape = (int(tokens[1]), int(tokens[2]), int(tokens[3]))
                 except ValueError as exc:
                     raise ManifestError("non-integer input extent") from exc
+                lines["input"] = lineno
                 state = "layers"
             elif head == "layer":
                 if state != "layers":
@@ -255,13 +254,13 @@ def load_model(manifest_path: str | Path, weights_path: str | Path) -> NetworkMo
                         params[key] = int(value)
                     except ValueError as exc:
                         raise ManifestError(f"non-integer value in {item!r}") from exc
+                lines[len(layers)] = lineno
                 layers.append(LayerSpec(tokens[1], params))
-                layer_lines.append(lineno)
             elif head == "mean":
                 if state != "layers":
                     raise ManifestError("duplicate mean line")
                 means = np.array(_finite_values(tokens), dtype=np.float64)
-                mean_line = lineno
+                lines["mean"] = lineno
                 state = "mean"
             elif head == "pixel_range":
                 if state != "mean":
@@ -313,18 +312,17 @@ def load_model(manifest_path: str | Path, weights_path: str | Path) -> NetworkMo
             params=tuple(params),
             preprocessing=preprocessing,
         )
-    except ChainError as exc:
-        lineinfo = f" (layers at lines {layer_lines})" if layer_lines else ""
-        raise ChainError(f"{manifest_path}: {exc}{lineinfo}") from exc
-    except ManifestError as exc:  # the only one the model raises: mean entries != channels
-        raise ManifestError(f"{manifest_path}:{mean_line}: {exc}") from exc
-    # Each parametric layer after the first (which reads pixels, under zbeta) runs zplus and
-    # needs non-negative input: a relu since the previous one, kept by any maxpool or flatten.
-    fed = True
-    for lineno, layer in zip(layer_lines, layers):
-        if layer.is_parametric and not fed:
-            raise ChainError(f"{manifest_path}:{lineno}: {layer.kind} layer not fed through relu")
-        fed = layer.kind == "relu" or (fed and not layer.is_parametric)
+        # Each parametric layer after the first (which reads pixels, under zbeta) runs zplus and
+        # needs non-negative input: a relu since the previous one, kept by any maxpool or flatten.
+        fed = True
+        for i, layer in enumerate(layers):
+            if layer.is_parametric and not fed:
+                raise ChainError(f"{layer.kind} layer not fed through relu", i)
+            fed = layer.kind == "relu" or (fed and not layer.is_parametric)
+    except RelpropError as exc:  # the one prefix of an error about the model as loaded
+        line = lines.get(exc.where)
+        message = f"{manifest_path}:{line}: {exc}" if line else f"{manifest_path}: {exc}"
+        raise type(exc)(f"{weights_path}: {message}" if isinstance(exc, BlobError) else message) from exc
     return model
 
 
@@ -454,10 +452,9 @@ def forward(
     layer before the first flatten or dense layer recomputes only the output
     positions that box reaches (a conv through conv2d_forward's window) and
     copies the rest from base's output; the box grows by each layer's reach.
-    From flatten or dense on, every layer runs in full. Max and relu are exact,
-    so the result carries the full forward's bytes wherever every conv window
-    does (see tensor.conv2d_forward on its x8 column padding) and agrees to
-    rounding elsewhere.
+    From flatten or dense on, every layer runs in full. Max and relu are exact
+    and a conv window carries the full conv's bytes, so the result is the full
+    forward's to the byte.
     """
     x = np.asarray(image, dtype=np.float64)
     if x.ndim not in (3, 4) or x.shape[-3:] != model.input_shape or x.size == 0:

@@ -14,8 +14,7 @@ per-pixel tensor; its 2-D map sums positive evidence over channels.
 
 The rules' model-fixed parts (W+; the pixel layer's W-, bounds and bound
 terms) are built by the rules' own calls on a model's first explain and kept in
-its rule_constants, so they change no byte. Conv terms keep conv2d_forward's
-rounding, with its size-1-axis drift from einsum (see tensor).
+its rule_constants, so they change no byte.
 
 Seeds (seed_lrp, seed_clrp and seed_sglrp each return one _seed_rows row):
 

@@ -29,6 +29,7 @@ layer softmax
 mean 0
 pixel_range 0 255
 """
+DENSE_LINE = "layer dense in=16 out=2 bias=1\n"  # line 4 of MINIMAL_MANIFEST
 
 
 def write_minimal(tmp_path, blob_floats):
@@ -191,6 +192,35 @@ class TestLoadModel:
             with pytest.raises(ManifestError) as err:
                 load_model(manifest, weights)
             assert str(err.value) == f"{manifest}{message}"
+
+    @pytest.mark.parametrize(
+        "good, bad, message",
+        [
+            (DENSE_LINE, "layer softmax\n" + DENSE_LINE, ":4: layer 0 (softmax): softmax must be the final layer"),
+            (DENSE_LINE, "layer maxpool kh=3 kw=3 stride=2\n" + DENSE_LINE,
+             ":4: layer 0 (maxpool): maxpool: window 3x3 stride=2 does not tile 4x4"),
+            ("input 4 4 1", "input 0 4 1", ":3: input shape (0, 4, 1) must be three positive extents"),
+            ("layer softmax\n", "", ": model must end with a dense layer followed by softmax"),
+        ],
+        ids=["softmax-inside", "pool-tiling", "input-zero", "no-tail"],
+    )
+    def test_chain_errors_name_the_line_at_fault(self, tmp_path, good, bad, message):
+        """A softmax inside the chain, a pool that does not tile, and a zero input
+        extent are rejected naming the manifest and the line of that layer or of the
+        input; an error about the chain as a whole names the manifest only."""
+        _, weights = write_minimal(tmp_path, np.zeros(34))
+        manifest = tmp_path / "bad.txt"
+        manifest.write_text(MINIMAL_MANIFEST.replace(good, bad))
+        with pytest.raises(ChainError) as err:
+            load_model(manifest, weights)
+        assert str(err.value) == f"{manifest}{message}"
+
+    def test_non_finite_parameter_names_the_blob_and_the_layer_line(self, tmp_path):
+        """A NaN in the blob names the blob file, then the manifest line of the layer it feeds."""
+        manifest, weights = write_minimal(tmp_path, np.r_[np.zeros(5), np.nan, np.zeros(28)])
+        with pytest.raises(BlobError) as err:
+            load_model(manifest, weights)
+        assert str(err.value) == f"{weights}: {manifest}:4: layer 0 (dense): non-finite parameters"
 
     def test_save_load_blob_round_trip(self, tmp_path):
         """Reserializing a loaded model reproduces the weight blob byte for byte."""

@@ -8,7 +8,9 @@ Each side is a git revision of this repository (its `src/` is extracted with
 repository's metadata are left alone) or a directory: a checkout holding
 `src/relprop`, or a `src` directory holding `relprop`. Both sides run the same
 commands on the same inputs, which bench/inputs.py generates (imported, never
-changed): the cnn32 and cnn64 models and IMAGES (24) PPMs each, with labels and boxes.
+changed): the cnn28, cnn32 and cnn64 models and IMAGES (24) PPMs each, with labels
+and boxes. cnn28's second conv has 196 GEMM columns, not a multiple of 8, so
+its artifacts show whether a change moves a conv's bytes on such shapes.
 Per model the commands are mask-eval in both target modes, pointing, explain
 with every method on every image, and predict on every image. Each side runs
 in its own Python process with one BLAS thread. Each side also runs predict on
@@ -39,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-MODELS = {"cnn32": 32, "cnn64": 64}
+MODELS = {"cnn28": 28, "cnn32": 32, "cnn64": 64}
 METHODS = ("lrp", "clrp", "sglrp")
 IMAGES = 24  # generated images per model
 IMAGE_SEED, RUN_SEED = 77, 5  # seed of the generated images; --seed of every CLI call
@@ -54,6 +56,7 @@ LOAD_ERRORS = {
     "no-input": (b"input 32 32 3\n", b"# c\n"),
     "input-arity": (b"input 32 32 3", b"input 32 32"),
     "input-extent": (b"input 32 32 3", b"input 32 x 3"),
+    "input-zero": (b"input 32 32 3", b"input 0 32 3"),
     "layer-no-kind": (b"layer relu", b"layer"),
     "layer-param": (b"kh=2 kw=2", b"kh=2 kw2"),
     "layer-int": (b"kh=2 kw=2", b"kh=2 kw=two"),
@@ -61,6 +64,7 @@ LOAD_ERRORS = {
     "layer-keys": (b"kh=2 kw=2 stride=2", b"kh=2 kw=2"),
     "layer-range": (b"stride=2", b"stride=0"),
     "layer-bias": (b"out=64 bias=1", b"out=64 bias=2"),
+    "pool-tiling": (b"kh=2 kw=2 stride=2", b"kh=3 kw=3 stride=2"),
     "layer-after-mean": (b"pixel_range", b"layer relu\npixel_range"),
     "layer-after-range": (b"pixel_range 0 255\n", b"pixel_range 0 255\nlayer relu\n"),
     "mean-twice": (b"pixel_range", b"mean 1 2 3\npixel_range"),
