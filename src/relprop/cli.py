@@ -2,17 +2,14 @@
 
 Subcommands: predict, explain, mask-eval, pointing. Exit codes: 0 on success,
 1 on runtime or data errors (missing files, malformed inputs), 2 on usage
-errors. RELPROP_THREADS is still parsed and validated (a non-integer or a
-value below 1 exits 1), but evaluation runs serially and starts no threads.
-All randomness in a run flows from --seed, so reruns with the same seed are
-byte-identical.
+errors. All randomness in a run flows from --seed, so reruns with the same
+seed are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import struct
 import sys
 from pathlib import Path
@@ -51,20 +48,6 @@ def _comma_list(what: str, convert, valid, rule: str):
         return values
 
     return parse
-
-
-def _workers() -> int:
-    """RELPROP_THREADS, validated; the harnesses accept it but start no threads."""
-    raw = os.environ.get("RELPROP_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise DataError(f"RELPROP_THREADS={raw!r} is not an integer") from exc
-    if n < 1:
-        raise DataError(f"RELPROP_THREADS={n} must be >= 1")
-    return n
 
 
 def _load_raw_image(path: Path, model: NetworkModel) -> np.ndarray:
@@ -172,7 +155,6 @@ def cmd_mask_eval(args) -> int:
         methods=args.methods,
         patch_sizes=args.patches,
         seed=args.seed,
-        workers=_workers(),
     )
     reports = evaluate.write_masking_reports(rows, Path(args.out_dir))
     return _write_metadata(args, "masking", reports, {
@@ -205,7 +187,6 @@ def cmd_pointing(args) -> int:
         methods=args.methods,
         energies=args.energies,
         seed=args.seed,
-        workers=_workers(),
     )
     reports = evaluate.write_pointing_reports(rows, Path(args.out_dir))
     return _write_metadata(args, "pointing", reports, {

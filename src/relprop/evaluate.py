@@ -13,8 +13,7 @@ pixels survive, then count surviving pixels inside (hits) and outside
 `random` method scores a uniform-noise map instead of an explanation.
 
 Both dataset drivers evaluate images one after another, in list order, and
-derive all randomness from one run seed via per-image substreams. Their
-`workers` keyword is accepted for compatibility and starts no threads.
+derive all randomness from one run seed via per-image substreams.
 """
 
 from __future__ import annotations
@@ -286,12 +285,8 @@ def run_masking(
     methods: tuple[str, ...] = EVAL_METHODS,
     patch_sizes: tuple[int, ...] = DEFAULT_PATCH_SIZES,
     seed: int | None = None,
-    workers: int = 1,
 ) -> list[tuple[str, MaskingResult]]:
-    """Masking protocol over a dataset; rows come back in sample order.
-
-    workers is accepted for compatibility; images run serially.
-    """
+    """Masking protocol over a dataset; rows come back in sample order."""
     check_methods(methods)
     if "random" in methods and seed is None:
         raise DataError("runs with the random baseline need a seed")
@@ -317,12 +312,8 @@ def run_pointing(
     methods: tuple[str, ...] = EVAL_METHODS,
     energies: tuple[float, ...] = DEFAULT_ENERGIES,
     seed: int | None = None,
-    workers: int = 1,
 ) -> list[PointingRow]:
-    """Pointing game over a dataset; each box's class is the explanation target.
-
-    workers is accepted for compatibility; images run serially.
-    """
+    """Pointing game over a dataset; each box's class is the explanation target."""
     check_methods(methods)
     if "random" in methods and seed is None:
         raise DataError("runs with the random baseline need a seed")

@@ -213,12 +213,12 @@ def propagate_zbeta_input(
 
 def propagate_maxpool(relevance: np.ndarray, argmax: PoolArgmax) -> np.ndarray:
     """Route each pooled node's relevance to the element that won its window."""
-    lead = _seed_axis(relevance, argmax.output_shape, "maxpool")
+    lead = _seed_axis(relevance, argmax.output.shape, "maxpool")
     # One flat add.at over all rows: row k's winners are offset by k input sizes.
     offsets = np.arange(relevance.size // argmax.output.size)[:, None] * argmax.input.size
     out = np.zeros(offsets.size * argmax.input.size)
     np.add.at(out, (offsets + argmax.indices.reshape(-1)).reshape(-1), relevance.reshape(-1))
-    return out.reshape(lead + argmax.input_shape)
+    return out.reshape(lead + argmax.input.shape)
 
 
 @dataclass(frozen=True)

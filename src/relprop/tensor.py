@@ -146,14 +146,6 @@ class PoolArgmax:
     kw: int
     stride: int
 
-    @property
-    def input_shape(self) -> tuple[int, ...]:
-        return self.input.shape
-
-    @property
-    def output_shape(self) -> tuple[int, ...]:
-        return self.output.shape
-
     @cached_property
     def indices(self) -> np.ndarray:
         _, w, c = self.input.shape[-3:]

@@ -137,8 +137,6 @@ class TestMaxpoolForward:
         np.testing.assert_allclose(out, np.array([[[4.0]]]))
         # 4 sits at row 1, col 1, channel 0 -> flat (1*2 + 1)*1 + 0 = 3
         assert arg.indices.reshape(-1).tolist() == [3]
-        assert arg.input_shape == (2, 2, 1)
-        assert arg.output_shape == (1, 1, 1)
 
     def test_all_equal_window_takes_lowest_index(self):
         """A tied window resolves to the lowest row-major input index."""
