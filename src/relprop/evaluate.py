@@ -367,13 +367,18 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
+def _grouped(pairs) -> dict:
+    """{key: [item, ...]} over (key, item) pairs, keys in first-seen order."""
+    groups: dict = {}
+    for key, item in pairs:
+        groups.setdefault(key, []).append(item)
+    return groups
+
+
 def aggregate_masking(rows: list[tuple[str, MaskingResult]]) -> list[dict]:
     """Mean before/after/drop per (method, patch size), in first-seen order."""
-    groups: dict[tuple[str, int], list[MaskingResult]] = {}
-    for _, r in rows:
-        groups.setdefault((r.method, r.patch_size), []).append(r)
     out = []
-    for (method, p), rs in groups.items():
+    for (method, p), rs in _grouped(((r.method, r.patch_size), r) for _, r in rows).items():
         out.append(
             {
                 "method": method,
@@ -389,58 +394,47 @@ def aggregate_masking(rows: list[tuple[str, MaskingResult]]) -> list[dict]:
 
 def aggregate_pointing(rows: list[PointingRow]) -> list[dict]:
     """Mean accuracy per (method, energy) over non-skipped rows, in first-seen order."""
-    groups: dict[tuple[str, float], list[PointingResult]] = {}
-    for row in rows:
-        bucket = groups.setdefault((row.method, row.energy), [])
-        if row.result is not None:
-            bucket.append(row.result)
     out = []
-    for (method, energy), rs in groups.items():
-        out.append(
-            {
-                "method": method,
-                "energy": energy,
-                "n": len(rs),
-                "mean_accuracy": float(np.mean([r.accuracy for r in rs])) if rs else "",
-            }
-        )
+    for (method, energy), results in _grouped(((r.method, r.energy), r.result) for r in rows).items():
+        accuracies = [r.accuracy for r in results if r is not None]
+        mean = float(np.mean(accuracies)) if accuracies else ""
+        out.append({"method": method, "energy": energy, "n": len(accuracies), "mean_accuracy": mean})
     return out
 
 
-def _write_csv(path: Path, header: list[str], rows) -> Path:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    return path
+def _write_reports(out_dir: str | Path, stem: str, per_image, aggregate) -> tuple[Path, Path]:
+    """Write two (header, rows) pairs to <stem>.csv and <stem>_aggregate.csv under
+    out_dir, which is created if missing; returns both paths."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = out_dir / f"{stem}.csv", out_dir / f"{stem}_aggregate.csv"
+    for path, (header, lines) in zip(paths, (per_image, aggregate)):
+        with path.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(lines)
+    return paths
 
 
 def write_masking_reports(
     rows: list[tuple[str, MaskingResult]], out_dir: str | Path
 ) -> tuple[Path, Path]:
     """Write per-image and aggregate masking CSVs; returns their paths."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    per_image = _write_csv(
-        out_dir / "masking.csv",
-        ["image_id", "method", "patch_size", "target", "prob_before", "prob_after", "drop",
-         "point_x", "point_y"],
-        (
-            [image_id, r.method, r.patch_size, r.target, _fmt(r.prob_before),
-             _fmt(r.prob_after), _fmt(r.drop), r.point[0], r.point[1]]
-            for image_id, r in rows
-        ),
+    header = ["image_id", "method", "patch_size", "target", "prob_before", "prob_after", "drop",
+              "point_x", "point_y"]
+    lines = (
+        [image_id, r.method, r.patch_size, r.target, _fmt(r.prob_before),
+         _fmt(r.prob_after), _fmt(r.drop), r.point[0], r.point[1]]
+        for image_id, r in rows
     )
     means = ("mean_prob_before", "mean_prob_after", "mean_drop")
-    aggregate = _write_csv(
-        out_dir / "masking_aggregate.csv",
-        ["method", "patch_size", "n", *means],
-        (
-            [g["method"], g["patch_size"], g["n"], *(_fmt(g[m]) for m in means)]
-            for g in aggregate_masking(rows)
-        ),
+    groups = (
+        [g["method"], g["patch_size"], g["n"], *(_fmt(g[m]) for m in means)]
+        for g in aggregate_masking(rows)
     )
-    return per_image, aggregate
+    return _write_reports(
+        out_dir, "masking", (header, lines), (["method", "patch_size", "n", *means], groups)
+    )
 
 
 def _pointing_line(row: PointingRow) -> list:
@@ -455,20 +449,12 @@ def write_pointing_reports(
     rows: list[PointingRow], out_dir: str | Path
 ) -> tuple[Path, Path]:
     """Write per-image and aggregate pointing CSVs; returns their paths."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    per_image = _write_csv(
-        out_dir / "pointing.csv",
-        ["image_id", "method", "energy", "tau", "hits", "misses", "accuracy", "status"],
-        map(_pointing_line, rows),
+    header = ["image_id", "method", "energy", "tau", "hits", "misses", "accuracy", "status"]
+    groups = (
+        [g["method"], _fmt(g["energy"]), g["n"], _fmt(g["mean_accuracy"]) if g["n"] else ""]
+        for g in aggregate_pointing(rows)
     )
-    aggregate = _write_csv(
-        out_dir / "pointing_aggregate.csv",
-        ["method", "energy", "n", "mean_accuracy"],
-        (
-            [g["method"], _fmt(g["energy"]), g["n"],
-             _fmt(g["mean_accuracy"]) if g["mean_accuracy"] != "" else ""]
-            for g in aggregate_pointing(rows)
-        ),
+    return _write_reports(
+        out_dir, "pointing", (header, map(_pointing_line, rows)),
+        (["method", "energy", "n", "mean_accuracy"], groups),
     )
-    return per_image, aggregate

@@ -355,41 +355,35 @@ def save_model(model: NetworkModel, manifest_path: str | Path, weights_path: str
 
 
 @dataclass(frozen=True)
-class LayerTrace:
-    """Input and output of one layer during a forward pass."""
-
-    input: np.ndarray
-    output: np.ndarray
-
-
-def _one_image(probs: np.ndarray, what: str) -> np.ndarray:
-    if probs.ndim != 1:
-        raise ShapeError(f"{what}: needs the trace of one image, got probabilities {probs.shape}")
-    return probs
-
-
-@dataclass(frozen=True)
 class ForwardTrace:
-    """Full record of one forward pass, one entry per layer.
+    """Record of one forward pass: the input, then each layer's output.
 
     A trace of a stack holds every layer's stacked arrays; only its
     probabilities are meaningful to read. model is the model that ran it.
     """
 
-    entries: tuple[LayerTrace, ...]
+    activations: tuple[np.ndarray, ...]
     model: NetworkModel | None = field(default=None, repr=False, compare=False)
 
     @property
     def logits(self) -> np.ndarray:
-        return self.entries[-1].input
+        return self.activations[-2]
 
     @property
     def probabilities(self) -> np.ndarray:
-        return self.entries[-1].output
+        return self.activations[-1]
 
     @property
     def prediction(self) -> int:
-        return int(np.argmax(_one_image(self.probabilities, "prediction")))
+        self.check_one_image("prediction: trace")
+        return int(np.argmax(self.probabilities))
+
+    def check_one_image(self, what: str, model: NetworkModel | None = None) -> None:
+        """Raise a ShapeError unless this is the trace of one image (through model, if given:
+        a trace that any other model object produced, even one of the same shapes, is rejected)."""
+        if self.activations[0].ndim != 3 or (model is not None and self.model is not model):
+            through = " through this model" if model is not None else ""
+            raise ShapeError(f"{what} does not fit: not the trace of one image{through}")
 
 
 def _dirty_box(x: np.ndarray, start: np.ndarray) -> tuple[int, int, int, int]:
@@ -439,7 +433,7 @@ def forward(
     preprocessed: bool = True,
     base: ForwardTrace | None = None,
 ) -> ForwardTrace:
-    """Run the chain on one image, recording every layer's input and output.
+    """Run the chain on one image, recording its input and every layer's output.
 
     image may also be a stack [N, H, W, C]; every layer then maps the images
     side by side, and row k of the probabilities is image k's.
@@ -468,10 +462,9 @@ def forward(
         x = x - model.preprocessing.means
     box = None
     if base is not None:
-        if base.model is not model or base.entries[0].input.ndim != 3:
-            raise ShapeError("forward: base is not the trace of one image through this model")
-        box = _dirty_box(x, base.entries[0].input)
-    entries: list[LayerTrace] = []
+        base.check_one_image("forward: base", model)
+        box = _dirty_box(x, base.activations[0])
+    activations = [x]
     for i, (layer, lp) in enumerate(zip(model.layers, model.params)):
         if layer.kind not in ("conv2d", "relu", "maxpool"):
             box = None  # from the first flatten or dense layer on, run in full
@@ -479,21 +472,22 @@ def forward(
             if box is None:
                 y = _layer_output(layer, lp, x, lead, None)
             else:  # recompute what box reaches, copy the rest from base's output
-                y = np.empty(x.shape[:-3] + base.entries[i].output.shape)
-                y[...] = base.entries[i].output
+                y = np.empty(x.shape[:-3] + base.activations[i + 1].shape)
+                y[...] = base.activations[i + 1]
                 r0, r1, c0, c1 = box = _reach(box, layer.params, *y.shape[-3:-1])
                 if r0 < r1:
                     y[..., r0:r1, c0:c1, :] = _layer_output(layer, lp, x, lead, box)
         except ShapeError as exc:
             raise ShapeError(f"layer {i} ({layer.kind}): {exc}") from exc
-        entries.append(LayerTrace(input=x, output=y))
+        activations.append(y)
         x = y
-    return ForwardTrace(entries=tuple(entries), model=model)
+    return ForwardTrace(activations=tuple(activations), model=model)
 
 
 def predict_topk(trace: ForwardTrace, k: int) -> list[tuple[int, float]]:
     """Top-k (class, probability) pairs, descending; ties go to the lower class index."""
-    probs = _one_image(trace.probabilities, "predict_topk")
+    trace.check_one_image("predict_topk: trace")
+    probs = trace.probabilities
     if not 1 <= k <= probs.shape[0]:
         raise ShapeError(f"predict_topk: k={k} outside 1..{probs.shape[0]}")
     order = np.argsort(-probs, kind="stable")

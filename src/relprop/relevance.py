@@ -29,6 +29,7 @@ Seeds (seed_lrp, seed_clrp and seed_sglrp each return one _seed_rows row):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,9 +53,8 @@ class Seed:
 
 def _seed_rows(trace: ForwardTrace, target: int, methods: tuple[str, ...]) -> np.ndarray:
     """[K, classes]: the seed row of each of `methods`, in order; only those rows are built."""
+    trace.check_one_image("seed: trace")
     logits, probs = trace.logits, trace.probabilities
-    if logits.ndim != 1:
-        raise ShapeError(f"seed: logits must be 1-D, got {logits.shape}")
     n = logits.shape[0]
     if not 0 <= target < n:
         raise ShapeError(f"seed: target {target} outside 0..{n - 1}")
@@ -226,23 +226,20 @@ class RelevanceMap:
     """Per-pixel explanation of one prediction.
 
     raw is the signed [H,W,C] input relevance; values is the non-negative 2-D
-    map: per-channel positive part, summed over channels.
+    map computed from it: per-channel positive part, summed over channels.
     """
 
-    values: np.ndarray
     raw: np.ndarray
     method: str
     target: int
 
     def __post_init__(self):
-        if self.values.ndim != 2 or self.raw.ndim != 3:
-            raise ShapeError("relevance map must hold a 2-D map and a 3-D raw tensor")
-        if self.values.shape != self.raw.shape[:2]:
-            raise ShapeError(
-                f"map extent {self.values.shape} != raw extent {self.raw.shape[:2]}"
-            )
-        if np.any(self.values < 0):
-            raise ShapeError("relevance map values must be non-negative")
+        if self.raw.ndim != 3:
+            raise ShapeError(f"relevance map needs a 3-D raw tensor, got {self.raw.shape}")
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return np.maximum(self.raw, 0.0).sum(axis=2)
 
 
 def explain_all(
@@ -254,14 +251,13 @@ def explain_all(
             raise ShapeError(f"unknown explanation method {method!r}; expected one of {METHODS}")
     if len(set(methods)) != len(methods):
         raise ShapeError(f"explanation methods {methods} list a method more than once")
-    if len(trace.entries) != len(model.layers) or trace.entries[0].input.shape[-3:] != model.input_shape:
-        raise ShapeError(f"trace of {len(trace.entries)} layers does not fit the model")
+    trace.check_one_image("explain: trace", model)
     if not methods:
         return {}
     relevance = _seed_rows(trace, target, methods)
     first = next(i for i, l in enumerate(model.layers) if l.is_parametric)
     # A flatten ahead of a first dense layer keeps the pixel order; take the [H,W,C] view.
-    pixels = next(e.input for e in reversed(trace.entries[: first + 1]) if e.input.ndim == 3)
+    pixels = next(a for a in reversed(trace.activations[: first + 1]) if a.ndim == 3)
     bounds = InputBounds.from_model(model)
     const = model.rule_constants  # built whole on the model's first explain
     if not const:
@@ -271,20 +267,18 @@ def explain_all(
             for i, (l, p) in enumerate(zip(model.layers, model.params)) if l.is_parametric
         })
     for i in reversed(range(len(model.layers))):
-        layer, entry, lp = model.layers[i], trace.entries[i], model.params[i]
+        layer, a, lp = model.layers[i], trace.activations[i], model.params[i]
         if layer.kind == "maxpool":
-            relevance = propagate_maxpool(relevance, PoolArgmax(entry.input, entry.output, **layer.params))
+            relevance = propagate_maxpool(relevance, PoolArgmax(a, trace.activations[i + 1], **layer.params))
         elif i == first:
             relevance = propagate_zbeta_input(relevance, layer, lp.weights, pixels, bounds, const[i])
         elif layer.kind == "dense":
-            relevance = propagate_zplus_dense(relevance, lp.weights, entry.input.reshape(-1), const[i])
+            relevance = propagate_zplus_dense(relevance, lp.weights, a.reshape(-1), const[i])
         elif layer.kind == "conv2d":
             stride, pad = layer.params["stride"], layer.params["pad"]
-            relevance = propagate_zplus_conv(relevance, lp.weights, entry.input, stride, pad, const[i])
-        relevance = relevance.reshape((len(methods),) + entry.input.shape)
-
-    values = np.maximum(relevance, 0.0).sum(axis=3)
-    return {m: RelevanceMap(v, raw, m, target) for m, v, raw in zip(methods, values, relevance)}
+            relevance = propagate_zplus_conv(relevance, lp.weights, a, stride, pad, const[i])
+        relevance = relevance.reshape((len(methods),) + a.shape)
+    return {m: RelevanceMap(raw, m, target) for m, raw in zip(methods, relevance)}
 
 
 def explain(model: NetworkModel, trace: ForwardTrace, target: int, method: str) -> RelevanceMap:

@@ -10,8 +10,11 @@ import numpy as np
 import pytest
 
 from relprop.cli import build_parser, main
-from relprop.imaging import RgbImage, read_pgm, write_ppm
-from relprop.model import LayerParams, LayerSpec, NetworkModel, Preprocessing, save_model
+from relprop.imaging import RgbImage, preprocess, read_pgm, read_ppm, write_ppm
+from relprop.model import (
+    LayerParams, LayerSpec, NetworkModel, Preprocessing, forward, load_model, predict_topk, save_model,
+)
+from relprop.relevance import explain
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +206,17 @@ class TestExplain:
         assert code == 0
         assert (tmp_path / "heat.pgm").exists()
 
+    def test_second_target_explains_the_runner_up(self, workspace, tmp_path, capsys):
+        """--target second writes the map of the second most probable class."""
+        code, _, _ = run_cli(self._argv(workspace, tmp_path / "heat", target="second"), capsys)
+        assert code == 0
+        model = load_model(workspace["manifest"], workspace["weights"])
+        image = preprocess(read_ppm(workspace["root"] / "img1.ppm"), model, subtract_mean=False)
+        trace = forward(model, image, preprocessed=False)
+        runner_up = predict_topk(trace, 2)[1][0]
+        want = explain(model, trace, runner_up, "sglrp").values.astype("<f8").tobytes()
+        assert (tmp_path / "heat.f32").read_bytes()[8:] == want
+
     def test_target_out_of_range_writes_nothing(self, workspace, tmp_path, capsys):
         out = tmp_path / "fresh" / "heat"
         code, _, err = run_cli(self._argv(workspace, out, target="99"), capsys)
@@ -302,6 +316,15 @@ class TestMaskEval:
         code, _, _ = run_cli(self._argv(workspace, tmp_path / "set", "--seed", "5"), capsys)
         assert code == 0
         assert dir_bytes(tmp_path / "unset") == dir_bytes(tmp_path / "set")
+
+    def test_list_without_images_is_runtime_error(self, workspace, tmp_path, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("# no images yet\n\n")
+        argv = self._argv(workspace, tmp_path / "out", "--seed", "7")
+        argv[3] = str(empty)
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1 and f"{empty}: no images listed" in err
+        assert not (tmp_path / "out" / "masking.csv").exists()
 
     def test_ground_truth_requires_labels(self, workspace, tmp_path, capsys):
         code, _, err = run_cli(

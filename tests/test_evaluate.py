@@ -60,6 +60,11 @@ class TestMaximalPoint:
             values = rng.integers(0, 4, size=(h, w)).astype(float)
             assert maximal_point(values) == scan_maximal_point(values)
 
+    def test_empty_or_flat_map_rejected(self):
+        for values in (np.zeros((0, 3)), np.zeros(4)):
+            with pytest.raises(ShapeError, match="maximal_point: need a non-empty 2-D map"):
+                maximal_point(values)
+
 
 class TestMaskPatch:
     def test_single_pixel(self):
@@ -106,6 +111,12 @@ class TestMaskPatch:
         for bad in (0, 2, 4, -1):
             with pytest.raises(ShapeError):
                 mask_patch(image, (1, 1), bad, np.array([0.0]))
+
+    def test_bad_image_or_fill_rejected(self):
+        with pytest.raises(ShapeError, match=r"image must be \[H,W,C\], got \(4, 4\)"):
+            mask_patch(np.zeros((4, 4)), (1, 1), 3, np.zeros(1))
+        with pytest.raises(ShapeError, match=r"fill has shape \(2,\), expected \(1,\)"):
+            mask_patch(np.zeros((4, 4, 1)), (1, 1), 3, np.zeros(2))
 
     def test_input_untouched(self):
         image = np.ones((4, 4, 1))
@@ -166,6 +177,16 @@ class TestPatchMaskingEval:
         with pytest.raises(DataError):
             patch_masking_eval(
                 model, np.zeros((6, 6, 1)), target_mode="ground_truth", methods=("lrp",)
+            )
+
+    def test_label_outside_classes_rejected(self):
+        with pytest.raises(DataError, match=r"label 3 outside 0..2"):
+            patch_masking_eval(self._model(), np.zeros((6, 6, 1)), label=3, methods=("lrp",))
+
+    def test_unknown_target_mode_rejected(self):
+        with pytest.raises(DataError, match="unknown target mode 'third_probable'"):
+            patch_masking_eval(
+                self._model(), np.zeros((6, 6, 1)), target_mode="third_probable", methods=("lrp",)
             )
 
     def test_random_needs_rng(self):
@@ -361,6 +382,11 @@ class TestPointingGame:
             pointing_game(np.ones((4, 4)), BoundingBox(0, 0, 0, 5, 5))
 
 
+    def test_map_rank_validated(self):
+        with pytest.raises(ShapeError, match=r"map must be 2-D, got \(4,\)"):
+            pointing_game(np.ones(4), BoundingBox(0, 0, 0, 1, 0))
+
+
 class TestBoundingBox:
     def test_degenerate_rejected(self):
         with pytest.raises(DataError):
@@ -395,6 +421,12 @@ class TestBoundingBox:
         boxes = read_bounding_boxes(path)
         assert [b[0] for b in boxes] == ["img0", "img1"]
         assert boxes[0][1] == BoundingBox(1, 2, 3, 10, 12)
+
+    def test_read_bounding_boxes_degenerate_box_names_its_line(self, tmp_path):
+        path = tmp_path / "boxes.txt"
+        path.write_text("img0 1 2 3 10 12\nimg1 0 5 5 1 1\n")
+        with pytest.raises(DataError, match=r":2: degenerate box \(5,5\)..\(1,1\)"):
+            read_bounding_boxes(path)
 
     def test_read_bounding_boxes_field_count(self, tmp_path):
         path = tmp_path / "boxes.txt"
@@ -491,6 +523,11 @@ class TestDatasetDrivers:
             run_masking(model, samples, methods=("lrp", "lrp"), patch_sizes=(1,))
         with pytest.raises(DataError):
             run_masking(model, [], methods=("lrp", "saliency"))
+
+    def test_pointing_random_needs_seed(self):
+        model, _, samples = small_dataset(n=1)
+        with pytest.raises(DataError, match="random baseline need a seed"):
+            run_pointing(model, samples, methods=("lrp", "random"))
 
     def test_pointing_repeated_method_rejected(self):
         model, _, samples = small_dataset(n=1)

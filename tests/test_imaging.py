@@ -74,6 +74,12 @@ class TestPpmIo:
             read_ppm(path)
         assert "truncated" in str(err.value)
 
+    def test_truncated_header_rejected(self, tmp_path):
+        path = tmp_path / "h.ppm"
+        path.write_bytes(b"P6\n2 # the height is missing\n")
+        with pytest.raises(ImageFormatError, match="truncated header"):
+            read_ppm(path)
+
     def test_missing_separator_after_maxval(self, tmp_path):
         path = tmp_path / "s.ppm"
         path.write_bytes(b"P6 1 1 255")
@@ -91,6 +97,8 @@ class TestPpmIo:
     def test_payload_size_validated_on_construction(self):
         with pytest.raises(ImageFormatError):
             RgbImage(width=2, height=2, pixels=b"\x00" * 11)
+        with pytest.raises(ImageFormatError, match="extent 0x2 invalid"):
+            RgbImage(width=0, height=2, pixels=b"")
 
 
 class TestPgmIo:

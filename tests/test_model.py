@@ -32,6 +32,13 @@ pixel_range 0 255
 DENSE_LINE = "layer dense in=16 out=2 bias=1\n"  # line 4 of MINIMAL_MANIFEST
 
 
+# Layers and parameters of the directly built models in TestChainValidation.
+DENSE_2x4, RELU, SOFTMAX = (
+    LayerSpec("dense", {"in": 4, "out": 2, "bias": 0}), LayerSpec("relu"), LayerSpec("softmax")
+)
+W_2x4 = LayerParams(np.zeros((2, 4)), None)
+
+
 def write_minimal(tmp_path, blob_floats):
     manifest = tmp_path / "model.txt"
     weights = tmp_path / "model.bin"
@@ -125,12 +132,19 @@ class TestLoadModel:
             ("# c\n", ":1: expected magic line 'RELPROP-MODEL 1'"),
             ("RELPROP-MODEL 1\n\n# c\nlayer relu\n", ":4: second entry must be 'input H W C'"),
             ("\nRELPROP-MODEL 1\n", ":2: second entry must be 'input H W C'"),
+            (MINIMAL_MANIFEST.replace("input 4 4 1", "input 4 4"), ":3: input needs exactly H W C"),
+            (MINIMAL_MANIFEST.replace("input 4 4 1", "input a b c"), ":3: non-integer input extent"),
+            (MINIMAL_MANIFEST.replace("layer softmax", "layer"), ":5: layer line missing kind"),
+            (MINIMAL_MANIFEST.replace(DENSE_LINE, "layer maxpool kh=1 kw=1 stride=0\n" + DENSE_LINE),
+             ":4: layer maxpool: stride=0 out of range"),
+            (MINIMAL_MANIFEST.replace("bias=1", "bias=2"), ":4: layer dense: bias must be 0 or 1"),
         ],
     )
     def test_magic_and_input_errors_name_their_line(self, tmp_path, text, message):
         """A bad first or second entry names its own line, past comments and blank
         lines; an empty manifest names line 1, and one that stops at its magic line
-        names that line."""
+        names that line. A malformed input or layer line, or a layer parameter out
+        of range, names that line too."""
         manifest = tmp_path / "model.txt"
         manifest.write_text(text)
         weights = tmp_path / "model.bin"
@@ -179,13 +193,21 @@ class TestLoadModel:
         assert f"{manifest}:5:" in str(err.value) and "conv2d" in str(err.value)
 
     def test_preprocessing_errors_name_their_line(self, tmp_path):
-        """A mean line whose length is not the channel count, and a pixel_range whose
-        lower bound exceeds its upper, are rejected naming the manifest and line."""
+        """A mean line whose length is not the channel count, a pixel_range whose
+        lower bound exceeds its upper or that has one value, a second mean, a
+        pixel_range ahead of the mean, and a layer after the mean are rejected
+        naming the manifest and line; a missing pixel_range names the manifest only."""
         _, weights = write_minimal(tmp_path, np.zeros(34))
         manifest = tmp_path / "bad.txt"
         cases = {
             ("mean 0", "mean 1 2"): ":6: mean entries 2 != input channels 1",
             ("pixel_range 0 255", "pixel_range 255 0"): ":7: pixel_range lower bound 255.0 exceeds upper 0.0",
+            ("pixel_range 0 255", "pixel_range 0"): ":7: pixel_range needs two values",
+            ("mean 0\n", "mean 0\nmean 0\n"): ":7: duplicate mean line",
+            ("mean 0\n", "mean 0\nlayer relu\n"): ":7: layer after mean line",
+            ("mean 0\npixel_range 0 255\n", "pixel_range 0 255\nmean 0\n"):
+                ":6: pixel_range must follow mean",
+            ("pixel_range 0 255\n", ""): ": missing mean or pixel_range line",
         }
         for (good, bad), message in cases.items():
             manifest.write_text(MINIMAL_MANIFEST.replace(good, bad))
@@ -201,13 +223,20 @@ class TestLoadModel:
              ":4: layer 0 (maxpool): maxpool: window 3x3 stride=2 does not tile 4x4"),
             ("input 4 4 1", "input 0 4 1", ":3: input shape (0, 4, 1) must be three positive extents"),
             ("layer softmax\n", "", ": model must end with a dense layer followed by softmax"),
+            (DENSE_LINE, "layer flatten\nlayer conv2d in=1 out=1 kh=1 kw=1 stride=1 pad=0 bias=1\n"
+             "layer dense in=16 out=2 bias=0\n", ":5: layer 1 (conv2d): needs [H,W,C] input, has (16,)"),
+            (DENSE_LINE, "layer conv2d in=2 out=1 kh=1 kw=1 stride=1 pad=0 bias=0\n"
+             "layer dense in=16 out=2 bias=0\n", ":4: layer 0 (conv2d): expects 2 channels, input has 1"),
         ],
-        ids=["softmax-inside", "pool-tiling", "input-zero", "no-tail"],
+        ids=["softmax-inside", "pool-tiling", "input-zero", "no-tail", "conv-after-flatten",
+             "conv-channels"],
     )
     def test_chain_errors_name_the_line_at_fault(self, tmp_path, good, bad, message):
-        """A softmax inside the chain, a pool that does not tile, and a zero input
-        extent are rejected naming the manifest and the line of that layer or of the
-        input; an error about the chain as a whole names the manifest only."""
+        """A softmax inside the chain, a pool that does not tile, a conv after a
+        flatten or with the wrong channel count, and a zero input extent are rejected
+        naming the manifest and the line of that layer or of the input; an error
+        about the chain as a whole names the manifest only. (Each bad chain keeps
+        the blob's 34 values.)"""
         _, weights = write_minimal(tmp_path, np.zeros(34))
         manifest = tmp_path / "bad.txt"
         manifest.write_text(MINIMAL_MANIFEST.replace(good, bad))
@@ -276,6 +305,14 @@ class TestChainValidation:
         with pytest.raises(ChainError):
             infer_shapes((1, 4, 1), layers)
 
+    def test_softmax_needs_a_1d_input(self):
+        with pytest.raises(ChainError, match=r"layer 0 \(softmax\): needs a 1-D input, has \(2, 2, 1\)"):
+            infer_shapes((2, 2, 1), [LayerSpec("softmax")])
+
+    def test_weightless_layer_has_no_weight_shape(self):
+        with pytest.raises(ShapeError, match="layer relu has no weights"):
+            LayerSpec("relu").weight_shape()
+
     def test_missing_layer_parameter_rejected(self):
         with pytest.raises(ManifestError):
             LayerSpec("conv2d", {"in": 3, "out": 4})
@@ -288,6 +325,28 @@ class TestChainValidation:
                 params=(None, None),
                 preprocessing=Preprocessing(means=np.zeros(1), pixel_range=(0.0, 255.0)),
             )
+
+    @pytest.mark.parametrize(
+        "layers, params, error, message, where",
+        [
+            ((DENSE_2x4, SOFTMAX), (W_2x4,), ChainError, "one parameter slot per layer required", None),
+            ((RELU, DENSE_2x4, SOFTMAX), (W_2x4, W_2x4, None), ChainError,
+             "layer 0 (relu) cannot carry parameters", 0),
+            ((DENSE_2x4, SOFTMAX), (None, None), ChainError, "layer 0 (dense) is missing parameters", 0),
+            ((DENSE_2x4, SOFTMAX), (LayerParams(np.zeros((2, 3)), None), None), ShapeError,
+             "layer 0 (dense): weights (2, 3) != (2, 4)", 0),
+            ((DENSE_2x4, SOFTMAX), (LayerParams(np.zeros((2, 4)), np.zeros(2)), None), ChainError,
+             "layer 0 (dense): bias presence mismatch", 0),
+        ],
+        ids=["slot-count", "params-on-relu", "missing-params", "weight-shape", "bias-mismatch"],
+    )
+    def test_directly_built_model_errors_name_the_layer(self, layers, params, error, message, where):
+        """A NetworkModel built directly checks its parameter slots against its
+        layers; an error about one layer carries that layer's index, which
+        load_model turns into its manifest line."""
+        with pytest.raises(error) as err:
+            NetworkModel((1, 4, 1), layers, params, Preprocessing(np.zeros(1), (0.0, 255.0)))
+        assert type(err.value) is error and str(err.value) == message and err.value.where == where
 
 
 class TestForward:
@@ -367,22 +426,21 @@ class TestForward:
             preprocessing=Preprocessing(means=np.zeros(1), pixel_range=(0.0, 255.0)),
         )
         trace = forward(model, rng.uniform(0, 255, size=(4, 4, 1)))
-        assert len(trace.entries) == len(model.layers)
-        for layer, lp, entry in zip(model.layers, model.params, trace.entries):
+        assert len(trace.activations) == len(model.layers) + 1
+        acts = trace.activations
+        for layer, lp, x, y in zip(model.layers, model.params, acts, acts[1:]):
             p = layer.params
             if layer.kind == "conv2d":
-                replay = tensor.conv2d_forward(
-                    entry.input, lp.weights, np.zeros(p["out"]), p["stride"], p["pad"]
-                )
+                replay = tensor.conv2d_forward(x, lp.weights, np.zeros(p["out"]), p["stride"], p["pad"])
             elif layer.kind == "relu":
-                replay = tensor.relu(entry.input)
+                replay = tensor.relu(x)
             elif layer.kind == "flatten":
-                replay = tensor.flatten(entry.input)
+                replay = tensor.flatten(x)
             elif layer.kind == "dense":
-                replay = tensor.dense_forward(entry.input, lp.weights, np.zeros(p["out"]))
+                replay = tensor.dense_forward(x, lp.weights, np.zeros(p["out"]))
             else:
-                replay = tensor.softmax(entry.input)
-            np.testing.assert_array_equal(replay, entry.output)
+                replay = tensor.softmax(x)
+            np.testing.assert_array_equal(replay, y)
 
     def test_forward_determinism(self):
         """Two forwards on one input agree bit for bit."""
@@ -403,6 +461,14 @@ class TestForward:
         raw = np.array([30.0, 50.0]).reshape(1, 2, 1)
         shifted = forward(model, raw, preprocessed=False)
         np.testing.assert_allclose(shifted.logits, [20.0, 40.0])
+
+    def test_layer_error_names_the_layer(self):
+        """A finite image whose logits overflow is a ShapeError naming the layer
+        whose output is not finite."""
+        model = dense_softmax_model(np.full((2, 4), 1e308), input_shape=(1, 4, 1))
+        with np.errstate(over="ignore"), pytest.raises(ShapeError) as err:
+            forward(model, np.full((1, 4, 1), 255.0))
+        assert str(err.value) == "layer 0 (dense): dense output: non-finite values present"
 
     def test_wrong_shape_raises(self):
         model = dense_softmax_model(np.eye(2), input_shape=(1, 2, 1))

@@ -397,7 +397,8 @@ def test_incremental_forward_is_the_full_stacked_forward_to_the_byte(case):
 
 def test_incremental_forward_of_one_image_is_an_explainable_trace():
     """With one edited image the incremental trace carries every layer's full
-    arrays, so explaining it gives the full forward's maps."""
+    arrays, the full forward's to the byte, so explaining it gives the full
+    forward's maps to the byte."""
     rng = np.random.default_rng(7)
     model = _random_cnn(rng, classes=4)
     image = rng.uniform(0, 255, size=model.input_shape)
@@ -405,13 +406,13 @@ def test_incremental_forward_of_one_image_is_an_explainable_trace():
     base = forward(model, image, preprocessed=False)
     got = forward(model, edited, preprocessed=False, base=base)
     want = forward(model, edited, preprocessed=False)
-    for a, b in zip(got.entries, want.entries):
-        np.testing.assert_allclose(a.output, b.output, rtol=0, atol=1e-12 * np.abs(b.output).max())
+    assert len(got.activations) == len(want.activations) == len(model.layers) + 1
+    for a, b in zip(got.activations, want.activations):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
     for method in METHODS:
-        np.testing.assert_allclose(
-            explain(model, got, 1, method).values, explain(model, want, 1, method).values,
-            rtol=1e-9, atol=1e-12,
-        )
+        mine, full = explain(model, got, 1, method), explain(model, want, 1, method)
+        assert mine.raw.tobytes() == full.raw.tobytes()
+        assert mine.values.tobytes() == full.values.tobytes()
 
 
 def test_incremental_forward_rejects_a_base_from_another_input():

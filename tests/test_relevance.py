@@ -378,6 +378,42 @@ class TestZbetaInput:
                 propagate_zbeta_input(np.ones((1, 2, 1)), conv, np.ones((1, 1, 1, 1)), x, bounds)
 
 
+_DENSE_2x4 = LayerSpec("dense", {"in": 4, "out": 2, "bias": 0})
+
+
+def _zbeta(layer, x, bounds=InputBounds(lower=np.zeros(1), upper=np.full(1, 255.0))):
+    """zbeta over [2, 4] weights and a two-entry relevance."""
+    return propagate_zbeta_input(np.zeros(2), layer, np.ones((2, 4)), x, bounds)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: propagate_zplus_dense(np.zeros(3), np.ones((2, 4)), np.ones(4)),
+         "zplus dense: relevance (3,) != output (2,)"),
+        (lambda: propagate_zplus_dense(np.zeros(2), np.ones((2, 3)), np.ones(4)),
+         "zplus dense: weights (2, 3) != input (4,)"),
+        (lambda: InputBounds(lower=np.zeros(2), upper=np.zeros(3)),
+         "input bounds must be matching per-channel vectors"),
+        (lambda: InputBounds(lower=np.ones(1), upper=np.zeros(1)), "input bounds: lower exceeds upper"),
+        (lambda: _zbeta(LayerSpec("relu"), np.ones((1, 4, 1))), "zbeta: unsupported layer kind relu"),
+        (lambda: _zbeta(_DENSE_2x4, np.ones((1, 3, 1))),
+         "zbeta dense: weights (2, 4) do not fit input (1, 3, 1)"),
+        (lambda: _zbeta(_DENSE_2x4, np.ones(4)), "zbeta: input must be [H,W,C], got (4,)"),
+        (lambda: _zbeta(_DENSE_2x4, np.ones((1, 4, 1)), InputBounds(lower=np.zeros(2), upper=np.ones(2))),
+         "zbeta: bounds have 2 channels, input 1"),
+    ],
+    ids=["relevance-shape", "zplus-weights", "bounds-shape", "bounds-order", "zbeta-relu",
+         "zbeta-weights", "zbeta-input-rank", "zbeta-bounds-channels"],
+)
+def test_malformed_rule_operands_raise_a_shape_error(call, message):
+    """Each rule, and the bounds it reads, rejects operands that do not fit
+    together with a ShapeError that says which."""
+    with pytest.raises(ShapeError) as err:
+        call()
+    assert str(err.value) == message
+
+
 class TestStructuralRouting:
     def test_maxpool_winner_takes_all(self):
         """Window [1,2;3,4] sends the pooled unit's relevance to where 4 was."""
@@ -550,23 +586,15 @@ class TestExplain:
 
 
 class TestRelevanceMapValidation:
-    def test_rejects_negative_map(self):
-        with pytest.raises(ShapeError):
-            RelevanceMap(
-                values=np.array([[-0.1]]),
-                raw=np.zeros((1, 1, 1)),
-                method="lrp",
-                target=0,
-            )
-
-    def test_rejects_extent_mismatch(self):
-        with pytest.raises(ShapeError):
-            RelevanceMap(
-                values=np.zeros((2, 2)),
-                raw=np.zeros((1, 2, 1)),
-                method="lrp",
-                target=0,
-            )
+    def test_values_are_the_positive_channel_sum_of_raw(self):
+        """values is computed from raw, so no inconsistent pair can be built;
+        a raw tensor that is not [H,W,C] is rejected."""
+        raw = np.array([[[1.0, -2.0, 0.5], [-1.0, -3.0, 0.0]]])
+        result = RelevanceMap(raw=raw, method="lrp", target=0)
+        assert result.values.shape == (1, 2)
+        assert result.values.tobytes() == np.array([[1.5, 0.0]]).tobytes()
+        with pytest.raises(ShapeError, match="3-D raw"):
+            RelevanceMap(raw=np.zeros((2, 2)), method="lrp", target=0)
 
     def test_floor_constant_sane(self):
         assert 0 < DENOMINATOR_FLOOR < 1e-6
@@ -580,18 +608,18 @@ def _explain_by_public_rules(model, trace, target):
     first = next(i for i, layer in enumerate(model.layers) if layer.is_parametric)
     bounds = InputBounds.from_model(model)
     for i in reversed(range(len(model.layers))):
-        layer, entry, lp = model.layers[i], trace.entries[i], model.params[i]
+        layer, a, lp = model.layers[i], trace.activations[i], model.params[i]
         if layer.kind == "maxpool":
-            relevance = propagate_maxpool(relevance, PoolArgmax(entry.input, entry.output, **layer.params))
+            relevance = propagate_maxpool(relevance, PoolArgmax(a, trace.activations[i + 1], **layer.params))
         elif i == first:
-            image = trace.entries[0].input
+            image = trace.activations[0]
             relevance = propagate_zbeta_input(relevance, layer, lp.weights, image, bounds)
         elif layer.kind == "dense":
-            relevance = propagate_zplus_dense(relevance, lp.weights, entry.input.reshape(-1))
+            relevance = propagate_zplus_dense(relevance, lp.weights, a.reshape(-1))
         elif layer.kind == "conv2d":
             p = layer.params
-            relevance = propagate_zplus_conv(relevance, lp.weights, entry.input, p["stride"], p["pad"])
-        relevance = relevance.reshape((3,) + entry.input.shape)
+            relevance = propagate_zplus_conv(relevance, lp.weights, a, p["stride"], p["pad"])
+        relevance = relevance.reshape((3,) + a.shape)
     return relevance
 
 
@@ -667,3 +695,14 @@ class TestRuleConstants:
         explain_all(model, forward(model, np.ones((1, 3, 1))), 0, METHODS)
         with pytest.raises(ShapeError, match="does not fit"):
             explain_all(model, forward(other, np.ones((1, 4, 1))), 0, METHODS)
+
+    def test_trace_of_a_same_shaped_model_rejected(self):
+        """A trace holds the activations of the model that ran it; a model of the
+        same architecture with other weights would explain it with the wrong
+        activations, so its trace is a ShapeError, not a map."""
+        model = dense_softmax_model(np.full((2, 3), 0.01))
+        twin = dense_softmax_model(np.full((2, 3), 0.02))
+        image = np.ones((1, 3, 1))
+        explain_all(model, forward(model, image), 0, METHODS)
+        with pytest.raises(ShapeError, match="through this model"):
+            explain_all(model, forward(twin, image), 0, METHODS)

@@ -246,3 +246,35 @@ class TestActivations:
         np.testing.assert_array_equal(flat, np.arange(12.0))
         flat[0] = 99.0
         assert x[0, 0, 0] == 0.0
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: conv2d_forward(np.zeros((4, 4)), np.zeros((1, 1, 1, 1)), np.zeros(1)),
+         "conv2d: input must be [H,W,C] or [N,H,W,C], got shape (4, 4)"),
+        (lambda: conv2d_forward(np.zeros((4, 4, 1)), np.zeros((1, 1, 1)), np.zeros(1)),
+         "conv2d: weights must be [out,in,kh,kw], got shape (1, 1, 1)"),
+        (lambda: conv2d_transpose(np.zeros((4, 4, 1)), np.zeros((1, 2, 1, 1)), (4, 4, 3)),
+         "conv2d_transpose: input has 3 channels, weights expect 2"),
+        (lambda: maxpool_forward(np.zeros((2, 2)), 1, 1, 1),
+         "maxpool: input must be [H,W,C] or [N,H,W,C], got shape (2, 2)"),
+        (lambda: dense_forward(np.zeros((1, 1, 2)), np.zeros((1, 2)), np.zeros(1)),
+         "dense: input must be [N] or [B,N], got shape (1, 1, 2)"),
+        (lambda: dense_forward(np.zeros(2), np.zeros((3, 2)), np.zeros(2)),
+         "dense: bias shape (2,) != (3,)"),
+        (lambda: dense_forward(np.array([np.inf, 1.0]), np.ones((1, 2)), np.zeros(1)),
+         "dense output: non-finite values present"),
+        (lambda: softmax(np.zeros((1, 1, 2))),
+         "softmax: input must be [classes] or [N,classes], got shape (1, 1, 2)"),
+        (lambda: softmax(np.zeros(0)), "softmax: empty input"),
+    ],
+    ids=["conv-ndim", "conv-weights-ndim", "transpose-channels", "maxpool-ndim", "dense-ndim",
+         "dense-bias", "non-finite-output", "softmax-ndim", "softmax-empty"],
+)
+def test_malformed_operands_raise_a_shape_error(call, message):
+    """Each kernel rejects an operand of the wrong rank or shape, and a
+    non-finite output, with a ShapeError that says which."""
+    with pytest.raises(ShapeError) as err:
+        call()
+    assert str(err.value) == message
