@@ -596,6 +596,22 @@ class TestRelevanceMapValidation:
         with pytest.raises(ShapeError, match="3-D raw"):
             RelevanceMap(raw=np.zeros((2, 2)), method="lrp", target=0)
 
+    def test_rejects_negative_map(self):
+        """A stored map cannot be passed in, and a wholly negative raw tensor
+        gives a zero map, never a negative one."""
+        with pytest.raises(TypeError, match="values"):
+            RelevanceMap(values=np.array([[-0.1]]), raw=np.zeros((1, 1, 1)), method="lrp", target=0)
+        result = RelevanceMap(raw=np.full((2, 3, 2), -0.1), method="lrp", target=0)
+        assert result.values.tobytes() == np.zeros((2, 3)).tobytes()
+
+    def test_rejects_extent_mismatch(self):
+        """A map of another extent cannot be passed in; the map always has
+        raw's [H,W] extent."""
+        with pytest.raises(TypeError, match="values"):
+            RelevanceMap(values=np.zeros((2, 2)), raw=np.zeros((1, 2, 1)), method="lrp", target=0)
+        assert RelevanceMap(raw=np.zeros((1, 2, 1)), method="lrp", target=0).values.shape == (1, 2)
+        assert RelevanceMap(raw=np.ones((4, 5, 3)), method="lrp", target=0).values.shape == (4, 5)
+
     def test_floor_constant_sane(self):
         assert 0 < DENOMINATOR_FLOOR < 1e-6
 
