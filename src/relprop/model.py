@@ -23,6 +23,10 @@ activations. The blob is the
 concatenation, in manifest order, of each parametric layer's weights then bias
 (if bias=1), with no header. It is promoted to float64 once, in one read-only
 buffer of which every weight and bias is a view.
+
+A model whose one-image forward trace (the input plus every layer's output, in
+float64) would exceed TRACE_LIMIT_BYTES, 1 GiB, is rejected naming its input
+line, so that no explain or evaluation of it fails allocating that trace.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from . import tensor
 from .errors import BlobError, ChainError, ManifestError, RelpropError, ShapeError, UnknownLayerError
 
 MAGIC = "RELPROP-MODEL 1"
+TRACE_LIMIT_BYTES = 2**30
 
 _LAYER_KEYS = {  # in the order save_model writes them
     "conv2d": ("in", "out", "kh", "kw", "stride", "pad", "bias"),
@@ -163,7 +168,11 @@ class NetworkModel:
             raise ChainError("model must end with a dense layer followed by softmax")
         if len(self.params) != len(self.layers):
             raise ChainError("one parameter slot per layer required")
-        infer_shapes(self.input_shape, list(self.layers))
+        shapes = infer_shapes(self.input_shape, list(self.layers))
+        trace_bytes = 8 * sum(map(math.prod, [self.input_shape, *shapes]))
+        if trace_bytes > TRACE_LIMIT_BYTES:
+            raise ChainError(f"input shape {self.input_shape}: one image's trace needs {trace_bytes}"
+                             f" float64 bytes, over the {TRACE_LIMIT_BYTES}-byte limit", "input")
         for i, (layer, lp) in enumerate(zip(self.layers, self.params)):
             name = f"layer {i} ({layer.kind})"
             if not layer.is_parametric:

@@ -1,22 +1,23 @@
 """Class-discriminative relevance propagation.
 
 Relevance starts at the logit layer as a method-specific seed vector and flows
-backward through the chain. Linear layers redistribute it proportionally to
-each input's positive forward contribution; the layer touching raw pixels uses
-a bounded variant that accounts for the admissible pixel range, so negative
-inputs cannot invert signs. Each of the two rules has one body, written over a
-layer's bias-free linear map and its adjoint: W @ x and s @ W for dense layers,
-conv2d_forward and conv2d_transpose for conv layers. Max-pool routes
+backward through the chain. Dense and conv layers redistribute it
+proportionally to each input's positive forward contribution (zplus); the
+first of them, which reads raw pixels, uses a bounded variant that accounts for
+the admissible pixel range, so negative inputs cannot invert signs (zbeta).
+Each rule has one body, keyed on the layer's LayerSpec and written over its
+bias-free linear map and adjoint from _layer_map: W @ x and s @ W for dense
+layers, conv2d_forward and conv2d_transpose for conv layers. Max-pool routes
 winner-take-all through a PoolArgmax of the traced pool; relu, flatten and
 softmax are skipped. All rules are linear, so relevance may carry a leading
-seed axis, one row per method from _seed_rows. The result is a signed
+seed axis, one row per method from seed_rows. The result is a signed
 per-pixel tensor; its 2-D map sums positive evidence over channels.
 
 The rules' model-fixed parts (W+; the pixel layer's W-, bounds and bound
 terms) are built by the rules' own calls on a model's first explain and kept in
 its rule_constants, so they change no byte.
 
-Seeds (seed_lrp, seed_clrp and seed_sglrp each return one _seed_rows row):
+Seeds (seed_rows builds one row per method; the methods differ in nothing else):
 
 - "lrp": the target logit's value on the target entry, +0.0 elsewhere.
 - "clrp": the target logit on the target entry, and the same mass spread
@@ -42,16 +43,7 @@ DENOMINATOR_FLOOR = 1e-9
 METHODS = ("lrp", "clrp", "sglrp")
 
 
-@dataclass(frozen=True)
-class Seed:
-    """Initial relevance over the logit nodes."""
-
-    values: np.ndarray
-    target: int
-    method: str
-
-
-def _seed_rows(trace: ForwardTrace, target: int, methods: tuple[str, ...]) -> np.ndarray:
+def seed_rows(trace: ForwardTrace, target: int, methods: tuple[str, ...]) -> np.ndarray:
     """[K, classes]: the seed row of each of `methods`, in order; only those rows are built."""
     trace.check_one_image("seed: trace")
     logits, probs = trace.logits, trace.probabilities
@@ -67,21 +59,6 @@ def _seed_rows(trace: ForwardTrace, target: int, methods: tuple[str, ...]) -> np
             row[:] = -z / (n - 1) if method == "clrp" else -p * probs
         row[target] = p * (1.0 - p) if method == "sglrp" else z
     return rows
-
-
-def seed_lrp(trace: ForwardTrace, target: int) -> Seed:
-    """One-hot seed carrying the target logit's value."""
-    return Seed(_seed_rows(trace, target, ("lrp",))[0], target, "lrp")
-
-
-def seed_clrp(trace: ForwardTrace, target: int) -> Seed:
-    """Target logit at the target, minus an equal share at every other class."""
-    return Seed(_seed_rows(trace, target, ("clrp",))[0], target, "clrp")
-
-
-def seed_sglrp(trace: ForwardTrace, target: int) -> Seed:
-    """Softmax-gradient seed: y_t*(1 - y_t) at the target, -y_t*y_n elsewhere."""
-    return Seed(_seed_rows(trace, target, ("sglrp",))[0], target, "sglrp")
 
 
 def _seed_axis(relevance: np.ndarray, shape: tuple[int, ...], what: str) -> tuple[int, ...]:
@@ -100,52 +77,44 @@ def _stabilized_ratio(relevance: np.ndarray, denom: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dense_map(shape: tuple[int, ...]):
-    """Bias-free W @ x over inputs shaped `shape`, and its adjoint s @ W onto that shape."""
-    return (
-        lambda x, w: w @ x.reshape(-1),
-        lambda s, w: (s @ w).reshape(s.shape[:-1] + shape),
-    )
-
-
-def _conv_map(shape: tuple[int, int, int], stride: int, pad: int):
-    """Bias-free conv over inputs shaped `shape`, and its adjoint conv2d_transpose."""
+def _layer_map(layer: LayerSpec, shape: tuple[int, ...]):
+    """A dense or conv layer's bias-free linear map over inputs shaped `shape`, and its adjoint
+    onto that shape: W @ x and s @ W, or conv2d_forward and conv2d_transpose."""
+    if layer.kind == "dense":
+        return (
+            lambda x, w: w @ x.reshape(-1),
+            lambda s, w: (s @ w).reshape(s.shape[:-1] + shape),
+        )
+    stride, pad = layer.params["stride"], layer.params["pad"]
     return (
         lambda x, w: conv2d_forward(x, w, np.zeros(w.shape[0]), stride, pad),
         lambda s, w: conv2d_transpose(s, w, shape, stride, pad),
     )
 
 
-def _zplus(relevance: np.ndarray, weights: np.ndarray, a: np.ndarray, apply, adjoint, what, wp):
-    """zplus over one layer's map pair: a * adjoint(R / apply(a, W+), W+), W+ = max(W, 0)."""
+def propagate_zplus(
+    relevance: np.ndarray, layer: LayerSpec, weights: np.ndarray, a: np.ndarray, wp=None
+) -> np.ndarray:
+    """Redistribute a dense or conv layer's relevance along positive-weight contributions:
+    a * adjoint(R / apply(a, W+), W+), W+ = max(W, 0), over the layer's map pair.
+
+    a must be the layer's non-negative input in its own shape; a dense layer reads
+    it in flattened order. Bias receives nothing. Output nodes whose positive
+    pre-activation is below the stability floor absorb their relevance. wp, if
+    given, must be max(weights, 0).
+    """
+    if not layer.is_parametric:
+        raise ShapeError(f"zplus: unsupported layer kind {layer.kind}")
+    what = f"zplus {layer.kind}"
+    if layer.kind == "dense" and (weights.ndim != 2 or weights.shape[1] != a.size):
+        raise ShapeError(f"{what}: weights {weights.shape} != input {a.shape}")
     if np.any(a < 0):
         raise ShapeError(f"{what}: negative activations")
+    apply, adjoint = _layer_map(layer, a.shape)
     wp = np.maximum(weights, 0.0) if wp is None else wp
     denom = apply(a, wp)
     _seed_axis(relevance, denom.shape, what)
     return a * adjoint(_stabilized_ratio(relevance, denom), wp)
-
-
-def propagate_zplus_dense(
-    relevance: np.ndarray, weights: np.ndarray, activations: np.ndarray, wp=None
-) -> np.ndarray:
-    """Redistribute dense-layer relevance along positive-weight contributions.
-
-    activations must be the layer's non-negative input vector. Bias receives
-    nothing. Output nodes whose positive pre-activation is below the stability
-    floor absorb their relevance. wp, if given, must be max(weights, 0).
-    """
-    if activations.ndim != 1 or weights.ndim != 2 or weights.shape[1] != activations.shape[0]:
-        raise ShapeError(f"zplus dense: weights {weights.shape} != input {activations.shape}")
-    return _zplus(relevance, weights, activations, *_dense_map(activations.shape), "zplus dense", wp)
-
-
-def propagate_zplus_conv(
-    relevance: np.ndarray, weights: np.ndarray, activations: np.ndarray, stride: int, pad: int, wp=None
-) -> np.ndarray:
-    """Conv analogue of propagate_zplus_dense over the unrolled linear map."""
-    maps = _conv_map(activations.shape, stride, pad)
-    return _zplus(relevance, weights, activations, *maps, "zplus conv", wp)
 
 
 @dataclass(frozen=True)
@@ -170,13 +139,11 @@ class InputBounds:
 
 def _zbeta_terms(layer: LayerSpec, weights: np.ndarray, shape: tuple, bounds: InputBounds):
     """zbeta's model-fixed parts over inputs `shape`: maps, W+, W-, low, high and the bound terms."""
-    if layer.kind not in ("conv2d", "dense"):
+    if not layer.is_parametric:
         raise ShapeError(f"zbeta: unsupported layer kind {layer.kind}")
     if layer.kind == "dense" and weights.shape[1] != np.prod(shape):
         raise ShapeError(f"zbeta dense: weights {weights.shape} do not fit input {shape}")
-    maps = _dense_map(shape)
-    if layer.kind == "conv2d":
-        maps = _conv_map(shape, layer.params["stride"], layer.params["pad"])
+    maps = _layer_map(layer, shape)
     low, high = (np.broadcast_to(b, shape).astype(np.float64) for b in (bounds.lower, bounds.upper))
     wp, wm = np.maximum(weights, 0.0), np.minimum(weights, 0.0)
     return (*maps, wp, wm, low, high, maps[0](low, wp), maps[0](high, wm))
@@ -254,7 +221,7 @@ def explain_all(
     trace.check_one_image("explain: trace", model)
     if not methods:
         return {}
-    relevance = _seed_rows(trace, target, methods)
+    relevance = seed_rows(trace, target, methods)
     first = next(i for i, l in enumerate(model.layers) if l.is_parametric)
     # A flatten ahead of a first dense layer keeps the pixel order; take the [H,W,C] view.
     pixels = next(a for a in reversed(trace.activations[: first + 1]) if a.ndim == 3)
@@ -272,11 +239,8 @@ def explain_all(
             relevance = propagate_maxpool(relevance, PoolArgmax(a, trace.activations[i + 1], **layer.params))
         elif i == first:
             relevance = propagate_zbeta_input(relevance, layer, lp.weights, pixels, bounds, const[i])
-        elif layer.kind == "dense":
-            relevance = propagate_zplus_dense(relevance, lp.weights, a.reshape(-1), const[i])
-        elif layer.kind == "conv2d":
-            stride, pad = layer.params["stride"], layer.params["pad"]
-            relevance = propagate_zplus_conv(relevance, lp.weights, a, stride, pad, const[i])
+        elif layer.is_parametric:
+            relevance = propagate_zplus(relevance, layer, lp.weights, a, const[i])
         relevance = relevance.reshape((len(methods),) + a.shape)
     return {m: RelevanceMap(raw, m, target) for m, raw in zip(methods, relevance)}
 

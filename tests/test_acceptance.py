@@ -23,13 +23,7 @@ from relprop.evaluate import (
     run_pointing,
 )
 from relprop.model import forward, save_model
-from relprop.relevance import (
-    explain,
-    propagate_zplus_conv,
-    propagate_zplus_dense,
-    seed_clrp,
-    seed_sglrp,
-)
+from relprop.relevance import explain, propagate_zplus
 from relprop.tensor import (
     PoolArgmax,
     conv2d_forward,
@@ -57,7 +51,7 @@ from synth import (
     make_uniform_penalty_model,
     tensor_to_ppm,
 )
-from test_relevance import trace_for_logits
+from test_relevance import conv_layer, dense_layer, seed_row, trace_for_logits
 
 
 @criterion(1, "softmax-gradient seeds")
@@ -71,12 +65,12 @@ def test_criterion_1_seed_correctness():
         z = rng.uniform(-8.0, 8.0, size=10)
         target = int(rng.integers(10))
         trace = trace_for_logits(z)
-        grad_seed = seed_sglrp(trace, target).values
+        grad_seed = seed_row("sglrp", trace, target)
         np.testing.assert_allclose(
             grad_seed, softmax_gradient_fd(z, target, step=1e-5), rtol=0, atol=1e-6
         )
         assert abs(grad_seed.sum()) <= 1e-9
-        assert abs(seed_clrp(trace, target).values.sum()) <= 1e-9
+        assert abs(seed_row("clrp", trace, target).sum()) <= 1e-9
     assert time.perf_counter() - start < 5.0
 
 
@@ -98,7 +92,7 @@ def test_criterion_2_conservation():
         relevance = np.zeros(widths[3])
         relevance[int(rng.integers(widths[3]))] = float(acts[3].max())
         for level in (2, 1, 0):
-            back = propagate_zplus_dense(relevance, weights[level], acts[level])
+            back = propagate_zplus(relevance, dense_layer(weights[level]), weights[level], acts[level])
             np.testing.assert_allclose(back.sum(), relevance.sum(), rtol=1e-8, atol=0)
             relevance = back
     assert time.perf_counter() - start < 10.0
@@ -123,7 +117,7 @@ def test_criterion_3_oracle_equivalence():
         h_out = (h + 2 * pad - k) // stride + 1
         w_out = (w + 2 * pad - k) // stride + 1
         relevance = rng.uniform(0.0, 1.0, size=(h_out, w_out, c_out))
-        fast = propagate_zplus_conv(relevance, weights, activations, stride, pad)
+        fast = propagate_zplus(relevance, conv_layer(weights, stride, pad), weights, activations)
         matrix = unroll_conv_matrix(weights, (h, w, c_in), stride=stride, pad=pad)
         slow = naive_zplus_dense(relevance.reshape(-1), matrix, activations.reshape(-1))
         np.testing.assert_allclose(fast, slow.reshape(h, w, c_in), rtol=0, atol=1e-8)

@@ -193,14 +193,16 @@ class TestLoadModel:
         assert f"{manifest}:5:" in str(err.value) and "conv2d" in str(err.value)
 
     def test_preprocessing_errors_name_their_line(self, tmp_path):
-        """A mean line whose length is not the channel count, a pixel_range whose
-        lower bound exceeds its upper or that has one value, a second mean, a
-        pixel_range ahead of the mean, and a layer after the mean are rejected
+        """A mean line whose length is not the channel count or that is not
+        numeric, a pixel_range whose lower bound exceeds its upper or that has one
+        value, a second mean, a pixel_range ahead of the mean, and a layer after
+        the mean are rejected
         naming the manifest and line; a missing pixel_range names the manifest only."""
         _, weights = write_minimal(tmp_path, np.zeros(34))
         manifest = tmp_path / "bad.txt"
         cases = {
             ("mean 0", "mean 1 2"): ":6: mean entries 2 != input channels 1",
+            ("mean 0", "mean a"): ":6: non-numeric mean",
             ("pixel_range 0 255", "pixel_range 255 0"): ":7: pixel_range lower bound 255.0 exceeds upper 0.0",
             ("pixel_range 0 255", "pixel_range 0"): ":7: pixel_range needs two values",
             ("mean 0\n", "mean 0\nmean 0\n"): ":7: duplicate mean line",
@@ -227,16 +229,21 @@ class TestLoadModel:
              "layer dense in=16 out=2 bias=0\n", ":5: layer 1 (conv2d): needs [H,W,C] input, has (16,)"),
             (DENSE_LINE, "layer conv2d in=2 out=1 kh=1 kw=1 stride=1 pad=0 bias=0\n"
              "layer dense in=16 out=2 bias=0\n", ":4: layer 0 (conv2d): expects 2 channels, input has 1"),
+            ("input 4 4 1\n" + DENSE_LINE,
+             "input 20000 20000 1\nlayer maxpool kh=5000 kw=5000 stride=5000\n" + DENSE_LINE,
+             ":3: input shape (20000, 20000, 1): one image's trace needs 3200000160 float64 bytes,"
+             " over the 1073741824-byte limit"),
         ],
         ids=["softmax-inside", "pool-tiling", "input-zero", "no-tail", "conv-after-flatten",
-             "conv-channels"],
+             "conv-channels", "trace-oversized"],
     )
     def test_chain_errors_name_the_line_at_fault(self, tmp_path, good, bad, message):
         """A softmax inside the chain, a pool that does not tile, a conv after a
-        flatten or with the wrong channel count, and a zero input extent are rejected
-        naming the manifest and the line of that layer or of the input; an error
-        about the chain as a whole names the manifest only. (Each bad chain keeps
-        the blob's 34 values.)"""
+        flatten or with the wrong channel count, a zero input extent, and an input
+        whose one-image trace would pass the size limit (told from the shapes, with
+        nothing allocated) are rejected naming the manifest and the line of that
+        layer or of the input; an error about the chain as a whole names the
+        manifest only. (Each bad chain keeps the blob's 34 values.)"""
         _, weights = write_minimal(tmp_path, np.zeros(34))
         manifest = tmp_path / "bad.txt"
         manifest.write_text(MINIMAL_MANIFEST.replace(good, bad))

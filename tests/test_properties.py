@@ -27,9 +27,8 @@ from relprop.relevance import (
     explain_all,
     propagate_maxpool,
     propagate_zbeta_input,
-    seed_clrp,
-    seed_lrp,
-    seed_sglrp,
+    propagate_zplus,
+    seed_rows,
 )
 from relprop.tensor import (
     PoolArgmax,
@@ -45,6 +44,7 @@ from relprop.tensor import (
 from oracles import naive_maxpool, seed_rows_by_formula
 from synth import make_two_shape_image, make_two_shape_model
 from test_model import dense_softmax_model
+from test_relevance import seed_row
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -186,9 +186,6 @@ def _random_cnn(rng: np.random.Generator, classes: int) -> NetworkModel:
     )
 
 
-SEEDS = {"lrp": seed_lrp, "clrp": seed_clrp, "sglrp": seed_sglrp}
-
-
 @PROPERTY_SETTINGS
 @given(st.integers(0, 2**32 - 1), st.booleans())
 @example(749503, False)  # clrp and sglrp maps cancel to ~1e-18 of their seed mass
@@ -210,7 +207,7 @@ def test_explain_all_matches_explain_per_method(seed, two_shape):
     assert list(maps) == list(methods)
     for method in methods:
         single = explain(model, trace, target, method)
-        atol = 1e-12 * np.abs(SEEDS[method](trace, target).values).sum()
+        atol = 1e-12 * np.abs(seed_row(method, trace, target)).sum()
         np.testing.assert_allclose(maps[method].raw, single.raw, rtol=0, atol=atol)
         np.testing.assert_allclose(maps[method].values, single.values, rtol=0, atol=3 * atol)
         assert maps[method].method == method and maps[method].target == target
@@ -222,7 +219,7 @@ def test_explain_all_matches_explain_per_method(seed, two_shape):
     st.data(),
 )
 def test_seed_rows_match_their_formulas(values, data):
-    """Each seed_* row equals its method's formula byte for byte, over logits
+    """Each method's seed_rows row equals its formula byte for byte, over logits
     with ties and negative target logits, and no off-target lrp entry is -0.0."""
     target = data.draw(st.integers(0, len(values) - 1))
     if data.draw(st.booleans()):
@@ -230,9 +227,31 @@ def test_seed_rows_match_their_formulas(values, data):
     n = len(values)
     trace = forward(dense_softmax_model(np.eye(n)), np.array(values).reshape(1, n, 1))
     want = seed_rows_by_formula(trace.logits, trace.probabilities, target)
-    for method, seed in SEEDS.items():
-        assert seed(trace, target).values.tobytes() == want[method].tobytes(), method
-    assert not np.signbit(np.delete(seed_lrp(trace, target).values, target)).any()
+    for method in METHODS:
+        assert seed_row(method, trace, target).tobytes() == want[method].tobytes(), method
+    assert not np.signbit(np.delete(seed_row("lrp", trace, target), target)).any()
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 3)),
+    st.integers(1, 5),
+    st.sampled_from([1, 3]),
+    st.integers(0, 2**32 - 1),
+)
+def test_dense_zplus_reads_an_unflattened_map_in_flattened_order(shape, out, k, seed):
+    """A dense layer fed an [H,W,C] map, with no flatten between, gives K = 1
+    or K = 3 seed rows the relevance of the same call on the map's 1-D
+    flattening, reshaped to the map, byte for byte."""
+    rng = np.random.default_rng(seed)
+    n = int(np.prod(shape))
+    layer = LayerSpec("dense", {"in": n, "out": out, "bias": 0})
+    weights = rng.normal(size=(out, n))
+    a = np.maximum(rng.normal(size=shape), 0.0)  # relu'd, so some inputs are 0
+    relevance = rng.normal(size=(k, out))
+    got = propagate_zplus(relevance, layer, weights, a)
+    assert got.shape == (k, *shape)
+    assert got.tobytes() == propagate_zplus(relevance, layer, weights, a.reshape(-1)).tobytes()
 
 
 STACK_SIZES = st.integers(1, 6)
@@ -494,7 +513,7 @@ def test_bias_free_positive_chain_conserves_lrp_seed(case):
     trace = forward(model, rng.uniform(0, 255, size=input_shape), preprocessed=False)
     target = int(rng.integers(model.num_classes))
     total = explain(model, trace, target, "lrp").raw.sum()
-    want = seed_lrp(trace, target).values.sum()
+    want = seed_row("lrp", trace, target).sum()
     assert abs(total - want) <= 1e-8 * abs(want)
 
 

@@ -28,11 +28,8 @@ from relprop.relevance import (
     explain_all,
     propagate_maxpool,
     propagate_zbeta_input,
-    propagate_zplus_conv,
-    propagate_zplus_dense,
-    seed_clrp,
-    seed_lrp,
-    seed_sglrp,
+    propagate_zplus,
+    seed_rows,
 )
 from relprop.tensor import PoolArgmax, maxpool_forward
 
@@ -57,64 +54,76 @@ def trace_for_logits(logits):
     return forward(model, logits.reshape(1, n, 1))
 
 
+def seed_row(method, trace, target):
+    """The single seed row of `method`."""
+    return seed_rows(trace, target, (method,))[0]
+
+
+def dense_layer(w):
+    """The bias-free dense layer of weights w [out, in]."""
+    return LayerSpec("dense", {"in": w.shape[1], "out": w.shape[0], "bias": 0})
+
+
+def conv_layer(w, stride, pad):
+    """The bias-free conv layer of weights w [out, in, kh, kw]."""
+    o, c, kh, kw = w.shape
+    geometry = {"kh": kh, "kw": kw, "stride": stride, "pad": pad}
+    return LayerSpec("conv2d", {"in": c, "out": o, **geometry, "bias": 0})
+
+
 class TestSeedOneHot:
     def test_target_logit_only(self):
         """Logits [2,-1] at target 0 seed as [2, 0]."""
-        seed = seed_lrp(trace_for_logits([2.0, -1.0]), 0)
-        np.testing.assert_allclose(seed.values, [2.0, 0.0])
-        assert seed.target == 0 and seed.method == "lrp"
+        seed = seed_row("lrp", trace_for_logits([2.0, -1.0]), 0)
+        np.testing.assert_allclose(seed, [2.0, 0.0])
 
     def test_zero_logit_zero_seed(self):
         """A zero target logit seeds an all-zero vector."""
-        seed = seed_lrp(trace_for_logits([0.0, 0.0, 0.0]), 1)
-        np.testing.assert_array_equal(seed.values, np.zeros(3))
+        seed = seed_row("lrp", trace_for_logits([0.0, 0.0, 0.0]), 1)
+        np.testing.assert_array_equal(seed, np.zeros(3))
 
     def test_at_most_one_nonzero(self):
         rng = np.random.default_rng(42)
         for _ in range(100):
             n = int(rng.integers(2, 9))
-            seed = seed_lrp(
-                trace_for_logits(rng.uniform(-5, 5, n)), int(rng.integers(0, n))
-            )
-            assert np.count_nonzero(seed.values) <= 1
+            seed = seed_row("lrp", trace_for_logits(rng.uniform(-5, 5, n)), int(rng.integers(0, n)))
+            assert np.count_nonzero(seed) <= 1
 
     def test_target_out_of_range(self):
         trace = trace_for_logits([1.0, 2.0])
         with pytest.raises(ShapeError):
-            seed_lrp(trace, 2)
+            seed_row("lrp", trace, 2)
         with pytest.raises(ShapeError):
-            seed_lrp(trace, -1)
+            seed_row("lrp", trace, -1)
 
 
 class TestSeedContrastive:
     def test_uniform_penalty_values(self):
         """Target logit 2 over 5 classes spreads -0.5 over each competitor."""
-        seed = seed_clrp(trace_for_logits([2.0, 0.0, 0.0, 0.0, 0.0]), 0)
-        np.testing.assert_allclose(seed.values, [2.0, -0.5, -0.5, -0.5, -0.5])
+        seed = seed_row("clrp", trace_for_logits([2.0, 0.0, 0.0, 0.0, 0.0]), 0)
+        np.testing.assert_allclose(seed, [2.0, -0.5, -0.5, -0.5, -0.5])
 
     def test_zero_logit_all_zero(self):
-        seed = seed_clrp(trace_for_logits([0.0, 1.0, -1.0]), 0)
-        np.testing.assert_array_equal(seed.values, np.zeros(3))
+        seed = seed_row("clrp", trace_for_logits([0.0, 1.0, -1.0]), 0)
+        np.testing.assert_array_equal(seed, np.zeros(3))
 
     def test_sum_zero(self):
         rng = np.random.default_rng(42)
         for _ in range(200):
             n = int(rng.integers(2, 12))
-            seed = seed_clrp(
-                trace_for_logits(rng.uniform(-8, 8, n)), int(rng.integers(0, n))
-            )
-            assert abs(seed.values.sum()) <= 1e-9
+            seed = seed_row("clrp", trace_for_logits(rng.uniform(-8, 8, n)), int(rng.integers(0, n)))
+            assert abs(seed.sum()) <= 1e-9
 
     def test_needs_two_classes(self):
         with pytest.raises(ShapeError):
-            seed_clrp(trace_for_logits([3.0]), 0)
+            seed_row("clrp", trace_for_logits([3.0]), 0)
 
 
 class TestSeedSoftmaxGradient:
     def test_uniform_two_class(self):
         """Probabilities [0.5,0.5] at target 0: 0.5*0.5 = 0.25 and -0.25."""
-        seed = seed_sglrp(trace_for_logits([0.0, 0.0]), 0)
-        np.testing.assert_allclose(seed.values, [0.25, -0.25], atol=1e-12)
+        seed = seed_row("sglrp", trace_for_logits([0.0, 0.0]), 0)
+        np.testing.assert_allclose(seed, [0.25, -0.25], atol=1e-12)
 
     def test_three_class_hand_case(self):
         """Logits [ln 2, 0, 0] give probabilities [0.5, 0.25, 0.25]; the
@@ -122,10 +131,10 @@ class TestSeedSoftmaxGradient:
         logits = [math.log(2.0), 0.0, 0.0]
         trace = trace_for_logits(logits)
         np.testing.assert_allclose(trace.probabilities, [0.5, 0.25, 0.25], atol=1e-12)
-        seed = seed_sglrp(trace, 0)
-        np.testing.assert_allclose(seed.values, [0.25, -0.125, -0.125], atol=1e-12)
+        seed = seed_row("sglrp", trace, 0)
+        np.testing.assert_allclose(seed, [0.25, -0.125, -0.125], atol=1e-12)
         np.testing.assert_allclose(
-            seed.values, softmax_gradient_fd(np.array(logits), 0), atol=1e-6
+            seed, softmax_gradient_fd(np.array(logits), 0), atol=1e-6
         )
 
     def test_matches_finite_differences(self):
@@ -135,41 +144,37 @@ class TestSeedSoftmaxGradient:
         for _ in range(50):
             z = rng.uniform(-8, 8, 10)
             t = int(rng.integers(0, 10))
-            seed = seed_sglrp(trace_for_logits(z), t)
+            seed = seed_row("sglrp", trace_for_logits(z), t)
             np.testing.assert_allclose(
-                seed.values, softmax_gradient_fd(z, t), rtol=0, atol=1e-6
+                seed, softmax_gradient_fd(z, t), rtol=0, atol=1e-6
             )
 
     def test_sum_zero(self):
         rng = np.random.default_rng(42)
         for _ in range(200):
             n = int(rng.integers(2, 12))
-            seed = seed_sglrp(
-                trace_for_logits(rng.uniform(-8, 8, n)), int(rng.integers(0, n))
-            )
-            assert abs(seed.values.sum()) <= 1e-9
+            seed = seed_row("sglrp", trace_for_logits(rng.uniform(-8, 8, n)), int(rng.integers(0, n)))
+            assert abs(seed.sum()) <= 1e-9
 
 
 class TestZplusDense:
     def test_hand_evaluated_single_output(self):
         """a=[1,2], w=[[0.5,-0.25]], R=[1]: positive part keeps only w00=0.5,
         denominator 1*0.5 = 0.5, so input 0 takes the whole unit of relevance."""
-        got = propagate_zplus_dense(
-            np.array([1.0]), np.array([[0.5, -0.25]]), np.array([1.0, 2.0])
-        )
+        w = np.array([[0.5, -0.25]])
+        got = propagate_zplus(np.array([1.0]), dense_layer(w), w, np.array([1.0, 2.0]))
         np.testing.assert_allclose(got, [1.0, 0.0])
 
     def test_identity_routing(self):
         """Identity weights with unit activations pass relevance through."""
-        got = propagate_zplus_dense(np.array([0.3, 0.7]), np.eye(2), np.ones(2))
+        got = propagate_zplus(np.array([0.3, 0.7]), dense_layer(np.eye(2)), np.eye(2), np.ones(2))
         np.testing.assert_allclose(got, [0.3, 0.7])
 
     def test_all_negative_weights_absorb(self):
         """With no positive weights every denominator sits under the floor and
         the relevance is absorbed rather than amplified."""
-        got = propagate_zplus_dense(
-            np.array([1.0]), np.array([[-0.5, -0.25, -1.0]]), np.array([1.0, 2.0, 3.0])
-        )
+        w = np.array([[-0.5, -0.25, -1.0]])
+        got = propagate_zplus(np.array([1.0]), dense_layer(w), w, np.array([1.0, 2.0, 3.0]))
         np.testing.assert_array_equal(got, np.zeros(3))
 
     def test_matches_naive_oracle(self):
@@ -180,7 +185,7 @@ class TestZplusDense:
             a = rng.uniform(0, 2, n)
             r = rng.normal(size=m)
             np.testing.assert_allclose(
-                propagate_zplus_dense(r, w, a),
+                propagate_zplus(r, dense_layer(w), w, a),
                 naive_zplus_dense(r, w, a),
                 rtol=0,
                 atol=1e-12,
@@ -195,7 +200,7 @@ class TestZplusDense:
             w = rng.uniform(0.05, 1.0, size=(m, n))
             a = rng.uniform(0.5, 1.5, n)
             r = rng.normal(size=m)
-            out = propagate_zplus_dense(r, w, a)
+            out = propagate_zplus(r, dense_layer(w), w, a)
             denom = max(abs(r.sum()), 1e-30)
             assert abs(out.sum() - r.sum()) / denom <= 1e-8
 
@@ -206,15 +211,15 @@ class TestZplusDense:
         a = rng.uniform(0, 2, 7)
         r1, r2 = rng.normal(size=5), rng.normal(size=5)
         alpha, beta = 2.5, -1.25
-        got = propagate_zplus_dense(alpha * r1 + beta * r2, w, a)
-        want = alpha * propagate_zplus_dense(r1, w, a) + beta * propagate_zplus_dense(
-            r2, w, a
-        )
+        layer = dense_layer(w)
+        got = propagate_zplus(alpha * r1 + beta * r2, layer, w, a)
+        want = alpha * propagate_zplus(r1, layer, w, a) + beta * propagate_zplus(r2, layer, w, a)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
     def test_negative_activations_rejected(self):
+        w = np.ones((1, 2))
         with pytest.raises(ShapeError):
-            propagate_zplus_dense(np.array([1.0]), np.ones((1, 2)), np.array([-1.0, 1.0]))
+            propagate_zplus(np.array([1.0]), dense_layer(w), w, np.array([-1.0, 1.0]))
 
 
 class TestZplusConv:
@@ -225,7 +230,7 @@ class TestZplusConv:
         w = np.zeros((1, 1, 1, 1))
         w[0, 0, 0, 0] = 0.5
         a = np.array([1.0]).reshape(1, 1, 1)
-        got = propagate_zplus_conv(np.array([[[1.0]]]), w, a, stride=1, pad=0)
+        got = propagate_zplus(np.array([[[1.0]]]), conv_layer(w, 1, 0), w, a)
         np.testing.assert_allclose(got.reshape(-1), [1.0])
 
     def test_matches_unrolled_dense_oracle(self):
@@ -248,7 +253,7 @@ class TestZplusConv:
             h_out = (h + 2 * pad - kh) // stride + 1
             w_out = (wd + 2 * pad - kw) // stride + 1
             r = rng.normal(size=(h_out, w_out, o))
-            got = propagate_zplus_conv(r, weights, a, stride, pad)
+            got = propagate_zplus(r, conv_layer(weights, stride, pad), weights, a)
             mat = unroll_conv_matrix(weights, (h, wd, c), stride, pad)
             want = naive_zplus_dense(r.reshape(-1), mat, a.reshape(-1))
             np.testing.assert_allclose(
@@ -262,7 +267,7 @@ class TestZplusConv:
         a = np.ones((6, 6, 1))
         w = np.ones((1, 1, 3, 3))
         r = np.ones((4, 4, 1))
-        got = propagate_zplus_conv(r, w, a, stride=1, pad=0)
+        got = propagate_zplus(r, conv_layer(w, 1, 0), w, a)
         interior = got[2:4, 2:4, 0]
         assert np.ptp(interior) <= 1e-12
         # every window denominator is 9; nine covering windows each send 1/9
@@ -312,7 +317,7 @@ class TestZbetaInput:
                 x.reshape(1, n, 1),
                 InputBounds(lower=np.zeros(1), upper=np.full(1, 10.0)),
             )
-            want = propagate_zplus_dense(r, w, x)
+            want = propagate_zplus(r, dense_layer(w), w, x)
             np.testing.assert_allclose(got.reshape(-1), want, rtol=0, atol=1e-10)
 
     def test_dense_matches_naive_oracle(self):
@@ -389,10 +394,12 @@ def _zbeta(layer, x, bounds=InputBounds(lower=np.zeros(1), upper=np.full(1, 255.
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: propagate_zplus_dense(np.zeros(3), np.ones((2, 4)), np.ones(4)),
+        (lambda: propagate_zplus(np.zeros(3), _DENSE_2x4, np.ones((2, 4)), np.ones(4)),
          "zplus dense: relevance (3,) != output (2,)"),
-        (lambda: propagate_zplus_dense(np.zeros(2), np.ones((2, 3)), np.ones(4)),
+        (lambda: propagate_zplus(np.zeros(2), _DENSE_2x4, np.ones((2, 3)), np.ones(4)),
          "zplus dense: weights (2, 3) != input (4,)"),
+        (lambda: propagate_zplus(np.zeros(2), LayerSpec("relu"), np.ones((2, 4)), np.ones(4)),
+         "zplus: unsupported layer kind relu"),
         (lambda: InputBounds(lower=np.zeros(2), upper=np.zeros(3)),
          "input bounds must be matching per-channel vectors"),
         (lambda: InputBounds(lower=np.ones(1), upper=np.zeros(1)), "input bounds: lower exceeds upper"),
@@ -403,7 +410,7 @@ def _zbeta(layer, x, bounds=InputBounds(lower=np.zeros(1), upper=np.full(1, 255.
         (lambda: _zbeta(_DENSE_2x4, np.ones((1, 4, 1)), InputBounds(lower=np.zeros(2), upper=np.ones(2))),
          "zbeta: bounds have 2 channels, input 1"),
     ],
-    ids=["relevance-shape", "zplus-weights", "bounds-shape", "bounds-order", "zbeta-relu",
+    ids=["relevance-shape", "zplus-weights", "zplus-relu", "bounds-shape", "bounds-order", "zbeta-relu",
          "zbeta-weights", "zbeta-input-rank", "zbeta-bounds-channels"],
 )
 def test_malformed_rule_operands_raise_a_shape_error(call, message):
@@ -620,7 +627,7 @@ def _explain_by_public_rules(model, trace, target):
     """explain_all's backward pass over the lrp, clrp and sglrp seeds, written
     with the public rules on the raw weights and no per-model constants. The
     first parametric layer here reads the image itself."""
-    relevance = np.stack([seed(trace, target).values for seed in (seed_lrp, seed_clrp, seed_sglrp)])
+    relevance = np.concatenate([seed_rows(trace, target, (method,)) for method in METHODS])
     first = next(i for i, layer in enumerate(model.layers) if layer.is_parametric)
     bounds = InputBounds.from_model(model)
     for i in reversed(range(len(model.layers))):
@@ -630,11 +637,8 @@ def _explain_by_public_rules(model, trace, target):
         elif i == first:
             image = trace.activations[0]
             relevance = propagate_zbeta_input(relevance, layer, lp.weights, image, bounds)
-        elif layer.kind == "dense":
-            relevance = propagate_zplus_dense(relevance, lp.weights, a.reshape(-1))
-        elif layer.kind == "conv2d":
-            p = layer.params
-            relevance = propagate_zplus_conv(relevance, lp.weights, a, p["stride"], p["pad"])
+        elif layer.is_parametric:
+            relevance = propagate_zplus(relevance, layer, lp.weights, a)
         relevance = relevance.reshape((3,) + a.shape)
     return relevance
 

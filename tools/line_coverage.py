@@ -8,9 +8,10 @@ It runs pytest in this process under sys.settrace and records every line of a
 lines are the lines its compiled code objects (nested functions, classes and
 comprehensions too) map instructions to. For each module it prints the count
 of executed against executable lines, then every line never executed, with
-its text. The Hypothesis property and fuzz tests draw new examples on each run,
-so a line that only some draws reach can come and go between runs. It writes no
-file; pytest's cache plugin is switched off. The exit status is pytest's.
+its text. pytest gets a fixed --hypothesis-seed, so the Hypothesis property and
+fuzz tests draw the same examples on each run and two runs on one tree print the
+same report (the tier-1 suite itself stays randomized). It writes no file;
+pytest's cache plugin is switched off. The exit status is pytest's.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ def main(argv: list[str]) -> int:
         return local if frame.f_code.co_filename in hit else None
 
     sys.path.insert(0, str(ROOT / "src"))
-    args = ["-q", "-p", "no:cacheprovider", "--rootdir", str(ROOT), str(ROOT / "tests"), *argv]
+    args = ["-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", "--rootdir", str(ROOT), str(ROOT / "tests")]
+    args += argv
     sys.settrace(trace)
     try:
         status = pytest.main(args)
