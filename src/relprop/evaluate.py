@@ -292,15 +292,18 @@ def run_masking(
         raise DataError("runs with the random baseline need a seed")
     rows = []
     for sample, rng in zip(samples, _spawn_rngs(seed, len(samples))):
-        results = patch_masking_eval(
-            model,
-            sample.image,
-            target_mode=target_mode,
-            label=sample.label,
-            methods=methods,
-            patch_sizes=patch_sizes,
-            rng=rng,
-        )
+        try:
+            results = patch_masking_eval(
+                model,
+                sample.image,
+                target_mode=target_mode,
+                label=sample.label,
+                methods=methods,
+                patch_sizes=patch_sizes,
+                rng=rng,
+            )
+        except DataError as exc:
+            raise DataError(f"{sample.image_id}: {exc}") from exc
         rows.extend((sample.image_id, r) for r in results)
     return rows
 
@@ -320,28 +323,24 @@ def run_pointing(
     explained = tuple(m for m in methods if m != "random")
     rows = []
     for sample, rng in zip(samples, _spawn_rngs(seed, len(samples))):
-        h, w, _ = sample.image.shape
-        box = sample.box.clip(w, h)
-        if box.class_index >= model.num_classes:
-            raise DataError(
-                f"{sample.image_id}: box class {box.class_index}"
-                f" outside model's {model.num_classes} classes"
-            )
-        trace = forward(model, sample.image, preprocessed=False)
-        noise = random_relevance_map(h, w, rng) if "random" in methods else None
-        maps = explain_all(model, trace, box.class_index, explained)
-        for method in methods:
-            values = noise if method == "random" else maps[method].values
-            try:
-                scored = pointing_game(values, box, energies)
-            except NoPositiveRelevanceError:
-                rows.extend(
-                    PointingRow(sample.image_id, method, e, None) for e in energies
-                )
-                continue
-            rows.extend(
-                PointingRow(sample.image_id, method, r.energy, r) for r in scored
-            )
+        try:
+            h, w, _ = sample.image.shape
+            box = sample.box.clip(w, h)
+            if box.class_index >= model.num_classes:
+                raise DataError(f"box class {box.class_index} outside model's {model.num_classes} classes")
+            trace = forward(model, sample.image, preprocessed=False)
+            noise = random_relevance_map(h, w, rng) if "random" in methods else None
+            maps = explain_all(model, trace, box.class_index, explained)
+            for method in methods:
+                values = noise if method == "random" else maps[method].values
+                try:
+                    scored = pointing_game(values, box, energies)
+                except NoPositiveRelevanceError:
+                    rows.extend(PointingRow(sample.image_id, method, e, None) for e in energies)
+                    continue
+                rows.extend(PointingRow(sample.image_id, method, r.energy, r) for r in scored)
+        except DataError as exc:
+            raise DataError(f"{sample.image_id}: {exc}") from exc
     return rows
 
 

@@ -8,10 +8,11 @@ the admissible pixel range, so negative inputs cannot invert signs (zbeta).
 Each rule has one body, keyed on the layer's LayerSpec and written over its
 bias-free linear map and adjoint from _layer_map: W @ x and s @ W for dense
 layers, conv2d_forward and conv2d_transpose for conv layers. Max-pool routes
-winner-take-all through a PoolArgmax of the traced pool; relu, flatten and
-softmax are skipped. All rules are linear, so relevance may carry a leading
-seed axis, one row per method from seed_rows. The result is a signed
-per-pixel tensor; its 2-D map sums positive evidence over channels.
+winner-take-all to the winners pool_winners derives from the traced pool's input
+and output; relu, flatten and softmax are skipped. All rules are linear, so
+relevance may carry a leading seed axis, one row per method from seed_rows. The
+result is a signed per-pixel tensor; its 2-D map sums positive evidence over
+channels.
 
 The rules' model-fixed parts (W+; the pixel layer's W-, bounds and bound
 terms) are built by the rules' own calls on a model's first explain and kept in
@@ -36,7 +37,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .model import ForwardTrace, LayerSpec, NetworkModel
-from .tensor import conv2d_forward, conv2d_transpose, PoolArgmax
+from .tensor import conv2d_forward, conv2d_transpose, pool_winners
 
 DENOMINATOR_FLOOR = 1e-9
 
@@ -178,14 +179,19 @@ def propagate_zbeta_input(
     return x * adjoint(s, weights) - low * adjoint(s, wp) - high * adjoint(s, wm)
 
 
-def propagate_maxpool(relevance: np.ndarray, argmax: PoolArgmax) -> np.ndarray:
-    """Route each pooled node's relevance to the element that won its window."""
-    lead = _seed_axis(relevance, argmax.output.shape, "maxpool")
-    # One flat add.at over all rows: row k's winners are offset by k input sizes.
-    offsets = np.arange(relevance.size // argmax.output.size)[:, None] * argmax.input.size
-    out = np.zeros(offsets.size * argmax.input.size)
-    np.add.at(out, (offsets + argmax.indices.reshape(-1)).reshape(-1), relevance.reshape(-1))
-    return out.reshape(lead + argmax.input.shape)
+def propagate_maxpool(
+    relevance: np.ndarray, layer: LayerSpec, a: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Route each pooled node's relevance to the element of the pool's input a that won its
+    window, as pool_winners derives it from a and the traced output out."""
+    if layer.kind != "maxpool":
+        raise ShapeError(f"maxpool: unsupported layer kind {layer.kind}")
+    lead = _seed_axis(relevance, out.shape, "maxpool")
+    # One flat bincount over all rows, adding in flat order onto +0.0: row k's winners are
+    # offset by k input sizes.
+    offsets = np.arange(relevance.size // out.size)[:, None] * a.size
+    flat = (offsets + pool_winners(a, out, **layer.params).reshape(-1)).reshape(-1)
+    return np.bincount(flat, relevance.reshape(-1), offsets.size * a.size).reshape(lead + a.shape)
 
 
 @dataclass(frozen=True)
@@ -236,7 +242,7 @@ def explain_all(
     for i in reversed(range(len(model.layers))):
         layer, a, lp = model.layers[i], trace.activations[i], model.params[i]
         if layer.kind == "maxpool":
-            relevance = propagate_maxpool(relevance, PoolArgmax(a, trace.activations[i + 1], **layer.params))
+            relevance = propagate_maxpool(relevance, layer, a, trace.activations[i + 1])
         elif i == first:
             relevance = propagate_zbeta_input(relevance, layer, lp.weights, pixels, bounds, const[i])
         elif layer.is_parametric:

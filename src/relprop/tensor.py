@@ -12,9 +12,6 @@ and the model's shape inference share, so a geometry fails the same way everywhe
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 import numpy as np
 
 from .errors import ShapeError
@@ -129,43 +126,27 @@ def conv2d_transpose(
     return np.ascontiguousarray(out).reshape(grad.shape[:-3] + (h, w, c))
 
 
-@dataclass(frozen=True)
-class PoolArgmax:
-    """Winner positions of one max-pooling application.
-
-    Holds the pool's input and output arrays (not copies), as a forward trace
-    records them; the backward pass builds it. indices holds, for each output
-    element, the flat row-major index of the winning element in the pool's
-    input tensor, derived on first read and cached. Ties resolve to the
-    lowest row-major index. A pooled stack [N, H, W, C] indexes within each image.
-    """
-
-    input: np.ndarray
-    output: np.ndarray
-    kh: int
-    kw: int
-    stride: int
-
-    @cached_property
-    def indices(self) -> np.ndarray:
-        _, w, c = self.input.shape[-3:]
-        h_out, w_out, _ = self.output.shape[-3:]
-        s = self.stride
-        # Visit taps last to first so the first tap equal to the max is written last.
-        offset = np.zeros(self.output.shape, dtype=np.int64)
-        for i in reversed(range(self.kh)):
-            for j in reversed(range(self.kw)):
-                tap = self.input[..., i : i + s * h_out : s, j : j + s * w_out : s, :]
-                offset[tap == self.output] = i * w + j
-        corner = np.arange(h_out)[:, None, None] * s * w + np.arange(w_out)[None, :, None] * s
-        return (corner + offset) * c + np.arange(c)
+def pool_winners(x: np.ndarray, out: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """For each element of out = maxpool_forward(x, kh, kw, stride), the flat row-major
+    index in x of the element that won its window; ties go to the lowest index. A
+    pooled stack [N, H, W, C] indexes within each image."""
+    _, w, c = x.shape[-3:]
+    h_out, w_out, _ = out.shape[-3:]
+    # Visit taps last to first so the first tap equal to the max is written last.
+    offset = np.zeros(out.shape, dtype=np.int64)
+    for i in reversed(range(kh)):
+        for j in reversed(range(kw)):
+            tap = x[..., i : i + stride * h_out : stride, j : j + stride * w_out : stride, :]
+            offset[tap == out] = i * w + j
+    corner = np.arange(h_out)[:, None, None] * stride * w + np.arange(w_out)[None, :, None] * stride
+    return (corner + offset) * c + np.arange(c)
 
 
 def maxpool_forward(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     """Max-pool x [H,W,C] with a kh x kw window. No padding; windows must tile exactly.
 
     x may carry one leading image axis [N, H, W, C]; each image pools on its
-    own. The winners are not recorded here: PoolArgmax(x, out, kh, kw, stride)
+    own. The winners are not recorded here: pool_winners(x, out, kh, kw, stride)
     derives them when a backward pass needs them.
     """
     if x.ndim not in (3, 4):

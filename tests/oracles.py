@@ -55,6 +55,18 @@ def naive_maxpool(x, kh, kw, stride):
     return out, idx
 
 
+def naive_maxpool_route(relevance, winners, input_shape):
+    """Route relevance [K, *pooled] onto K zero tensors of input_shape: one pooled node
+    at a time in row-major order, each added onto the input at its flat winner index."""
+    out = np.zeros((relevance.shape[0], int(np.prod(input_shape))))
+    flat = winners.reshape(-1)
+    for k in range(relevance.shape[0]):
+        row = relevance[k].reshape(-1)
+        for m in range(row.size):
+            out[k, flat[m]] += row[m]
+    return out.reshape((relevance.shape[0],) + tuple(input_shape))
+
+
 def naive_dense(x, weights, bias):
     out = np.zeros(weights.shape[0])
     for m in range(weights.shape[0]):

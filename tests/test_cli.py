@@ -342,6 +342,18 @@ class TestMaskEval:
         )
         assert code == 1 and "label" in err
 
+    def test_label_outside_the_classes_names_its_image(self, workspace, tmp_path, capsys):
+        """A label the model has no class for fails its run with the image's id, and no
+        report is written."""
+        listed = tmp_path / "list.txt"
+        root = workspace["root"]
+        listed.write_text(f"{root / 'img0.ppm'} 0\n{root / 'img1.ppm'} 3\n")
+        argv = self._argv(workspace, tmp_path / "out", "--methods", "lrp")
+        argv[3] = str(listed)
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1 and err == "relprop: img1: label 3 outside 0..2\n"
+        assert not (tmp_path / "out" / "masking.csv").exists()
+
     def test_second_probable_works_without_labels(self, workspace, tmp_path, capsys):
         code, _, _ = run_cli(
             [
@@ -505,6 +517,25 @@ class TestPointing:
     def test_random_methods_require_seed(self, workspace, tmp_path, capsys):
         code, _, _ = run_cli(self._argv(workspace, tmp_path), capsys)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "box, message",
+        [
+            ("img1 1 8 0 9 4", "img1: box starts outside a 8x8 image"),
+            ("img1 5 2 0 6 4", "img1: box class 5 outside model's 3 classes"),
+        ],
+        ids=["box-outside", "box-class"],
+    )
+    def test_bad_box_names_its_image(self, workspace, tmp_path, capsys, box, message):
+        """A box that starts outside its image, or names a class the model lacks, fails
+        the run with the image's id, and no report is written."""
+        boxes = tmp_path / "boxes.txt"
+        boxes.write_text(f"img0 0 1 1 5 5\n{box}\nimg2 2 0 2 4 7\n")
+        argv = self._argv(workspace, tmp_path / "out", "--methods", "lrp")
+        argv[4] = str(boxes)
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1 and err == f"relprop: {message}\n"
+        assert not (tmp_path / "out" / "pointing.csv").exists()
 
     def test_energy_out_of_range_rejected_by_parser(self, workspace, tmp_path, capsys):
         for bad in ("0", "1.5"):

@@ -31,17 +31,17 @@ from relprop.relevance import (
     seed_rows,
 )
 from relprop.tensor import (
-    PoolArgmax,
     conv2d_forward,
     conv2d_transpose,
     conv_extent,
     dense_forward,
     maxpool_forward,
     pool_extent,
+    pool_winners,
     softmax,
 )
 
-from oracles import naive_maxpool, seed_rows_by_formula
+from oracles import naive_maxpool, naive_maxpool_route, seed_rows_by_formula
 from synth import make_two_shape_image, make_two_shape_model
 from test_model import dense_softmax_model
 from test_relevance import seed_row
@@ -100,10 +100,9 @@ def test_maxpool_matches_naive_loop(case):
     including the lowest-index rule inside tied windows."""
     x, kh, kw, stride, _ = case
     got = maxpool_forward(x, kh, kw, stride)
-    arg = PoolArgmax(x, got, kh, kw, stride)
     want, want_idx = naive_maxpool(x, kh, kw, stride)
     np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(arg.indices, want_idx)
+    np.testing.assert_array_equal(pool_winners(x, got, kh, kw, stride), want_idx)
 
 
 @PROPERTY_SETTINGS
@@ -113,9 +112,9 @@ def test_propagate_maxpool_conserves_relevance(case):
     total is unchanged even where overlapping windows share a winner."""
     x, kh, kw, stride, seed = case
     out = maxpool_forward(x, kh, kw, stride)
-    arg = PoolArgmax(x, out, kh, kw, stride)
+    layer = LayerSpec("maxpool", {"kh": kh, "kw": kw, "stride": stride})
     relevance = np.random.default_rng(seed + 1).normal(size=out.shape)
-    routed = propagate_maxpool(relevance, arg)
+    routed = propagate_maxpool(relevance, layer, x, out)
     assert routed.shape == x.shape
     np.testing.assert_allclose(
         routed.sum(), relevance.sum(), rtol=0, atol=1e-12 * np.abs(relevance).sum()
@@ -141,15 +140,19 @@ def test_conv2d_transpose_rows_map_independently(case):
 @PROPERTY_SETTINGS
 @given(pool_cases())
 def test_propagate_maxpool_rows_route_independently(case):
-    """Batched routing equals routing each seed row alone, and each row keeps its sum."""
+    """Batched routing equals routing each seed row alone, and each row keeps its sum.
+    Its bytes equal a sequential row-major scatter over the loop oracle's winners, which
+    fixes the summation order where overlapping windows share a winner."""
     x, kh, kw, stride, seed = case
     out = maxpool_forward(x, kh, kw, stride)
-    arg = PoolArgmax(x, out, kh, kw, stride)
+    layer = LayerSpec("maxpool", {"kh": kh, "kw": kw, "stride": stride})
     relevance = np.random.default_rng(seed + 1).normal(size=(3,) + out.shape)
-    routed = propagate_maxpool(relevance, arg)
+    routed = propagate_maxpool(relevance, layer, x, out)
     assert routed.shape == (3,) + x.shape
+    scattered = naive_maxpool_route(relevance, naive_maxpool(x, kh, kw, stride)[1], x.shape)
+    assert routed.tobytes() == scattered.tobytes()
     for row in range(3):
-        np.testing.assert_array_equal(routed[row], propagate_maxpool(relevance[row], arg))
+        np.testing.assert_array_equal(routed[row], propagate_maxpool(relevance[row], layer, x, out))
         np.testing.assert_allclose(
             routed[row].sum(), relevance[row].sum(), rtol=0, atol=1e-12 * np.abs(relevance).sum()
         )
@@ -265,12 +268,11 @@ def test_maxpool_forward_stack_rows_match_single_calls(case, n):
     extra = np.random.default_rng(seed + 1).integers(-2, 3, size=(n - 1,) + x.shape)
     stack = np.concatenate([x[None], extra.astype(np.float64)])
     out = maxpool_forward(stack, kh, kw, stride)
-    arg = PoolArgmax(stack, out, kh, kw, stride)
+    winners = pool_winners(stack, out, kh, kw, stride)
     for k in range(n):
         single = maxpool_forward(stack[k], kh, kw, stride)
-        single_arg = PoolArgmax(stack[k], single, kh, kw, stride)
         np.testing.assert_array_equal(out[k], single)
-        np.testing.assert_array_equal(arg.indices[k], single_arg.indices)
+        np.testing.assert_array_equal(winners[k], pool_winners(stack[k], single, kh, kw, stride))
 
 
 @PROPERTY_SETTINGS

@@ -31,7 +31,7 @@ from relprop.relevance import (
     propagate_zplus,
     seed_rows,
 )
-from relprop.tensor import PoolArgmax, maxpool_forward
+from relprop.tensor import maxpool_forward
 
 from oracles import (
     naive_zbeta_dense,
@@ -384,6 +384,10 @@ class TestZbetaInput:
 
 
 _DENSE_2x4 = LayerSpec("dense", {"in": 4, "out": 2, "bias": 0})
+_POOL_2x2 = LayerSpec("maxpool", {"kh": 2, "kw": 2, "stride": 2})
+_CONV_1x1 = LayerSpec(
+    "conv2d", {"in": 1, "out": 1, "kh": 1, "kw": 1, "stride": 1, "pad": 0, "bias": 0}
+)
 
 
 def _zbeta(layer, x, bounds=InputBounds(lower=np.zeros(1), upper=np.full(1, 255.0))):
@@ -409,9 +413,11 @@ def _zbeta(layer, x, bounds=InputBounds(lower=np.zeros(1), upper=np.full(1, 255.
         (lambda: _zbeta(_DENSE_2x4, np.ones(4)), "zbeta: input must be [H,W,C], got (4,)"),
         (lambda: _zbeta(_DENSE_2x4, np.ones((1, 4, 1)), InputBounds(lower=np.zeros(2), upper=np.ones(2))),
          "zbeta: bounds have 2 channels, input 1"),
+        (lambda: propagate_maxpool(np.zeros((1, 1, 1)), _CONV_1x1, np.ones((1, 1, 1)), np.zeros((1, 1, 1))),
+         "maxpool: unsupported layer kind conv2d"),
     ],
     ids=["relevance-shape", "zplus-weights", "zplus-relu", "bounds-shape", "bounds-order", "zbeta-relu",
-         "zbeta-weights", "zbeta-input-rank", "zbeta-bounds-channels"],
+         "zbeta-weights", "zbeta-input-rank", "zbeta-bounds-channels", "maxpool-conv"],
 )
 def test_malformed_rule_operands_raise_a_shape_error(call, message):
     """Each rule, and the bounds it reads, rejects operands that do not fit
@@ -425,8 +431,7 @@ class TestStructuralRouting:
     def test_maxpool_winner_takes_all(self):
         """Window [1,2;3,4] sends the pooled unit's relevance to where 4 was."""
         x = np.array([1.0, 2.0, 3.0, 4.0]).reshape(2, 2, 1)
-        arg = PoolArgmax(x, maxpool_forward(x, 2, 2, 2), 2, 2, 2)
-        routed = propagate_maxpool(np.array([[[1.0]]]), arg)
+        routed = propagate_maxpool(np.array([[[1.0]]]), _POOL_2x2, x, maxpool_forward(x, 2, 2, 2))
         np.testing.assert_array_equal(
             routed.reshape(-1), np.array([0.0, 0.0, 0.0, 1.0])
         )
@@ -434,9 +439,8 @@ class TestStructuralRouting:
     def test_maxpool_conserves_sum(self):
         rng = np.random.default_rng(42)
         x = rng.normal(size=(6, 6, 3))
-        arg = PoolArgmax(x, maxpool_forward(x, 2, 2, 2), 2, 2, 2)
         r = rng.normal(size=(3, 3, 3))
-        routed = propagate_maxpool(r, arg)
+        routed = propagate_maxpool(r, _POOL_2x2, x, maxpool_forward(x, 2, 2, 2))
         np.testing.assert_allclose(routed.sum(), r.sum(), rtol=1e-12)
 
     @staticmethod
@@ -633,7 +637,7 @@ def _explain_by_public_rules(model, trace, target):
     for i in reversed(range(len(model.layers))):
         layer, a, lp = model.layers[i], trace.activations[i], model.params[i]
         if layer.kind == "maxpool":
-            relevance = propagate_maxpool(relevance, PoolArgmax(a, trace.activations[i + 1], **layer.params))
+            relevance = propagate_maxpool(relevance, layer, a, trace.activations[i + 1])
         elif i == first:
             image = trace.activations[0]
             relevance = propagate_zbeta_input(relevance, layer, lp.weights, image, bounds)

@@ -5,12 +5,12 @@ import pytest
 
 from relprop.errors import ShapeError
 from relprop.tensor import (
-    PoolArgmax,
     conv2d_forward,
     conv2d_transpose,
     dense_forward,
     flatten,
     maxpool_forward,
+    pool_winners,
     relu,
     softmax,
 )
@@ -130,39 +130,37 @@ class TestConv2dTranspose:
 
 class TestMaxpoolForward:
     def test_2x2_window(self):
-        """Pooling [1,2;3,4] with a 2x2 window keeps the 4 and records where it was."""
+        """Pooling [1,2;3,4] with a 2x2 window keeps the 4, and pool_winners finds where it was."""
         x = np.array([1.0, 2.0, 3.0, 4.0]).reshape(2, 2, 1)
         out = maxpool_forward(x, 2, 2, 2)
-        arg = PoolArgmax(x, out, 2, 2, 2)
+        winners = pool_winners(x, out, 2, 2, 2)
         np.testing.assert_allclose(out, np.array([[[4.0]]]))
         # 4 sits at row 1, col 1, channel 0 -> flat (1*2 + 1)*1 + 0 = 3
-        assert arg.indices.reshape(-1).tolist() == [3]
+        assert winners.reshape(-1).tolist() == [3]
 
     def test_all_equal_window_takes_lowest_index(self):
         """A tied window resolves to the lowest row-major input index."""
         x = np.ones((2, 2, 1))
-        arg = PoolArgmax(x, maxpool_forward(x, 2, 2, 2), 2, 2, 2)
-        assert arg.indices.reshape(-1).tolist() == [0]
+        winners = pool_winners(x, maxpool_forward(x, 2, 2, 2), 2, 2, 2)
+        assert winners.reshape(-1).tolist() == [0]
 
     def test_matches_naive_loop_8x8x3(self):
         """Random 8x8x3 pooling reproduces the naive loop's values and indices."""
         rng = np.random.default_rng(42)
         x = rng.normal(size=(8, 8, 3))
         got = maxpool_forward(x, 2, 2, 2)
-        arg = PoolArgmax(x, got, 2, 2, 2)
         want, want_idx = naive_maxpool(x, 2, 2, 2)
         np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(arg.indices, want_idx)
+        np.testing.assert_array_equal(pool_winners(x, got, 2, 2, 2), want_idx)
 
     def test_overlapping_window_matches_naive(self):
         """A stride smaller than the window (overlapping pools) also agrees."""
         rng = np.random.default_rng(5)
         x = rng.normal(size=(5, 5, 2))
         got = maxpool_forward(x, 3, 3, 1)
-        arg = PoolArgmax(x, got, 3, 3, 1)
         want, want_idx = naive_maxpool(x, 3, 3, 1)
         np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(arg.indices, want_idx)
+        np.testing.assert_array_equal(pool_winners(x, got, 3, 3, 1), want_idx)
 
     def test_non_divisible_extent_raises(self):
         """No implicit padding: a window that does not tile the input is an error."""
@@ -173,9 +171,9 @@ class TestMaxpoolForward:
         """Repeated evaluation yields identical winner indices."""
         rng = np.random.default_rng(11)
         x = rng.normal(size=(6, 6, 2))
-        first = PoolArgmax(x, maxpool_forward(x, 2, 2, 2), 2, 2, 2)
-        second = PoolArgmax(x, maxpool_forward(x, 2, 2, 2), 2, 2, 2)
-        np.testing.assert_array_equal(first.indices, second.indices)
+        first = pool_winners(x, maxpool_forward(x, 2, 2, 2), 2, 2, 2)
+        second = pool_winners(x, maxpool_forward(x, 2, 2, 2), 2, 2, 2)
+        np.testing.assert_array_equal(first, second)
 
 
 class TestDenseForward:

@@ -16,15 +16,18 @@ with every method on every image, and predict on every image. Each side runs
 in its own Python process with one BLAS thread. Each side also runs predict on
 malformed copies of the cnn32 manifest or blob (LOAD_ERRORS), one for each
 error load_model raises, and records its exit code and stderr, with the input
-directory written as <inputs>.
+directory written as <inputs>. It records the same for two cnn32 harness runs
+that fail on one image (HARNESS_ERRORS): mask-eval on a list whose last label is
+10, one past cnn32's classes, and pointing with one box that starts outside its
+image.
 
 The report gives each side's `relprop/*.py` line count (as `wc -l` counts it)
 and lists every artifact that differs or exists on one side only (CSVs, meta
 JSON, PGMs, .f32 maps, predict output, exit codes) and the largest relative
 difference of a pointing.csv `tau`, then every load error whose exit code or
-message differs, with both sides' lines. It prints "identical" for the
-artifacts and for the load errors, and exits 0, when nothing differs; it exits
-1 otherwise.
+message differs, with both sides' lines, and the same for the harness errors.
+It prints "identical" for the artifacts, the load errors and the harness errors,
+and exits 0, when nothing differs; it exits 1 otherwise.
 """
 
 from __future__ import annotations
@@ -83,6 +86,8 @@ LOAD_ERRORS = {
     "blob-short": (b"", b""),
     "blob-nan": (b"", b""),
 }
+# cnn32 runs that fail on one image: mask-eval on list-label-10.txt, pointing with boxes-outside.txt.
+HARNESS_ERRORS = ("mask-label-10", "point-box-outside")
 
 
 def resolve_src(side: str, scratch: Path) -> Path:
@@ -125,7 +130,13 @@ def write_inputs(out: Path) -> None:
         written = inputs.write_images(IMAGE_SEED, IMAGES, size, out / name / "images")
         inputs.write_list(written, out / name / "images" / "list.txt")
         inputs.write_boxes(written, out / name / "images" / "boxes.txt")
-    errors, model = out / "errors", out / "cnn32" / "cnn32"
+    errors, model, images = out / "errors", out / "cnn32" / "cnn32", out / "cnn32" / "images"
+    listed = (images / "list.txt").read_text().splitlines()
+    listed[-1] = listed[-1].rsplit(" ", 1)[0] + " 10"  # cnn32 has classes 0..9
+    (images / "list-label-10.txt").write_text("\n".join(listed) + "\n")
+    boxes = [line.split() for line in (images / "boxes.txt").read_text().splitlines()]
+    boxes[-1][2:5:2] = ["40", "40"]  # x_min and x_max of the last box, on a 32x32 image
+    (images / "boxes-outside.txt").write_text("".join(" ".join(box) + "\n" for box in boxes))
     manifest, blob = model.with_suffix(".txt").read_bytes(), model.with_suffix(".bin").read_bytes()
     blobs = {"blob-short": blob[:-4], "blob-nan": np.array(np.nan, "<f4").tobytes() + blob[4:]}
     errors.mkdir()
@@ -169,15 +180,25 @@ def run_side(src: Path, inputs_dir: Path, out: Path, errors_out: Path) -> None:
             predicted = call(["predict", *model, str(image)])
             (out / name / "predict" / f"{image.stem}.txt").write_text(predicted)
     (out / "exit_codes.txt").write_text("\n".join(codes) + "\n")
-    image = str(sorted((inputs_dir / "cnn32" / "images").glob("*.ppm"))[0])
     errors_out.mkdir(parents=True)
-    for case in LOAD_ERRORS:
+
+    def record(case: str, argv: list[str]) -> None:
         stderr = io.StringIO()
-        files = [str(inputs_dir / "errors" / f"{case}{suffix}") for suffix in (".txt", ".bin")]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-            code = main(["predict", *files, image])
+            code = main(argv)
         message = stderr.getvalue().replace(str(inputs_dir), "<inputs>")
         (errors_out / case).write_text(f"{code} {message}")
+
+    images = inputs_dir / "cnn32" / "images"
+    image = str(sorted(images.glob("*.ppm"))[0])
+    for case in LOAD_ERRORS:
+        files = [str(inputs_dir / "errors" / f"{case}{suffix}") for suffix in (".txt", ".bin")]
+        record(case, ["predict", *files, image])
+    model = [str(inputs_dir / "cnn32" / f"cnn32{suffix}") for suffix in (".txt", ".bin")]
+    runs = ["--out-dir", str(errors_out / "runs"), "--seed", str(RUN_SEED)]
+    record("mask-label-10", ["mask-eval", *model, str(images / "list-label-10.txt"), *runs])
+    record("point-box-outside",
+           ["pointing", *model, str(images / "list.txt"), str(images / "boxes-outside.txt"), *runs])
 
 
 def _taus(path: Path) -> list[str]:
@@ -232,20 +253,23 @@ def main() -> int:
                 check=True, env=env,
             )
         differing, tau_gap, total = compare(tmp / "outA", tmp / "outB")
-        errors = [(case, *((tmp / f"errors{label}" / case).read_text().strip() for label in "AB"))
-                  for case in LOAD_ERRORS]
-    errors = [(case, a, b) for case, a, b in errors if a != b]
+        errors = {case: [(tmp / f"errors{label}" / case).read_text().strip() for label in "AB"]
+                  for case in (*LOAD_ERRORS, *HARNESS_ERRORS)}
     print(f"A: {args.a} (relprop/*.py: {lines[0]} lines)\nB: {args.b} (relprop/*.py: {lines[1]} lines)")
     print(f"{total} artifacts over {len(MODELS)} models")
     print(f"largest relative tau difference in pointing.csv: {tau_gap:.3g}")
     print(f"{len(differing)} differ:" if differing else "identical")
     for name in differing:
         print(f"  {name}")
-    print(f"{len(LOAD_ERRORS)} load errors of malformed cnn32 manifests and blobs")
-    print(f"{len(errors)} differ:" if errors else "identical")
-    for case, a, b in errors:
-        print(f"  {case}\n    A: {a}\n    B: {b}")
-    return 1 if differing or errors else 0
+    sections = {"load errors of malformed cnn32 manifests and blobs": LOAD_ERRORS,
+                "harness errors of cnn32 mask-eval and pointing runs": HARNESS_ERRORS}
+    for title, cases in sections.items():
+        changed = [case for case in cases if errors[case][0] != errors[case][1]]
+        print(f"{len(cases)} {title}")
+        print(f"{len(changed)} differ:" if changed else "identical")
+        for case in changed:
+            print(f"  {case}\n    A: {errors[case][0]}\n    B: {errors[case][1]}")
+    return 1 if differing or any(a != b for a, b in errors.values()) else 0
 
 
 if __name__ == "__main__":

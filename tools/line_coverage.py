@@ -11,11 +11,14 @@ of executed against executable lines, then every line never executed, with
 its text. pytest gets a fixed --hypothesis-seed, so the Hypothesis property and
 fuzz tests draw the same examples on each run and two runs on one tree print the
 same report (the tier-1 suite itself stays randomized). It writes no file;
-pytest's cache plugin is switched off. The exit status is pytest's.
+pytest's cache plugin is switched off. It exits with pytest's status when the
+suite fails; otherwise it exits 1 if any line never executed lies outside the
+body of an `if __name__ == "__main__":` block, and 0 if none does.
 """
 
 from __future__ import annotations
 
+import ast
 import sys
 from pathlib import Path
 
@@ -33,6 +36,17 @@ def executable_lines(path: Path) -> set[int]:
         lines.update(line for _, _, line in code.co_lines() if line)  # None or 0: no source line
         stack.extend(c for c in code.co_consts if hasattr(c, "co_lines"))
     return lines
+
+
+def main_guard_lines(path: Path) -> set[int]:
+    """The lines of the bodies of the module's `if __name__ == "__main__":` blocks."""
+    guard = ast.parse('__name__ == "__main__"', mode="eval").body
+    return {
+        line
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.If) and ast.dump(node.test) == ast.dump(guard)
+        for line in range(node.body[0].lineno, node.end_lineno + 1)
+    }
 
 
 def main(argv: list[str]) -> int:
@@ -58,14 +72,17 @@ def main(argv: list[str]) -> int:
     finally:
         sys.settrace(None)
 
+    gated = 0
     for name, path in files.items():
         lines = executable_lines(path)
         missed = sorted(lines - hit[name])
+        gated += len(set(missed) - main_guard_lines(path))
         print(f"relprop/{path.name}: {len(lines) - len(missed)} of {len(lines)} executable lines executed")
         text = path.read_text().splitlines()
         for line in missed:
             print(f"  {path.name}:{line}: {text[line - 1].strip()}")
-    return int(status)
+    print(f"{gated} never executed outside `if __name__ == \"__main__\":` bodies")
+    return int(status) or int(gated > 0)
 
 
 if __name__ == "__main__":
