@@ -50,8 +50,8 @@ def _comma_list(what: str, convert, valid, rule: str):
     return parse
 
 
-def _load_raw_image(path: Path, model: NetworkModel) -> np.ndarray:
-    return imaging.preprocess(imaging.read_ppm(path), model, subtract_mean=False)
+def _load_image(path: str | Path, model: NetworkModel) -> np.ndarray:
+    return imaging.preprocess(imaging.read_ppm(path), model)
 
 
 def _read_image_list(path: Path) -> list[tuple[str, Path, int | None]]:
@@ -104,8 +104,7 @@ def cmd_predict(args) -> int:
         top = args.top
         if not 1 <= top <= model.num_classes:
             raise UsageError(f"--top {top} outside 1..{model.num_classes}")
-    image = imaging.preprocess(imaging.read_ppm(args.image), model)
-    trace = forward(model, image)
+    trace = forward(model, _load_image(args.image, model))
     for rank, (cls, prob) in enumerate(predict_topk(trace, top), start=1):
         print(f"{rank} {cls} {prob:.6f}")
     return 0
@@ -113,7 +112,7 @@ def cmd_predict(args) -> int:
 
 def cmd_explain(args) -> int:
     model = load_model(args.manifest, args.weights)
-    trace = forward(model, _load_raw_image(Path(args.image), model), preprocessed=False)
+    trace = forward(model, _load_image(args.image, model))
     if args.target == "top":
         target = trace.prediction
     elif args.target == "second":
@@ -145,9 +144,7 @@ def cmd_mask_eval(args) -> int:
     for image_id, image_path, label in entries:
         if target_mode == "ground_truth" and label is None:
             raise DataError(f"{args.images}: {image_id} has no label for ground-truth targets")
-        samples.append(
-            evaluate.MaskSample(image_id, _load_raw_image(image_path, model), label)
-        )
+        samples.append(evaluate.MaskSample(image_id, _load_image(image_path, model), label))
     rows = evaluate.run_masking(
         model,
         samples,
@@ -178,7 +175,7 @@ def cmd_pointing(args) -> int:
     for image_id, image_path, _ in entries:
         if image_id not in by_image:
             raise DataError(f"{args.boxes}: no box for image {image_id!r}")
-        image = _load_raw_image(image_path, model)
+        image = _load_image(image_path, model)
         for box in by_image[image_id]:
             samples.append(evaluate.PointSample(image_id, image, box))
     rows = evaluate.run_pointing(

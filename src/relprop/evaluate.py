@@ -1,8 +1,9 @@
 """Faithfulness evaluation: maximal patch masking and the pointing game.
 
-Masking: classify, explain, find the maximal point of the map, replace a
-p x p patch around it with the dataset means, re-classify, and record the
-drop in the target probability. The `random` method replaces the explanation
+Both harnesses take model inputs, preprocess's output. Masking: classify,
+explain, find the maximal point of the map, set a p x p patch around it to
+0.0 (the dataset means, once subtracted), re-classify, and record the drop
+in the target probability. The `random` method replaces the explanation
 with a uniformly drawn center. Each method's occluded images, one per patch
 size, are re-classified as one stack by a forward from the unmasked image's
 trace, which recomputes only the positions the patches reach (see model.forward).
@@ -52,10 +53,9 @@ def maximal_point(values: np.ndarray) -> tuple[int, int]:
     return flat % values.shape[1], flat // values.shape[1]
 
 
-def mask_patch(
-    image: np.ndarray, center: tuple[int, int], patch_size: int, fill: np.ndarray
-) -> np.ndarray:
-    """Copy of image with a patch_size square around center set to fill per channel.
+def mask_patch(image: np.ndarray, center: tuple[int, int], patch_size: int) -> np.ndarray:
+    """Copy of a model input with a patch_size square around center set to 0.0, the
+    dataset mean of every channel once it has been subtracted.
 
     patch_size must be odd; the patch is clipped at the image border.
     """
@@ -63,15 +63,13 @@ def mask_patch(
         raise ShapeError(f"mask_patch: image must be [H,W,C], got {image.shape}")
     if patch_size < 1 or patch_size % 2 == 0:
         raise ShapeError(f"mask_patch: patch size {patch_size} must be odd and positive")
-    h, w, c = image.shape
-    if fill.shape != (c,):
-        raise ShapeError(f"mask_patch: fill has shape {fill.shape}, expected ({c},)")
+    h, w, _ = image.shape
     x, y = center
     r = patch_size // 2
     y0, y1 = max(0, y - r), min(h, y + r + 1)
     x0, x1 = max(0, x - r), min(w, x + r + 1)
     out = image.copy()
-    out[y0:y1, x0:x1, :] = fill
+    out[y0:y1, x0:x1, :] = 0.0
     return out
 
 
@@ -111,18 +109,17 @@ def patch_masking_eval(
     patch_sizes: tuple[int, ...] = DEFAULT_PATCH_SIZES,
     rng: np.random.Generator | None = None,
 ) -> list[MaskingResult]:
-    """Run the masking protocol for one raw-space image (means not yet subtracted)."""
+    """Run the masking protocol for one model input (preprocess's output)."""
     check_methods(methods)
     if "random" in methods and rng is None:
         raise DataError("the random baseline needs a seeded generator")
-    trace = forward(model, image, preprocessed=False)
+    trace = forward(model, image)
     target = _resolve_target(trace, target_mode, label)
     prob_before = float(trace.probabilities[target])
     h, w, _ = image.shape
     random_center = None
     if "random" in methods:
         random_center = (int(rng.integers(0, w)), int(rng.integers(0, h)))
-    fill = model.preprocessing.means
     maps = explain_all(model, trace, target, tuple(m for m in methods if m != "random"))
     if not patch_sizes:
         return []
@@ -132,8 +129,8 @@ def patch_masking_eval(
             point = random_center
         else:
             point = maximal_point(maps[method].values)
-        masked = np.stack([mask_patch(image, point, p, fill) for p in patch_sizes])
-        probs = forward(model, masked, preprocessed=False, base=trace).probabilities[:, target]
+        masked = np.stack([mask_patch(image, point, p) for p in patch_sizes])
+        probs = forward(model, masked, base=trace).probabilities[:, target]
         for p, after in zip(patch_sizes, map(float, probs)):
             results.append(
                 MaskingResult(
@@ -249,6 +246,8 @@ def random_relevance_map(
 
 @dataclass(frozen=True)
 class MaskSample:
+    """One image of a masking run; image is its model input, preprocess's output."""
+
     image_id: str
     image: np.ndarray
     label: int | None = None
@@ -256,6 +255,8 @@ class MaskSample:
 
 @dataclass(frozen=True)
 class PointSample:
+    """One box of a pointing run; image is its model input, preprocess's output."""
+
     image_id: str
     image: np.ndarray
     box: BoundingBox
@@ -328,7 +329,7 @@ def run_pointing(
             box = sample.box.clip(w, h)
             if box.class_index >= model.num_classes:
                 raise DataError(f"box class {box.class_index} outside model's {model.num_classes} classes")
-            trace = forward(model, sample.image, preprocessed=False)
+            trace = forward(model, sample.image)
             noise = random_relevance_map(h, w, rng) if "random" in methods else None
             maps = explain_all(model, trace, box.class_index, explained)
             for method in methods:

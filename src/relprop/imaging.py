@@ -4,35 +4,19 @@ Only 8-bit binary formats are supported: P6 for color reads/writes, P5 for
 grayscale. Headers follow the netpbm rules: whitespace-separated tokens,
 `#` comments running to end of line, width, height and maxval in ASCII decimal
 digits, and exactly one whitespace byte between the maxval and the sample data.
+An image is a uint8 array, [H,W,3] for a PPM and [H,W] for a PGM; preprocess
+turns an RGB one into the model input that forward takes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ImageFormatError, ShapeError
 from .model import NetworkModel
-
-
-@dataclass(frozen=True)
-class RgbImage:
-    """8-bit RGB raster, row-major, 3 samples per pixel."""
-
-    width: int
-    height: int
-    pixels: bytes
-
-    def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ImageFormatError(f"image extent {self.width}x{self.height} invalid")
-        if len(self.pixels) != 3 * self.width * self.height:
-            raise ImageFormatError(
-                f"pixel payload {len(self.pixels)} bytes !="
-                f" {3 * self.width * self.height} for {self.width}x{self.height} RGB"
-            )
 
 
 class _HeaderReader:
@@ -80,8 +64,8 @@ class _HeaderReader:
         return payload
 
 
-def _read_netpbm(path: str | Path, magic: bytes, samples: int) -> tuple[int, int, bytes]:
-    """(width, height, payload) of a binary netpbm file, maxval 255, `samples` bytes a pixel."""
+def _read_netpbm(path: str | Path, magic: bytes, channels: tuple[int, ...]) -> np.ndarray:
+    """[H, W, *channels] uint8 samples of a binary netpbm file with maxval 255."""
     reader = _HeaderReader(Path(path).read_bytes(), str(path))
     found = reader.token()
     if found != magic:
@@ -93,34 +77,42 @@ def _read_netpbm(path: str | Path, magic: bytes, samples: int) -> tuple[int, int
         raise ImageFormatError(f"{path}: maxval {maxval} unsupported, must be 255")
     if width < 1 or height < 1:
         raise ImageFormatError(f"{path}: invalid extent {width}x{height}")
-    return width, height, reader.payload_after_maxval(samples * width * height)
+    shape = (height, width, *channels)
+    payload = reader.payload_after_maxval(math.prod(shape))
+    return np.frombuffer(payload, dtype=np.uint8).reshape(shape).copy()
 
 
-def read_ppm(path: str | Path) -> RgbImage:
-    """Read a binary P6 PPM with maxval 255."""
-    width, height, pixels = _read_netpbm(path, b"P6", 3)
-    return RgbImage(width=width, height=height, pixels=pixels)
+def _write_netpbm(samples: np.ndarray, path: str | Path, magic: str) -> None:
+    h, w = samples.shape[:2]
+    Path(path).write_bytes(f"{magic}\n{w} {h}\n255\n".encode("ascii") + samples.tobytes())
 
 
-def write_ppm(image: RgbImage, path: str | Path) -> None:
-    """Write a binary P6 PPM with maxval 255."""
-    header = f"P6\n{image.width} {image.height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + image.pixels)
+def _check_rgb(image: np.ndarray, what: str) -> None:
+    if image.ndim != 3 or image.shape[2] != 3 or image.dtype != np.uint8 or image.size == 0:
+        raise ShapeError(f"{what}: need a non-empty [H,W,3] uint8 array, got {image.dtype} {image.shape}")
+
+
+def read_ppm(path: str | Path) -> np.ndarray:
+    """Read a binary P6 PPM with maxval 255 into an [H,W,3] uint8 array."""
+    return _read_netpbm(path, b"P6", (3,))
+
+
+def write_ppm(samples: np.ndarray, path: str | Path) -> None:
+    """Write a non-empty [H,W,3] uint8 array as a binary P6 PPM with maxval 255."""
+    _check_rgb(samples, "write_ppm")
+    _write_netpbm(samples, path, "P6")
 
 
 def write_pgm(samples: np.ndarray, path: str | Path) -> None:
     """Write a [H,W] uint8 array as a binary P5 PGM with maxval 255."""
     if samples.ndim != 2 or samples.dtype != np.uint8:
         raise ShapeError(f"write_pgm: need a 2-D uint8 array, got {samples.dtype} {samples.shape}")
-    h, w = samples.shape
-    header = f"P5\n{w} {h}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + samples.tobytes())
+    _write_netpbm(samples, path, "P5")
 
 
 def read_pgm(path: str | Path) -> np.ndarray:
     """Read a binary P5 PGM with maxval 255 into a [H,W] uint8 array."""
-    width, height, payload = _read_netpbm(path, b"P5", 1)
-    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width).copy()
+    return _read_netpbm(path, b"P5", ())
 
 
 def _nearest_indices(dst: int, src: int) -> np.ndarray:
@@ -128,28 +120,25 @@ def _nearest_indices(dst: int, src: int) -> np.ndarray:
     return (np.arange(dst) * src) // dst
 
 
-def preprocess(image: RgbImage, model: NetworkModel, subtract_mean: bool = True) -> np.ndarray:
-    """Center-crop to a square, nearest-neighbor resize to the model input, float.
-
-    With subtract_mean the per-channel dataset means are removed, yielding the
-    tensor the network consumes directly; without it the result stays in raw
-    sample units (for masking experiments that fill with dataset means).
+def preprocess(image: np.ndarray, model: NetworkModel, subtract_mean: bool = True) -> np.ndarray:
+    """The model input of a non-empty [H,W,3] uint8 image: center-cropped to a square,
+    nearest-neighbor resized to the model's input extent, float64, less the per-channel
+    dataset means. This is the one place the means are subtracted; forward, explain and
+    the evaluation harnesses take its output. subtract_mean=False keeps raw sample units,
+    which are no model input.
     """
+    _check_rgb(image, "preprocess")
     h_in, w_in, c_in = model.input_shape
     if c_in != 3:
         raise ShapeError(f"preprocess: model expects {c_in} channels, PPM input is RGB")
-    arr = (
-        np.frombuffer(image.pixels, dtype=np.uint8)
-        .reshape(image.height, image.width, 3)
-        .astype(np.float64)
-    )
-    side = min(image.width, image.height)
-    top = (image.height - side) // 2
-    left = (image.width - side) // 2
-    cropped = arr[top : top + side, left : left + side]
+    height, width, _ = image.shape
+    side = min(width, height)
+    top = (height - side) // 2
+    left = (width - side) // 2
+    cropped = image[top : top + side, left : left + side]
     rows = _nearest_indices(h_in, side)
     cols = _nearest_indices(w_in, side)
-    resized = cropped[np.ix_(rows, cols)]
+    resized = cropped[np.ix_(rows, cols)].astype(np.float64)
     if subtract_mean:
         resized = resized - model.preprocessing.means
     return np.ascontiguousarray(resized)

@@ -192,6 +192,13 @@ class NetworkModel:
         means, channels = self.preprocessing.means.shape[0], self.input_shape[2]
         if self.preprocessing.means.shape != (channels,):
             raise ManifestError(f"mean entries {means} != input channels {channels}", "mean")
+        # Each parametric layer after the first (which reads pixels, under zbeta) runs zplus and
+        # needs non-negative input: a relu since the previous one, kept by any maxpool or flatten.
+        fed = True
+        for i, layer in enumerate(self.layers):
+            if layer.is_parametric and not fed:
+                raise ChainError(f"{layer.kind} layer not fed through relu", i)
+            fed = layer.kind == "relu" or (fed and not layer.is_parametric)
 
     @property
     def num_classes(self) -> int:
@@ -315,24 +322,16 @@ def load_model(manifest_path: str | Path, weights_path: str | Path) -> NetworkMo
         params.append(LayerParams(weights=weights, bias=bias))
 
     try:
-        model = NetworkModel(
+        return NetworkModel(
             input_shape=input_shape,
             layers=tuple(layers),
             params=tuple(params),
             preprocessing=preprocessing,
         )
-        # Each parametric layer after the first (which reads pixels, under zbeta) runs zplus and
-        # needs non-negative input: a relu since the previous one, kept by any maxpool or flatten.
-        fed = True
-        for i, layer in enumerate(layers):
-            if layer.is_parametric and not fed:
-                raise ChainError(f"{layer.kind} layer not fed through relu", i)
-            fed = layer.kind == "relu" or (fed and not layer.is_parametric)
     except RelpropError as exc:  # the one prefix of an error about the model as loaded
         line = lines.get(exc.where)
         message = f"{manifest_path}:{line}: {exc}" if line else f"{manifest_path}: {exc}"
         raise type(exc)(f"{weights_path}: {message}" if isinstance(exc, BlobError) else message) from exc
-    return model
 
 
 def _format_number(v: float) -> str:
@@ -436,17 +435,12 @@ def _layer_output(layer: LayerSpec, lp, x: np.ndarray, lead: int, box: tuple | N
     return tensor.softmax(x)
 
 
-def forward(
-    model: NetworkModel,
-    image: np.ndarray,
-    preprocessed: bool = True,
-    base: ForwardTrace | None = None,
-) -> ForwardTrace:
+def forward(model: NetworkModel, image: np.ndarray, base: ForwardTrace | None = None) -> ForwardTrace:
     """Run the chain on one image, recording its input and every layer's output.
 
-    image may also be a stack [N, H, W, C]; every layer then maps the images
-    side by side, and row k of the probabilities is image k's.
-    With preprocessed=False the per-channel dataset means are subtracted first.
+    image is the model input as is, preprocess's output: its means are already
+    subtracted. It may also be a stack [N, H, W, C]; every layer then maps the
+    images side by side, and row k of the probabilities is image k's.
 
     base, the trace of one image through this model object (a trace that any
     other model produced, even one of the same shapes, is a ShapeError), makes
@@ -467,8 +461,6 @@ def forward(
     lead = x.ndim - 3
     if not np.all(np.isfinite(x)):
         raise ShapeError("forward: image contains non-finite values")
-    if not preprocessed:
-        x = x - model.preprocessing.means
     box = None
     if base is not None:
         base.check_one_image("forward: base", model)

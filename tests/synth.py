@@ -11,7 +11,7 @@ the non-target shape.
 import numpy as np
 
 from relprop.evaluate import BoundingBox
-from relprop.imaging import RgbImage, write_ppm
+from relprop.imaging import write_ppm
 from relprop.model import LayerParams, LayerSpec, NetworkModel, Preprocessing
 
 SIZE = 32
@@ -116,9 +116,7 @@ def make_two_shape_dataset(n: int, seed: int):
 
 def tensor_to_ppm(image: np.ndarray, path) -> None:
     """Write a [H,W,3] float tensor of 0..255 sample values as binary PPM."""
-    h, w, _ = image.shape
-    payload = np.clip(np.rint(image), 0, 255).astype(np.uint8).tobytes()
-    write_ppm(RgbImage(width=w, height=h, pixels=payload), path)
+    write_ppm(np.clip(np.rint(image), 0, 255).astype(np.uint8), path)
 
 
 def _dense_chain_model(w1, b1, w2, b2, input_shape):

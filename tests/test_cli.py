@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from relprop.cli import build_parser, main
-from relprop.imaging import RgbImage, preprocess, read_pgm, read_ppm, write_ppm
+from relprop.imaging import preprocess, read_pgm, read_ppm, write_ppm
 from relprop.model import (
     LayerParams, LayerSpec, NetworkModel, Preprocessing, forward, load_model, predict_topk, save_model,
 )
@@ -52,8 +52,7 @@ def workspace(tmp_path_factory):
     save_model(model, manifest, weights)
 
     for i in range(3):
-        pixels = rng.integers(0, 256, size=8 * 8 * 3, dtype=np.uint8).tobytes()
-        write_ppm(RgbImage(width=8, height=8, pixels=pixels), root / f"img{i}.ppm")
+        write_ppm(rng.integers(0, 256, size=(8, 8, 3), dtype=np.uint8), root / f"img{i}.ppm")
     (root / "images.txt").write_text("img0.ppm 0\nimg1.ppm 1\nimg2.ppm 2\n")
     (root / "images_nolabel.txt").write_text("img0.ppm\nimg1.ppm\n")
     (root / "boxes.txt").write_text(
@@ -211,8 +210,7 @@ class TestExplain:
         code, _, _ = run_cli(self._argv(workspace, tmp_path / "heat", target="second"), capsys)
         assert code == 0
         model = load_model(workspace["manifest"], workspace["weights"])
-        image = preprocess(read_ppm(workspace["root"] / "img1.ppm"), model, subtract_mean=False)
-        trace = forward(model, image, preprocessed=False)
+        trace = forward(model, preprocess(read_ppm(workspace["root"] / "img1.ppm"), model))
         runner_up = predict_topk(trace, 2)[1][0]
         want = explain(model, trace, runner_up, "sglrp").values.astype("<f8").tobytes()
         assert (tmp_path / "heat.f32").read_bytes()[8:] == want

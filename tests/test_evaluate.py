@@ -69,16 +69,15 @@ class TestMaximalPoint:
 class TestMaskPatch:
     def test_single_pixel(self):
         image = np.arange(27.0).reshape(3, 3, 3)
-        fill = np.array([-1.0, -2.0, -3.0])
-        out = mask_patch(image, (1, 1), 1, fill)
+        out = mask_patch(image, (1, 1), 1)
         changed = np.any(out != image, axis=2)
         assert changed.sum() == 1 and changed[1, 1]
-        np.testing.assert_array_equal(out[1, 1], fill)
+        assert out[1, 1].tobytes() == np.zeros(3).tobytes()  # +0.0, the subtracted mean
 
     def test_corner_clipping(self):
         """Center (0,0) with p=5 only reaches the in-bounds 3x3 quadrant."""
         image = np.full((8, 8, 1), 50.0)
-        out = mask_patch(image, (0, 0), 5, np.array([0.0]))
+        out = mask_patch(image, (0, 0), 5)
         changed = np.any(out != image, axis=2)
         assert changed.sum() == 9
         assert changed[:3, :3].all()
@@ -92,7 +91,7 @@ class TestMaskPatch:
             y = int(rng.integers(0, h))
             p = int(rng.choice([1, 3, 5, 7]))
             r = p // 2
-            out = mask_patch(image, (x, y), p, np.array([0.0, 0.0]))
+            out = mask_patch(image, (x, y), p)
             expect = (min(h, y + r + 1) - max(0, y - r)) * (
                 min(w, x + r + 1) - max(0, x - r)
             )
@@ -101,26 +100,23 @@ class TestMaskPatch:
     def test_idempotent(self):
         rng = np.random.default_rng(42)
         image = rng.uniform(0, 255, size=(6, 6, 3))
-        fill = np.array([5.0, 6.0, 7.0])
-        once = mask_patch(image, (2, 3), 3, fill)
-        twice = mask_patch(once, (2, 3), 3, fill)
+        once = mask_patch(image, (2, 3), 3)
+        twice = mask_patch(once, (2, 3), 3)
         np.testing.assert_array_equal(once, twice)
 
     def test_even_or_nonpositive_patch_rejected(self):
         image = np.zeros((4, 4, 1))
         for bad in (0, 2, 4, -1):
             with pytest.raises(ShapeError):
-                mask_patch(image, (1, 1), bad, np.array([0.0]))
+                mask_patch(image, (1, 1), bad)
 
-    def test_bad_image_or_fill_rejected(self):
+    def test_bad_image_rejected(self):
         with pytest.raises(ShapeError, match=r"image must be \[H,W,C\], got \(4, 4\)"):
-            mask_patch(np.zeros((4, 4)), (1, 1), 3, np.zeros(1))
-        with pytest.raises(ShapeError, match=r"fill has shape \(2,\), expected \(1,\)"):
-            mask_patch(np.zeros((4, 4, 1)), (1, 1), 3, np.zeros(2))
+            mask_patch(np.zeros((4, 4)), (1, 1), 3)
 
     def test_input_untouched(self):
         image = np.ones((4, 4, 1))
-        mask_patch(image, (1, 1), 3, np.array([9.0]))
+        mask_patch(image, (1, 1), 3)
         np.testing.assert_array_equal(image, np.ones((4, 4, 1)))
 
 
@@ -165,7 +161,7 @@ class TestPatchMaskingEval:
         rng = np.random.default_rng(42)
         model = self._model()
         image = rng.uniform(0, 255, size=(6, 6, 1))
-        trace = forward(model, image, preprocessed=False)
+        trace = forward(model, image)
         runner_up = predict_topk(trace, 2)[1][0]
         rows = patch_masking_eval(
             model, image, target_mode="second_probable", methods=("lrp",)
@@ -223,10 +219,9 @@ class TestPatchMaskingEval:
             model, image, label=2, methods=("clrp", "random"), rng=np.random.default_rng(3)
         )
         assert len(rows) == 2 * len(DEFAULT_PATCH_SIZES)
-        fill = model.preprocessing.means
         for r in rows:
-            masked = mask_patch(image, r.point, r.patch_size, fill)
-            single = forward(model, masked, preprocessed=False).probabilities[2]
+            masked = mask_patch(image, r.point, r.patch_size)
+            single = forward(model, masked).probabilities[2]
             assert abs(r.prob_after - single) <= 1e-12
 
     def test_rows_are_the_full_stacked_forward_bytes_on_cnn32(self):
@@ -236,23 +231,22 @@ class TestPatchMaskingEval:
         and so does a stack masked at the corners and edges."""
         model = cnn32_model(np.random.default_rng(20190812))
         rng = np.random.default_rng(5)
-        fill = model.preprocessing.means
         for index in range(4):
-            image = rng.integers(0, 256, size=model.input_shape).astype(np.float64)
+            image = rng.integers(0, 256, size=model.input_shape) - model.preprocessing.means
             mode = ("ground_truth", "second_probable")[index % 2]
             rows = patch_masking_eval(
                 model, image, target_mode=mode, label=index, rng=np.random.default_rng(index)
             )
             for method in ("lrp", "clrp", "sglrp", "random"):
                 mine = [r for r in rows if r.method == method]
-                stack = np.stack([mask_patch(image, r.point, r.patch_size, fill) for r in mine])
-                full = forward(model, stack, preprocessed=False).probabilities[:, mine[0].target]
+                stack = np.stack([mask_patch(image, r.point, r.patch_size) for r in mine])
+                full = forward(model, stack).probabilities[:, mine[0].target]
                 assert [r.prob_after.hex() for r in mine] == [p.hex() for p in map(float, full)]
-        base = forward(model, image, preprocessed=False)
+        base = forward(model, image)
         for centre in ((0, 0), (31, 0), (0, 31), (31, 31), (16, 0), (31, 15), (1, 30)):
-            stack = np.stack([mask_patch(image, centre, p, fill) for p in DEFAULT_PATCH_SIZES])
-            got = forward(model, stack, preprocessed=False, base=base).probabilities
-            assert got.tobytes() == forward(model, stack, preprocessed=False).probabilities.tobytes()
+            stack = np.stack([mask_patch(image, centre, p) for p in DEFAULT_PATCH_SIZES])
+            got = forward(model, stack, base=base).probabilities
+            assert got.tobytes() == forward(model, stack).probabilities.tobytes()
 
     def test_masking_ignored_region_keeps_probability(self):
         """A model wired to the left half of the image cannot react to a patch
@@ -264,9 +258,9 @@ class TestPatchMaskingEval:
         model = dense_softmax_model(w, input_shape=(4, 4, 1))
         rng = np.random.default_rng(42)
         image = rng.uniform(0, 255, size=(4, 4, 1))
-        before = forward(model, image, preprocessed=False).probabilities
-        masked = mask_patch(image, (3, 2), 1, model.preprocessing.means)
-        after = forward(model, masked, preprocessed=False).probabilities
+        before = forward(model, image).probabilities
+        masked = mask_patch(image, (3, 2), 1)
+        after = forward(model, masked).probabilities
         np.testing.assert_allclose(after, before, rtol=0, atol=1e-6)
 
     def test_masking_sole_evidence_pixel_gives_mean_prediction(self):
@@ -279,11 +273,11 @@ class TestPatchMaskingEval:
             w, input_shape=(3, 3, 1), means=np.array([77.0])
         )
         rng = np.random.default_rng(42)
-        image = rng.uniform(0, 255, size=(3, 3, 1))
-        masked = mask_patch(image, (1, 1), 1, model.preprocessing.means)
-        after = forward(model, masked, preprocessed=False).probabilities
-        mean_image = np.full((3, 3, 1), 77.0)
-        reference = forward(model, mean_image, preprocessed=False).probabilities
+        image = rng.uniform(0, 255, size=(3, 3, 1)) - model.preprocessing.means
+        masked = mask_patch(image, (1, 1), 1)
+        after = forward(model, masked).probabilities
+        mean_image = np.full((3, 3, 1), 77.0) - model.preprocessing.means
+        reference = forward(model, mean_image).probabilities
         np.testing.assert_allclose(after, reference, rtol=0, atol=1e-12)
 
 

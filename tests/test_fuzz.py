@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from relprop.cli import _read_image_list, main
 from relprop.errors import BlobError, DataError, RelpropError
 from relprop.evaluate import read_bounding_boxes
-from relprop.imaging import RgbImage, read_ppm, write_ppm
+from relprop.imaging import read_ppm, write_ppm
 from relprop.model import LayerParams, LayerSpec, NetworkModel, Preprocessing, load_model, save_model
 
 FUZZ_SETTINGS = settings(
@@ -70,8 +70,7 @@ def files(tmp_path_factory):
     model = NetworkModel((8, 8, 3), layers, params, preprocessing)
     save_model(model, root / "model.txt", root / "model.bin")
     for i in range(2):
-        pixels = rng.integers(0, 256, size=8 * 8 * 3, dtype=np.uint8).tobytes()
-        write_ppm(RgbImage(width=8, height=8, pixels=pixels), root / f"img{i}.ppm")
+        write_ppm(rng.integers(0, 256, size=(8, 8, 3), dtype=np.uint8), root / f"img{i}.ppm")
     texts = {
         "model.txt": (root / "model.txt").read_bytes(),
         "images.txt": b"img0.ppm 0\n# a comment\nimg1.ppm 2\n",

@@ -5,7 +5,6 @@ import pytest
 
 from relprop.errors import ImageFormatError, ShapeError
 from relprop.imaging import (
-    RgbImage,
     preprocess,
     read_pgm,
     read_ppm,
@@ -27,6 +26,15 @@ def rgb_model(height, width, means=(0.0, 0.0, 0.0)):
     )
 
 
+BAD_RGB = [
+    np.full((2, 2, 3), 200.0),
+    np.zeros((2, 2), dtype=np.uint8),
+    np.zeros((2, 2, 4), dtype=np.uint8),
+    np.zeros((0, 2, 3), dtype=np.uint8),
+]
+BAD_RGB_IDS = ["float", "2-D", "4-channel", "empty"]
+
+
 class TestPpmIo:
     def test_single_white_pixel_round_trip(self, tmp_path):
         """Canonical-form file: read then write is byte-identical."""
@@ -34,26 +42,37 @@ class TestPpmIo:
         payload = b"P6\n1 1\n255\n\xff\xff\xff"
         path.write_bytes(payload)
         image = read_ppm(path)
-        assert (image.width, image.height) == (1, 1)
-        assert image.pixels == b"\xff\xff\xff"
+        assert image.dtype == np.uint8
+        np.testing.assert_array_equal(image, np.full((1, 1, 3), 255))
         out = tmp_path / "copy.ppm"
         write_ppm(image, out)
         assert out.read_bytes() == payload
 
     def test_checkerboard_round_trip(self, tmp_path):
-        pixels = bytes([0, 0, 0, 255, 255, 255, 255, 255, 255, 0, 0, 0])
-        image = RgbImage(width=2, height=2, pixels=pixels)
+        image = np.array([[0, 255], [255, 0]], dtype=np.uint8)[:, :, None].repeat(3, axis=2)
         path = tmp_path / "board.ppm"
         write_ppm(image, path)
         back = read_ppm(path)
-        assert back == image
+        assert back.dtype == np.uint8 and back.shape == (2, 2, 3)
+        assert back.tobytes() == bytes([0, 0, 0, 255, 255, 255, 255, 255, 255, 0, 0, 0])
+
+    def test_array_round_trips_to_the_byte(self, tmp_path):
+        """A [H,W,3] uint8 array written then read comes back equal, and so does its file."""
+        image = np.random.default_rng(42).integers(0, 256, size=(5, 7, 3), dtype=np.uint8)
+        a, b = tmp_path / "a.ppm", tmp_path / "b.ppm"
+        write_ppm(image, a)
+        back = read_ppm(a)
+        assert back.dtype == np.uint8 and back.tobytes() == image.tobytes()
+        assert back.shape == (5, 7, 3) and back.flags.writeable
+        write_ppm(back, b)
+        assert a.read_bytes() == b.read_bytes() == b"P6\n7 5\n255\n" + image.tobytes()
 
     def test_header_comments_and_whitespace(self, tmp_path):
         path = tmp_path / "c.ppm"
         path.write_bytes(b"P6 # magic\n# a full comment line\n 2\t1 # extent\n255\n" + b"\x01" * 6)
         image = read_ppm(path)
-        assert (image.width, image.height) == (2, 1)
-        assert image.pixels == b"\x01" * 6
+        assert image.shape == (1, 2, 3)
+        assert image.tobytes() == b"\x01" * 6
 
     def test_ascii_variant_rejected(self, tmp_path):
         path = tmp_path / "a.ppm"
@@ -94,11 +113,13 @@ class TestPpmIo:
         with pytest.raises(ImageFormatError, match="non-numeric"):
             read_ppm(path)
 
-    def test_payload_size_validated_on_construction(self):
-        with pytest.raises(ImageFormatError):
-            RgbImage(width=2, height=2, pixels=b"\x00" * 11)
-        with pytest.raises(ImageFormatError, match="extent 0x2 invalid"):
-            RgbImage(width=0, height=2, pixels=b"")
+    def test_bad_array_rejected(self, tmp_path):
+        """Only a non-empty [H,W,3] uint8 array is written; nothing else reaches the file."""
+        path = tmp_path / "bad.ppm"
+        for samples in BAD_RGB:
+            with pytest.raises(ShapeError, match=r"write_ppm: need a non-empty \[H,W,3\] uint8 array, got "):
+                write_ppm(samples, path)
+        assert not path.exists()
 
 
 class TestPgmIo:
@@ -142,18 +163,17 @@ class TestPreprocess:
     def test_at_size_zero_means_is_plain_float_copy(self):
         rng = np.random.default_rng(42)
         raw = rng.integers(0, 256, size=(4, 4, 3), dtype=np.uint8)
-        image = RgbImage(width=4, height=4, pixels=raw.tobytes())
-        out = preprocess(image, rgb_model(4, 4))
+        out = preprocess(raw, rgb_model(4, 4))
         assert out.dtype == np.float64
         np.testing.assert_array_equal(out, raw.astype(np.float64))
 
     def test_mean_subtraction_per_channel(self):
-        image = RgbImage(width=2, height=2, pixels=bytes([200, 200, 200] * 4))
+        image = np.full((2, 2, 3), 200, dtype=np.uint8)
         out = preprocess(image, rgb_model(2, 2, means=(10.0, 20.0, 30.0)))
         np.testing.assert_array_equal(out[0, 0], [190.0, 180.0, 170.0])
 
     def test_raw_units_kept_without_subtraction(self):
-        image = RgbImage(width=2, height=2, pixels=bytes([200, 200, 200] * 4))
+        image = np.full((2, 2, 3), 200, dtype=np.uint8)
         out = preprocess(
             image, rgb_model(2, 2, means=(10.0, 20.0, 30.0)), subtract_mean=False
         )
@@ -164,23 +184,26 @@ class TestPreprocess:
         left offset = (4 - 2) // 2 = 1, so columns 1 and 2 survive."""
         raw = np.zeros((2, 4, 3), dtype=np.uint8)
         raw[:, :, 0] = [[0, 10, 20, 30], [40, 50, 60, 70]]
-        image = RgbImage(width=4, height=2, pixels=raw.tobytes())
-        out = preprocess(image, rgb_model(2, 2))
+        out = preprocess(raw, rgb_model(2, 2))
         np.testing.assert_array_equal(out[:, :, 0], [[10.0, 20.0], [50.0, 60.0]])
 
     def test_downscale_picks_floor_mapped_rows(self):
         """4x4 down to 2x2 samples source rows/cols (0*4)//2=0 and (1*4)//2=2."""
         raw = np.zeros((4, 4, 3), dtype=np.uint8)
         raw[:, :, 1] = np.arange(16).reshape(4, 4)
-        image = RgbImage(width=4, height=4, pixels=raw.tobytes())
-        out = preprocess(image, rgb_model(2, 2))
+        out = preprocess(raw, rgb_model(2, 2))
         np.testing.assert_array_equal(out[:, :, 1], [[0.0, 2.0], [8.0, 10.0]])
 
     def test_grayscale_model_rejected(self):
         model = dense_softmax_model(np.full((2, 4), 0.001), input_shape=(2, 2, 1))
-        image = RgbImage(width=2, height=2, pixels=b"\x00" * 12)
-        with pytest.raises(ShapeError):
-            preprocess(image, model)
+        with pytest.raises(ShapeError, match="preprocess: model expects 1 channels, PPM input is RGB"):
+            preprocess(np.zeros((2, 2, 3), dtype=np.uint8), model)
+
+    @pytest.mark.parametrize("image", BAD_RGB, ids=BAD_RGB_IDS)
+    def test_anything_but_a_non_empty_rgb_uint8_array_rejected(self, image):
+        """A float, 2-D, 4-channel or empty image is a ShapeError, not a silently wrong input."""
+        with pytest.raises(ShapeError, match=r"preprocess: need a non-empty \[H,W,3\] uint8 array, got "):
+            preprocess(image, rgb_model(2, 2))
 
 
 class TestRenderHeatmap:

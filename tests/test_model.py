@@ -33,10 +33,11 @@ DENSE_LINE = "layer dense in=16 out=2 bias=1\n"  # line 4 of MINIMAL_MANIFEST
 
 
 # Layers and parameters of the directly built models in TestChainValidation.
-DENSE_2x4, RELU, SOFTMAX = (
-    LayerSpec("dense", {"in": 4, "out": 2, "bias": 0}), LayerSpec("relu"), LayerSpec("softmax")
+DENSE_2x4, DENSE_2x2, RELU, SOFTMAX = (
+    LayerSpec("dense", {"in": 4, "out": 2, "bias": 0}), LayerSpec("dense", {"in": 2, "out": 2, "bias": 0}),
+    LayerSpec("relu"), LayerSpec("softmax"),
 )
-W_2x4 = LayerParams(np.zeros((2, 4)), None)
+W_2x4, W_2x2 = LayerParams(np.zeros((2, 4)), None), LayerParams(np.zeros((2, 2)), None)
 
 
 def write_minimal(tmp_path, blob_floats):
@@ -344,13 +345,17 @@ class TestChainValidation:
              "layer 0 (dense): weights (2, 3) != (2, 4)", 0),
             ((DENSE_2x4, SOFTMAX), (LayerParams(np.zeros((2, 4)), np.zeros(2)), None), ChainError,
              "layer 0 (dense): bias presence mismatch", 0),
+            ((DENSE_2x4, DENSE_2x2, SOFTMAX), (W_2x4, W_2x2, None), ChainError,
+             "dense layer not fed through relu", 1),
         ],
-        ids=["slot-count", "params-on-relu", "missing-params", "weight-shape", "bias-mismatch"],
+        ids=["slot-count", "params-on-relu", "missing-params", "weight-shape", "bias-mismatch",
+             "not-fed"],
     )
     def test_directly_built_model_errors_name_the_layer(self, layers, params, error, message, where):
         """A NetworkModel built directly checks its parameter slots against its
-        layers; an error about one layer carries that layer's index, which
-        load_model turns into its manifest line."""
+        layers, and that each parametric layer after the first is fed through a
+        relu, as a loaded one is; an error about one layer carries that layer's
+        index, which load_model turns into its manifest line."""
         with pytest.raises(error) as err:
             NetworkModel((1, 4, 1), layers, params, Preprocessing(np.zeros(1), (0.0, 255.0)))
         assert type(err.value) is error and str(err.value) == message and err.value.where == where
@@ -459,15 +464,11 @@ class TestForward:
         np.testing.assert_array_equal(t1.probabilities, t2.probabilities)
         np.testing.assert_array_equal(t1.logits, t2.logits)
 
-    def test_mean_subtraction_flag(self):
-        """preprocessed=False shifts the input by the per-channel means first."""
-        w = np.eye(2)
-        model = dense_softmax_model(
-            w, input_shape=(1, 2, 1), means=np.array([10.0])
-        )
-        raw = np.array([30.0, 50.0]).reshape(1, 2, 1)
-        shifted = forward(model, raw, preprocessed=False)
-        np.testing.assert_allclose(shifted.logits, [20.0, 40.0])
+    def test_input_taken_as_is(self):
+        """forward reads the model input as given: the means are preprocess's to subtract."""
+        model = dense_softmax_model(np.eye(2), input_shape=(1, 2, 1), means=np.array([10.0]))
+        trace = forward(model, np.array([30.0, 50.0]).reshape(1, 2, 1))
+        np.testing.assert_array_equal(trace.logits, [30.0, 50.0])
 
     def test_layer_error_names_the_layer(self):
         """A finite image whose logits overflow is a ShapeError naming the layer
@@ -487,10 +488,10 @@ class TestForward:
         rng = np.random.default_rng(11)
         model = dense_softmax_model(0.01 * rng.normal(size=(3, 4)), input_shape=(2, 2, 1))
         stack = rng.uniform(0, 255, size=(3, 2, 2, 1))
-        probs = forward(model, stack, preprocessed=False).probabilities
+        probs = forward(model, stack).probabilities
         assert probs.shape == (3, 3)
         for k in range(3):
-            single = forward(model, stack[k], preprocessed=False).probabilities
+            single = forward(model, stack[k]).probabilities
             np.testing.assert_array_equal(probs[k], single)
 
     def test_stack_with_one_non_finite_image_raises(self):

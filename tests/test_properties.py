@@ -1,8 +1,8 @@
 """Property tests over random shapes for the convolution kernel and its adjoint,
 max pooling, the leading seed axis that lets every method share one backward
 pass, the leading image axis that lets a stack of images share one forward
-pass, the incremental forward that recomputes only what a masking patch
-reaches, the relevance rules' invariants on random chains of conv and dense
+pass, masking in model space, the incremental forward that recomputes only
+what a masking patch reaches, the relevance rules' invariants on random chains of conv and dense
 layers, and the pointing game's thresholds."""
 
 import numpy as np
@@ -19,6 +19,7 @@ from relprop.evaluate import (
     mask_patch,
     pointing_game,
 )
+from relprop.imaging import preprocess
 from relprop.model import LayerParams, LayerSpec, NetworkModel, Preprocessing, forward
 from relprop.relevance import (
     METHODS,
@@ -203,7 +204,7 @@ def test_explain_all_matches_explain_per_method(seed, two_shape):
     else:
         model = _random_cnn(rng, classes=int(rng.integers(2, 6)))
         image = rng.uniform(0, 255, size=model.input_shape)
-    trace = forward(model, image, preprocessed=False)
+    trace = forward(model, image - model.preprocessing.means)
     target = int(rng.integers(model.num_classes))
     methods = ("lrp", "clrp", "sglrp")
     maps = explain_all(model, trace, target, methods)
@@ -375,12 +376,12 @@ def incremental_cases(draw):
     return tuple(layers), input_shape, edits, draw(st.integers(0, 2**32 - 1))
 
 
-def _edited(image: np.ndarray, edit, fill: np.ndarray) -> np.ndarray:
+def _edited(image: np.ndarray, edit) -> np.ndarray:
     kind, a, b = edit
     if kind == "patch":
-        return mask_patch(image, a, b, fill)
+        return mask_patch(image, a, b)
     out = image.copy()
-    out[a], out[b] = fill, fill
+    out[a] = out[b] = 0.0
     return out
 
 
@@ -403,17 +404,34 @@ def test_incremental_forward_is_the_full_stacked_forward_to_the_byte(case):
     layers, input_shape, edits, seed = case
     rng = np.random.default_rng(seed)
     model = _chain_model(layers, input_shape, rng)
-    image = rng.uniform(0, 255, size=input_shape)
-    base = forward(model, image, preprocessed=False)
-    stack = np.stack([_edited(image, edit, model.preprocessing.means) for edit in edits])
-    got = forward(model, stack, preprocessed=False, base=base).probabilities
+    image = rng.uniform(0, 255, size=input_shape) - model.preprocessing.means
+    base = forward(model, image)
+    stack = np.stack([_edited(image, edit) for edit in edits])
+    got = forward(model, stack, base=base).probabilities
     assert got.shape == (len(edits), model.num_classes)
-    assert got.tobytes() == forward(model, stack, preprocessed=False).probabilities.tobytes()
+    assert got.tobytes() == forward(model, stack).probabilities.tobytes()
     for row, edited in zip(got, stack):
-        assert row.tobytes() == forward(model, edited, preprocessed=False).probabilities.tobytes()
-    copies = forward(model, np.stack([image] * len(edits)), preprocessed=False, base=base)
+        assert row.tobytes() == forward(model, edited).probabilities.tobytes()
+    copies = forward(model, np.stack([image] * len(edits)), base=base)
     for row in copies.probabilities:
         assert row.tobytes() == base.probabilities.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 6), st.integers(1, 9), st.integers(1, 9), st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_masking_a_model_input_is_masking_with_the_means_less_the_means(side, height, width, r, seed):
+    """Setting a patch of preprocess's output to 0.0 gives, to the byte, the raw image
+    with that patch set to the dataset means, less the means: m - m is +0.0, and every
+    other pixel goes through the same subtraction."""
+    rng = np.random.default_rng(seed)
+    image = rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8)
+    means = rng.uniform(0, 255, size=3)
+    model = dense_softmax_model(np.zeros((2, 3 * side * side)), input_shape=(side, side, 3), means=means)
+    x, y = int(rng.integers(side)), int(rng.integers(side))
+    raw = preprocess(image, model, subtract_mean=False)
+    raw[max(0, y - r) : y + r + 1, max(0, x - r) : x + r + 1] = means
+    got = mask_patch(preprocess(image, model), (x, y), 2 * r + 1)
+    assert got.tobytes() == (raw - means).tobytes()
 
 
 def test_incremental_forward_of_one_image_is_an_explainable_trace():
@@ -422,11 +440,11 @@ def test_incremental_forward_of_one_image_is_an_explainable_trace():
     forward's maps to the byte."""
     rng = np.random.default_rng(7)
     model = _random_cnn(rng, classes=4)
-    image = rng.uniform(0, 255, size=model.input_shape)
-    edited = mask_patch(image, (6, 1), 3, model.preprocessing.means)
-    base = forward(model, image, preprocessed=False)
-    got = forward(model, edited, preprocessed=False, base=base)
-    want = forward(model, edited, preprocessed=False)
+    image = rng.uniform(0, 255, size=model.input_shape) - model.preprocessing.means
+    edited = mask_patch(image, (6, 1), 3)
+    base = forward(model, image)
+    got = forward(model, edited, base=base)
+    want = forward(model, edited)
     assert len(got.activations) == len(want.activations) == len(model.layers) + 1
     for a, b in zip(got.activations, want.activations):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -442,14 +460,14 @@ def test_incremental_forward_rejects_a_base_from_another_input():
     with the same shapes but other weights."""
     rng = np.random.default_rng(3)
     model = _random_cnn(rng, classes=3)
-    image = rng.uniform(0, 255, size=model.input_shape)
-    stacked = forward(model, np.stack([image, image]), preprocessed=False)
+    image = rng.uniform(0, 255, size=model.input_shape) - model.preprocessing.means
+    stacked = forward(model, np.stack([image, image]))
     other = make_two_shape_model()
-    foreign = forward(other, make_two_shape_image(rng)[0], preprocessed=False)
-    twin = forward(_random_cnn(np.random.default_rng(4), classes=3), image, preprocessed=False)
+    foreign = forward(other, make_two_shape_image(rng)[0] - other.preprocessing.means)
+    twin = forward(_random_cnn(np.random.default_rng(4), classes=3), image)
     for base in (stacked, foreign, twin):
         with pytest.raises(ShapeError, match="base"):
-            forward(model, image, preprocessed=False, base=base)
+            forward(model, image, base=base)
 
 
 @st.composite
@@ -512,7 +530,7 @@ def test_bias_free_positive_chain_conserves_lrp_seed(case):
     layers, input_shape, seed = case
     rng = np.random.default_rng(seed)
     model = _chain_model(layers, input_shape, rng, positive=True, bias=False)
-    trace = forward(model, rng.uniform(0, 255, size=input_shape), preprocessed=False)
+    trace = forward(model, rng.uniform(0, 255, size=input_shape) - model.preprocessing.means)
     target = int(rng.integers(model.num_classes))
     total = explain(model, trace, target, "lrp").raw.sum()
     want = seed_row("lrp", trace, target).sum()
@@ -527,7 +545,7 @@ def test_every_method_map_is_non_negative(case):
     layers, input_shape, seed = case
     rng = np.random.default_rng(seed)
     model = _chain_model(layers, input_shape, rng)
-    trace = forward(model, rng.uniform(0, 255, size=input_shape), preprocessed=False)
+    trace = forward(model, rng.uniform(0, 255, size=input_shape) - model.preprocessing.means)
     maps = explain_all(model, trace, int(rng.integers(model.num_classes)), METHODS)
     for relevance_map in maps.values():
         assert relevance_map.values.shape == input_shape[:2]

@@ -460,21 +460,26 @@ class TestStructuralRouting:
 
     def test_relu_passthrough(self):
         """A relu whose input is all positive leaves every method's map
-        unchanged: the backward pass hands relevance through it as is."""
+        unchanged: the backward pass hands relevance through it as is, so the
+        maps are the two dense rules applied back to back with no relu step."""
         rng = np.random.default_rng(42)
-        w1 = LayerParams(rng.uniform(0.001, 0.01, size=(4, 3)), None)
-        w2 = LayerParams(rng.normal(size=(3, 4)), None)
+        w1 = rng.uniform(0.001, 0.01, size=(4, 3))
+        w2 = rng.normal(size=(3, 4))
         dense1 = LayerSpec("dense", {"in": 3, "out": 4, "bias": 0})
         dense2 = LayerSpec("dense", {"in": 4, "out": 3, "bias": 0})
-        tail = [(dense2, w2), (LayerSpec("softmax"), None)]
-        with_relu = self._chain((1, 3, 1), [(dense1, w1), (LayerSpec("relu"), None)] + tail)
-        without = self._chain((1, 3, 1), [(dense1, w1)] + tail)
+        model = self._chain((1, 3, 1), [(dense1, LayerParams(w1, None)), (LayerSpec("relu"), None),
+                                        (dense2, LayerParams(w2, None)), (LayerSpec("softmax"), None)])
         x = rng.uniform(1, 255, size=(1, 3, 1))
+        trace = forward(model, x)
+        hidden = trace.activations[1]  # dense1's output
+        assert np.all(hidden > 0)
         for target in range(3):
-            got = self._maps(with_relu, x, target)
-            want = self._maps(without, x, target)
-            for method in got:
-                np.testing.assert_array_equal(got[method].raw, want[method].raw)
+            got = self._maps(model, x, target)
+            seeds = seed_rows(trace, target, METHODS)
+            relevance = propagate_zplus(seeds, dense2, w2, hidden)
+            want = propagate_zbeta_input(relevance, dense1, w1, x, InputBounds.from_model(model))
+            for k, method in enumerate(METHODS):
+                assert got[method].raw.tobytes() == want[k].reshape(x.shape).tobytes()
 
     def test_flatten_restores_shape(self):
         """Relevance crossing a flatten is reshaped back to the [H,W,C] it
@@ -696,8 +701,8 @@ class TestRuleConstants:
         save_model(built, tmp_path / "m.txt", tmp_path / "m.bin")
         model = load_model(tmp_path / "m.txt", tmp_path / "m.bin")
         assert model.rule_constants == {}
-        image = rng.uniform(0, 255, size=input_shape)
-        trace = forward(model, image, preprocessed=False)
+        image = rng.uniform(0, 255, size=input_shape) - means
+        trace = forward(model, image)
         for target in range(model.num_classes):
             first = explain_all(model, trace, target, METHODS)
             assert set(model.rule_constants) == {

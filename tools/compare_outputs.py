@@ -19,15 +19,15 @@ error load_model raises, and records its exit code and stderr, with the input
 directory written as <inputs>. It records the same for two cnn32 harness runs
 that fail on one image (HARNESS_ERRORS): mask-eval on a list whose last label is
 10, one past cnn32's classes, and pointing with one box that starts outside its
-image.
+image; and for predict on malformed copies of the first cnn32 PPM (IMAGE_ERRORS).
 
 The report gives each side's `relprop/*.py` line count (as `wc -l` counts it)
 and lists every artifact that differs or exists on one side only (CSVs, meta
 JSON, PGMs, .f32 maps, predict output, exit codes) and the largest relative
 difference of a pointing.csv `tau`, then every load error whose exit code or
-message differs, with both sides' lines, and the same for the harness errors.
-It prints "identical" for the artifacts, the load errors and the harness errors,
-and exits 0, when nothing differs; it exits 1 otherwise.
+message differs, with both sides' lines, and the same for the harness errors and
+the image errors. It prints "identical" for the artifacts and for each kind of
+error, and exits 0, when nothing differs; it exits 1 otherwise.
 """
 
 from __future__ import annotations
@@ -88,6 +88,16 @@ LOAD_ERRORS = {
 }
 # cnn32 runs that fail on one image: mask-eval on list-label-10.txt, pointing with boxes-outside.txt.
 HARNESS_ERRORS = ("mask-label-10", "point-box-outside")
+# name: the malformed copy of the first cnn32 PPM, made from its width, height and samples.
+IMAGE_ERRORS = {
+    "ppm-ascii-magic": lambda w, h, px: b"P3\n%d %d\n255\n%b" % (w, h, px),
+    "ppm-maxval-65535": lambda w, h, px: b"P6\n%d %d\n65535\n%b" % (w, h, px),
+    "ppm-width-plus-4": lambda w, h, px: b"P6\n+4 %d\n255\n%b" % (h, px),
+    "ppm-truncated": lambda w, h, px: b"P6\n%d %d\n255\n%b" % (w, h, px[:-1]),
+    "ppm-no-space-after-maxval": lambda w, h, px: b"P6\n%d %d\n255%b" % (w, h, px),
+    "ppm-ends-at-maxval": lambda w, h, px: b"P6\n%d %d\n255" % (w, h),
+    "ppm-width-zero": lambda w, h, px: b"P6\n0 %d\n255\n%b" % (h, px),
+}
 
 
 def resolve_src(side: str, scratch: Path) -> Path:
@@ -143,11 +153,16 @@ def write_inputs(out: Path) -> None:
     for case, (old, new) in LOAD_ERRORS.items():
         (errors / f"{case}.txt").write_bytes(new if old is None else manifest.replace(old, new, 1))
         (errors / f"{case}.bin").write_bytes(blobs.get(case, blob))
+    magic, extent, maxval, samples = sorted(images.glob("*.ppm"))[0].read_bytes().split(b"\n", 3)
+    assert (magic, maxval) == (b"P6", b"255"), "bench/inputs.py writes another PPM header"
+    width, height = map(int, extent.split())
+    for case, make in IMAGE_ERRORS.items():
+        (errors / f"{case}.ppm").write_bytes(make(width, height, samples))
 
 
 def run_side(src: Path, inputs_dir: Path, out: Path, errors_out: Path) -> None:
     """Run every command against the relprop under src, writing artifacts to out and
-    each load error's exit code and stderr to errors_out; called in a child process."""
+    each load, harness and image error's exit code and stderr to errors_out; called in a child process."""
     sys.path.insert(0, str(src))
     import contextlib
     import io
@@ -199,6 +214,8 @@ def run_side(src: Path, inputs_dir: Path, out: Path, errors_out: Path) -> None:
     record("mask-label-10", ["mask-eval", *model, str(images / "list-label-10.txt"), *runs])
     record("point-box-outside",
            ["pointing", *model, str(images / "list.txt"), str(images / "boxes-outside.txt"), *runs])
+    for case in IMAGE_ERRORS:
+        record(case, ["predict", *model, str(inputs_dir / "errors" / f"{case}.ppm")])
 
 
 def _taus(path: Path) -> list[str]:
@@ -254,7 +271,7 @@ def main() -> int:
             )
         differing, tau_gap, total = compare(tmp / "outA", tmp / "outB")
         errors = {case: [(tmp / f"errors{label}" / case).read_text().strip() for label in "AB"]
-                  for case in (*LOAD_ERRORS, *HARNESS_ERRORS)}
+                  for case in (*LOAD_ERRORS, *HARNESS_ERRORS, *IMAGE_ERRORS)}
     print(f"A: {args.a} (relprop/*.py: {lines[0]} lines)\nB: {args.b} (relprop/*.py: {lines[1]} lines)")
     print(f"{total} artifacts over {len(MODELS)} models")
     print(f"largest relative tau difference in pointing.csv: {tau_gap:.3g}")
@@ -262,7 +279,8 @@ def main() -> int:
     for name in differing:
         print(f"  {name}")
     sections = {"load errors of malformed cnn32 manifests and blobs": LOAD_ERRORS,
-                "harness errors of cnn32 mask-eval and pointing runs": HARNESS_ERRORS}
+                "harness errors of cnn32 mask-eval and pointing runs": HARNESS_ERRORS,
+                "image errors of malformed cnn32 PPMs": IMAGE_ERRORS}
     for title, cases in sections.items():
         changed = [case for case in cases if errors[case][0] != errors[case][1]]
         print(f"{len(cases)} {title}")
