@@ -20,7 +20,7 @@ from .model import NetworkModel
 
 
 class _HeaderReader:
-    """Tokenizer for netpbm headers over raw bytes."""
+    """Tokenizer for netpbm headers over raw bytes; an error shows at most 20 bytes of a token."""
 
     def __init__(self, data: bytes, path: str):
         self.data = data
@@ -48,7 +48,8 @@ class _HeaderReader:
     def int_token(self, what: str) -> int:
         tok = self.token()
         if not tok.isdigit():  # ASCII digits only; int() would also take "+4" and "1_0"
-            raise ImageFormatError(f"{self.path}: non-numeric {what} {tok!r}")
+            more = "..." if len(tok) > 20 else ""
+            raise ImageFormatError(f"{self.path}: non-numeric {what} {tok[:20]!r}{more}")
         return int(tok)
 
     def payload_after_maxval(self, count: int) -> bytes:
@@ -87,9 +88,14 @@ def _write_netpbm(samples: np.ndarray, path: str | Path, magic: str) -> None:
     Path(path).write_bytes(f"{magic}\n{w} {h}\n255\n".encode("ascii") + samples.tobytes())
 
 
+def _described(x) -> str:
+    return f"{x.dtype} {x.shape}" if isinstance(x, np.ndarray) else type(x).__name__
+
+
 def _check_rgb(image: np.ndarray, what: str) -> None:
-    if image.ndim != 3 or image.shape[2] != 3 or image.dtype != np.uint8 or image.size == 0:
-        raise ShapeError(f"{what}: need a non-empty [H,W,3] uint8 array, got {image.dtype} {image.shape}")
+    if not isinstance(image, np.ndarray) or (
+            image.ndim != 3 or image.shape[2] != 3 or image.dtype != np.uint8 or image.size == 0):
+        raise ShapeError(f"{what}: need a non-empty [H,W,3] uint8 array, got {_described(image)}")
 
 
 def read_ppm(path: str | Path) -> np.ndarray:
@@ -105,8 +111,8 @@ def write_ppm(samples: np.ndarray, path: str | Path) -> None:
 
 def write_pgm(samples: np.ndarray, path: str | Path) -> None:
     """Write a [H,W] uint8 array as a binary P5 PGM with maxval 255."""
-    if samples.ndim != 2 or samples.dtype != np.uint8:
-        raise ShapeError(f"write_pgm: need a 2-D uint8 array, got {samples.dtype} {samples.shape}")
+    if not isinstance(samples, np.ndarray) or samples.ndim != 2 or samples.dtype != np.uint8:
+        raise ShapeError(f"write_pgm: need a 2-D uint8 array, got {_described(samples)}")
     _write_netpbm(samples, path, "P5")
 
 

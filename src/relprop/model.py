@@ -152,8 +152,8 @@ def infer_shapes(
 
 @dataclass(frozen=True)
 class NetworkModel:
-    """A validated layer chain with loaded parameters and preprocessing record. They must
-    not change after the first explain caches rule_constants from them (load_model freezes them)."""
+    """A validated layer chain with loaded parameters and preprocessing record. They must not
+    change after the first explain caches rule_terms from them in rule_constants (load_model freezes them)."""
 
     input_shape: tuple[int, int, int]
     layers: tuple[LayerSpec, ...]

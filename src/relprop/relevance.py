@@ -1,22 +1,21 @@
 """Class-discriminative relevance propagation.
 
 Relevance starts at the logit layer as a method-specific seed vector and flows
-backward through the chain. Dense and conv layers redistribute it
-proportionally to each input's positive forward contribution (zplus); the
-first of them, which reads raw pixels, uses a bounded variant that accounts for
-the admissible pixel range, so negative inputs cannot invert signs (zbeta).
-Each rule has one body, keyed on the layer's LayerSpec and written over its
-bias-free linear map and adjoint from _layer_map: W @ x and s @ W for dense
-layers, conv2d_forward and conv2d_transpose for conv layers. Max-pool routes
+backward through the chain. Dense and conv layers share one rule,
+propagate_linear: each input receives relevance in proportion to its
+contribution, over the layer's bias-free linear map and adjoint from _layer_map
+(W @ x and s @ W, or conv2d_forward and conv2d_transpose). zplus counts
+positive-weight contributions; the first dense or conv layer, which reads
+mean-subtracted pixels, uses zbeta: W and two bound terms for the admissible
+pixel range, so negative inputs cannot invert signs. Max-pool routes
 winner-take-all to the winners pool_winners derives from the traced pool's input
 and output; relu, flatten and softmax are skipped. All rules are linear, so
 relevance may carry a leading seed axis, one row per method from seed_rows. The
 result is a signed per-pixel tensor; its 2-D map sums positive evidence over
 channels.
 
-The rules' model-fixed parts (W+; the pixel layer's W-, bounds and bound
-terms) are built by the rules' own calls on a model's first explain and kept in
-its rule_constants, so they change no byte.
+explain_all keeps every dense and conv layer's model-fixed operands, built by
+rule_terms on the model's first explain, in the model's rule_constants.
 
 Seeds (seed_rows builds one row per method; the methods differ in nothing else):
 
@@ -93,90 +92,56 @@ def _layer_map(layer: LayerSpec, shape: tuple[int, ...]):
     )
 
 
-def propagate_zplus(
-    relevance: np.ndarray, layer: LayerSpec, weights: np.ndarray, a: np.ndarray, wp=None
-) -> np.ndarray:
-    """Redistribute a dense or conv layer's relevance along positive-weight contributions:
-    a * adjoint(R / apply(a, W+), W+), W+ = max(W, 0), over the layer's map pair.
-
-    a must be the layer's non-negative input in its own shape; a dense layer reads
-    it in flattened order. Bias receives nothing. Output nodes whose positive
-    pre-activation is below the stability floor absorb their relevance. wp, if
-    given, must be max(weights, 0).
-    """
+def rule_terms(layer: LayerSpec, weights: np.ndarray, shape: tuple[int, ...], bounds=None) -> tuple:
+    """(shape, apply, adjoint, W_a, bound terms (b, W_b, apply(b, W_b))): a dense or conv layer's
+    operands over inputs of `shape`. zplus (no bounds) is W+ with no bound terms; zbeta, with bounds
+    (lower, upper) broadcastable to shape, is W with (lower, W+) and (upper, W-), each b a float64 copy."""
+    what = "zplus" if bounds is None else "zbeta"
     if not layer.is_parametric:
-        raise ShapeError(f"zplus: unsupported layer kind {layer.kind}")
-    what = f"zplus {layer.kind}"
-    if layer.kind == "dense" and (weights.ndim != 2 or weights.shape[1] != a.size):
-        raise ShapeError(f"{what}: weights {weights.shape} != input {a.shape}")
-    if np.any(a < 0):
+        raise ShapeError(f"{what}: unsupported layer kind {layer.kind}")
+    if layer.kind == "dense" and (weights.ndim != 2 or weights.shape[1] != np.prod(shape)):
+        raise ShapeError(f"{what} dense: weights {weights.shape} != input {shape}")
+    apply, adjoint = _layer_map(layer, shape)
+    wp = np.maximum(weights, 0.0)
+    if bounds is None:
+        return shape, apply, adjoint, wp, ()
+    try:
+        lower, upper = (np.broadcast_to(b, shape).astype(np.float64, order="C") for b in bounds)
+    except ValueError:
+        shapes = " and ".join(str(np.shape(b)) for b in bounds)
+        raise ShapeError(f"zbeta: bounds {shapes} do not broadcast to input {shape}") from None
+    wm = np.minimum(weights, 0.0)
+    return shape, apply, adjoint, weights, ((lower, wp, apply(lower, wp)), (upper, wm, apply(upper, wm)))
+
+
+def propagate_linear(relevance: np.ndarray, layer: LayerSpec, a: np.ndarray, terms: tuple) -> np.ndarray:
+    """Redistribute a dense or conv layer's relevance R in proportion to each input's contribution,
+    over terms = rule_terms(layer, weights, a.shape, bounds): a * adjoint(s, W_a) less each bound
+    term's b * adjoint(s, W_b), with s = R / (apply(a, W_a) less each apply(b, W_b)).
+
+    a is the layer's input in its own shape (a dense layer reads it in flattened order). zplus
+    needs a >= 0; zbeta needs a inside its bounds, where every contribution
+    a*w - lower*max(w,0) - upper*min(w,0) is non-negative, so seed signs survive. Bias receives
+    nothing; output nodes whose denominator is below the stability floor absorb their relevance.
+    """
+    shape, apply, adjoint, w, bound = terms
+    what = f"{'zbeta' if bound else 'zplus'} {layer.kind}"
+    if a.shape != shape:
+        raise ShapeError(f"{what}: input {a.shape} != the terms' input {shape}")
+    if not bound and np.any(a < 0):
         raise ShapeError(f"{what}: negative activations")
-    apply, adjoint = _layer_map(layer, a.shape)
-    wp = np.maximum(weights, 0.0) if wp is None else wp
-    denom = apply(a, wp)
+    if bound and (np.any(a < bound[0][0]) or np.any(a > bound[1][0])):
+        raise ShapeError(f"zbeta: input values {a.min():.6g}..{a.max():.6g} (after mean subtraction)"
+                         " fall outside the declared pixel range")
+    denom = apply(a, w)
+    for _, _, fixed in bound:
+        denom = denom - fixed
     _seed_axis(relevance, denom.shape, what)
-    return a * adjoint(_stabilized_ratio(relevance, denom), wp)
-
-
-@dataclass(frozen=True)
-class InputBounds:
-    """Admissible per-channel input range after mean subtraction."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        if self.lower.shape != self.upper.shape or self.lower.ndim != 1:
-            raise ShapeError("input bounds must be matching per-channel vectors")
-        if np.any(self.lower > self.upper):
-            raise ShapeError("input bounds: lower exceeds upper")
-
-    @classmethod
-    def from_model(cls, model: NetworkModel) -> "InputBounds":
-        lo, hi = model.preprocessing.pixel_range
-        means = model.preprocessing.means
-        return cls(lower=lo - means, upper=hi - means)
-
-
-def _zbeta_terms(layer: LayerSpec, weights: np.ndarray, shape: tuple, bounds: InputBounds):
-    """zbeta's model-fixed parts over inputs `shape`: maps, W+, W-, low, high and the bound terms."""
-    if not layer.is_parametric:
-        raise ShapeError(f"zbeta: unsupported layer kind {layer.kind}")
-    if layer.kind == "dense" and weights.shape[1] != np.prod(shape):
-        raise ShapeError(f"zbeta dense: weights {weights.shape} do not fit input {shape}")
-    maps = _layer_map(layer, shape)
-    low, high = (np.broadcast_to(b, shape).astype(np.float64) for b in (bounds.lower, bounds.upper))
-    wp, wm = np.maximum(weights, 0.0), np.minimum(weights, 0.0)
-    return (*maps, wp, wm, low, high, maps[0](low, wp), maps[0](high, wm))
-
-
-def propagate_zbeta_input(
-    relevance: np.ndarray, layer: LayerSpec, weights: np.ndarray, x: np.ndarray, bounds: InputBounds,
-    terms: tuple | None = None,
-) -> np.ndarray:
-    """Range-bounded rule for the layer that consumes raw (mean-subtracted) pixels.
-
-    Each input contributes x*w - lower*max(w,0) - upper*min(w,0); with x inside
-    the bounds every contribution is non-negative, so seed signs survive the
-    pixel layer intact. Bias receives nothing. Input outside the bounds would
-    break that guarantee, so it is rejected. terms, if given, must be
-    _zbeta_terms(layer, weights, x.shape, bounds).
-    """
-    if x.ndim != 3:
-        raise ShapeError(f"zbeta: input must be [H,W,C], got {x.shape}")
-    if bounds.lower.shape != (x.shape[2],):
-        raise ShapeError(f"zbeta: bounds have {bounds.lower.shape[0]} channels, input {x.shape[2]}")
-    terms = terms or _zbeta_terms(layer, weights, x.shape, bounds)
-    apply, adjoint, wp, wm, low, high, lo, hi = terms
-    if np.any(x < low) or np.any(x > high):
-        raise ShapeError(
-            f"zbeta: input values {x.min():.6g}..{x.max():.6g} (after mean subtraction)"
-            " fall outside the declared pixel range"
-        )
-    denom = apply(x, weights) - lo - hi
-    _seed_axis(relevance, denom.shape, f"zbeta {layer.kind}")
     s = _stabilized_ratio(relevance, denom)
-    return x * adjoint(s, weights) - low * adjoint(s, wp) - high * adjoint(s, wm)
+    out = a * adjoint(s, w)
+    for b, wb, _ in bound:
+        out = out - b * adjoint(s, wb)
+    return out
 
 
 def propagate_maxpool(
@@ -228,25 +193,22 @@ def explain_all(
     if not methods:
         return {}
     relevance = seed_rows(trace, target, methods)
-    first = next(i for i, l in enumerate(model.layers) if l.is_parametric)
-    # A flatten ahead of a first dense layer keeps the pixel order; take the [H,W,C] view.
-    pixels = next(a for a in reversed(trace.activations[: first + 1]) if a.ndim == 3)
-    bounds = InputBounds.from_model(model)
     const = model.rule_constants  # built whole on the model's first explain
     if not const:
+        first = next(i for i, l in enumerate(model.layers) if l.is_parametric)
+        a, pre = trace.activations[first], model.preprocessing
+        # the per-channel bounds at every pixel, in the [H,W,C] order that a flatten keeps
+        bounds = [np.tile(b - pre.means, a.size // pre.means.size).reshape(a.shape) for b in pre.pixel_range]
         const.update({
-            i: _zbeta_terms(l, p.weights, pixels.shape, bounds) if i == first
-            else np.maximum(p.weights, 0.0)
+            i: rule_terms(l, p.weights, trace.activations[i].shape, bounds if i == first else None)
             for i, (l, p) in enumerate(zip(model.layers, model.params)) if l.is_parametric
         })
     for i in reversed(range(len(model.layers))):
-        layer, a, lp = model.layers[i], trace.activations[i], model.params[i]
+        layer, a = model.layers[i], trace.activations[i]
         if layer.kind == "maxpool":
             relevance = propagate_maxpool(relevance, layer, a, trace.activations[i + 1])
-        elif i == first:
-            relevance = propagate_zbeta_input(relevance, layer, lp.weights, pixels, bounds, const[i])
         elif layer.is_parametric:
-            relevance = propagate_zplus(relevance, layer, lp.weights, a, const[i])
+            relevance = propagate_linear(relevance, layer, a, const[i])
         relevance = relevance.reshape((len(methods),) + a.shape)
     return {m: RelevanceMap(raw, m, target) for m, raw in zip(methods, relevance)}
 

@@ -23,7 +23,7 @@ from relprop.evaluate import (
     run_pointing,
 )
 from relprop.model import forward, save_model
-from relprop.relevance import explain, propagate_zplus
+from relprop.relevance import explain
 from relprop.tensor import (
     conv2d_forward,
     dense_forward,
@@ -51,7 +51,7 @@ from synth import (
     make_uniform_penalty_model,
     tensor_to_ppm,
 )
-from test_relevance import conv_layer, dense_layer, seed_row, trace_for_logits
+from test_relevance import conv_layer, dense_layer, seed_row, trace_for_logits, zplus
 
 
 @criterion(1, "softmax-gradient seeds")
@@ -92,7 +92,7 @@ def test_criterion_2_conservation():
         relevance = np.zeros(widths[3])
         relevance[int(rng.integers(widths[3]))] = float(acts[3].max())
         for level in (2, 1, 0):
-            back = propagate_zplus(relevance, dense_layer(weights[level]), weights[level], acts[level])
+            back = zplus(relevance, dense_layer(weights[level]), weights[level], acts[level])
             np.testing.assert_allclose(back.sum(), relevance.sum(), rtol=1e-8, atol=0)
             relevance = back
     assert time.perf_counter() - start < 10.0
@@ -117,7 +117,7 @@ def test_criterion_3_oracle_equivalence():
         h_out = (h + 2 * pad - k) // stride + 1
         w_out = (w + 2 * pad - k) // stride + 1
         relevance = rng.uniform(0.0, 1.0, size=(h_out, w_out, c_out))
-        fast = propagate_zplus(relevance, conv_layer(weights, stride, pad), weights, activations)
+        fast = zplus(relevance, conv_layer(weights, stride, pad), weights, activations)
         matrix = unroll_conv_matrix(weights, (h, w, c_in), stride=stride, pad=pad)
         slow = naive_zplus_dense(relevance.reshape(-1), matrix, activations.reshape(-1))
         np.testing.assert_allclose(fast, slow.reshape(h, w, c_in), rtol=0, atol=1e-8)

@@ -31,8 +31,10 @@ BAD_RGB = [
     np.zeros((2, 2), dtype=np.uint8),
     np.zeros((2, 2, 4), dtype=np.uint8),
     np.zeros((0, 2, 3), dtype=np.uint8),
+    [[[1, 2, 3]]],
+    bytes(12),
 ]
-BAD_RGB_IDS = ["float", "2-D", "4-channel", "empty"]
+BAD_RGB_IDS = ["float", "2-D", "4-channel", "empty", "nested-list", "bytes"]
 
 
 class TestPpmIo:
@@ -113,6 +115,17 @@ class TestPpmIo:
         with pytest.raises(ImageFormatError, match="non-numeric"):
             read_ppm(path)
 
+    def test_non_numeric_token_is_shown_cut_short(self, tmp_path):
+        """Samples that follow the maxval with no separator run on in its token; the
+        message shows the token's first 20 bytes, then `...`, not the whole payload."""
+        path = tmp_path / "m.ppm"
+        path.write_bytes(b"P6\n4 4\n255" + b"\x80" * 48)
+        with pytest.raises(ImageFormatError) as err:
+            read_ppm(path)
+        shown = "b'255" + "\\x80" * 17 + "'..."
+        assert str(err.value) == f"{path}: non-numeric maxval {shown}"
+        assert len(str(err.value)) - len(str(path)) <= 100
+
     def test_bad_array_rejected(self, tmp_path):
         """Only a non-empty [H,W,3] uint8 array is written; nothing else reaches the file."""
         path = tmp_path / "bad.ppm"
@@ -142,6 +155,9 @@ class TestPgmIo:
             write_pgm(np.zeros((2, 2)), tmp_path / "f.pgm")
         with pytest.raises(ShapeError):
             write_pgm(np.zeros((2, 2, 1), dtype=np.uint8), tmp_path / "r.pgm")
+        for samples in ([[1, 2], [3, 4]], bytes(4)):
+            with pytest.raises(ShapeError, match=r"write_pgm: need a 2-D uint8 array, got "):
+                write_pgm(samples, tmp_path / "n.pgm")
 
     def test_color_magic_rejected(self, tmp_path):
         path = tmp_path / "p6.pgm"
@@ -201,7 +217,8 @@ class TestPreprocess:
 
     @pytest.mark.parametrize("image", BAD_RGB, ids=BAD_RGB_IDS)
     def test_anything_but_a_non_empty_rgb_uint8_array_rejected(self, image):
-        """A float, 2-D, 4-channel or empty image is a ShapeError, not a silently wrong input."""
+        """A float, 2-D, 4-channel or empty image, or anything but an array, is a ShapeError,
+        not a silently wrong input."""
         with pytest.raises(ShapeError, match=r"preprocess: need a non-empty \[H,W,3\] uint8 array, got "):
             preprocess(image, rgb_model(2, 2))
 

@@ -23,12 +23,9 @@ from relprop.imaging import preprocess
 from relprop.model import LayerParams, LayerSpec, NetworkModel, Preprocessing, forward
 from relprop.relevance import (
     METHODS,
-    InputBounds,
     explain,
     explain_all,
     propagate_maxpool,
-    propagate_zbeta_input,
-    propagate_zplus,
     seed_rows,
 )
 from relprop.tensor import (
@@ -45,7 +42,7 @@ from relprop.tensor import (
 from oracles import naive_maxpool, naive_maxpool_route, seed_rows_by_formula
 from synth import make_two_shape_image, make_two_shape_model
 from test_model import dense_softmax_model
-from test_relevance import seed_row
+from test_relevance import seed_row, zbeta, zplus
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -253,9 +250,9 @@ def test_dense_zplus_reads_an_unflattened_map_in_flattened_order(shape, out, k, 
     weights = rng.normal(size=(out, n))
     a = np.maximum(rng.normal(size=shape), 0.0)  # relu'd, so some inputs are 0
     relevance = rng.normal(size=(k, out))
-    got = propagate_zplus(relevance, layer, weights, a)
+    got = zplus(relevance, layer, weights, a)
     assert got.shape == (k, *shape)
-    assert got.tobytes() == propagate_zplus(relevance, layer, weights, a.reshape(-1)).tobytes()
+    assert got.tobytes() == zplus(relevance, layer, weights, a.reshape(-1)).tobytes()
 
 
 STACK_SIZES = st.integers(1, 6)
@@ -564,18 +561,18 @@ def test_zbeta_keeps_non_negative_relevance_non_negative(case, rows):
     layer = next(l for l in layers if l.is_parametric)  # reads the pixels
     weights = rng.normal(size=layer.weight_shape())
     lower = -rng.uniform(0, 150, input_shape[2])
-    bounds = InputBounds(lower=lower, upper=lower + rng.uniform(1, 150, input_shape[2]))
-    x = bounds.lower + rng.uniform(0.05, 0.95, input_shape) * (bounds.upper - bounds.lower)
-    width = np.min(bounds.upper - bounds.lower)
+    upper = lower + rng.uniform(1, 150, input_shape[2])
+    x = lower + rng.uniform(0.05, 0.95, input_shape) * (upper - lower)
+    width = np.min(upper - lower)
     if layer.kind == "conv2d":
         p = layer.params
         out_shape = conv2d_forward(x, weights, np.zeros(p["out"]), p["stride"], p["pad"]).shape
     else:
         out_shape = (layer.params["out"],)
     relevance = np.abs(rng.normal(size=(rows,) + out_shape))
-    got = propagate_zbeta_input(relevance, layer, weights, x, bounds)
+    got = zbeta(relevance, layer, weights, x, lower, upper)
     assert got.shape == (rows,) + input_shape
-    reach = np.maximum(np.abs(bounds.lower), np.abs(bounds.upper)).max() / width
+    reach = np.maximum(np.abs(lower), np.abs(upper)).max() / width
     for row in range(rows):
         assert got[row].min() >= -1e-12 * reach * relevance[row].sum()
 

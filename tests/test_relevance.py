@@ -22,13 +22,12 @@ from relprop.model import (
 from relprop.relevance import (
     DENOMINATOR_FLOOR,
     METHODS,
-    InputBounds,
     RelevanceMap,
     explain,
     explain_all,
+    propagate_linear,
     propagate_maxpool,
-    propagate_zbeta_input,
-    propagate_zplus,
+    rule_terms,
     seed_rows,
 )
 from relprop.tensor import maxpool_forward
@@ -69,6 +68,21 @@ def conv_layer(w, stride, pad):
     o, c, kh, kw = w.shape
     geometry = {"kh": kh, "kw": kw, "stride": stride, "pad": pad}
     return LayerSpec("conv2d", {"in": c, "out": o, **geometry, "bias": 0})
+
+
+def zplus(relevance, layer, weights, a):
+    """The zplus rule: the one rule over the layer's terms without bounds."""
+    return propagate_linear(relevance, layer, a, rule_terms(layer, weights, a.shape))
+
+
+def zbeta(relevance, layer, weights, x, lower, upper):
+    """The zbeta rule: the one rule over the layer's terms with bounds lower and upper."""
+    return propagate_linear(relevance, layer, x, rule_terms(layer, weights, x.shape, (lower, upper)))
+
+
+def model_bounds(model):
+    """The per-channel (lower, upper) input bounds of a model: its pixel range less its means."""
+    return tuple(b - model.preprocessing.means for b in model.preprocessing.pixel_range)
 
 
 class TestSeedOneHot:
@@ -162,19 +176,19 @@ class TestZplusDense:
         """a=[1,2], w=[[0.5,-0.25]], R=[1]: positive part keeps only w00=0.5,
         denominator 1*0.5 = 0.5, so input 0 takes the whole unit of relevance."""
         w = np.array([[0.5, -0.25]])
-        got = propagate_zplus(np.array([1.0]), dense_layer(w), w, np.array([1.0, 2.0]))
+        got = zplus(np.array([1.0]), dense_layer(w), w, np.array([1.0, 2.0]))
         np.testing.assert_allclose(got, [1.0, 0.0])
 
     def test_identity_routing(self):
         """Identity weights with unit activations pass relevance through."""
-        got = propagate_zplus(np.array([0.3, 0.7]), dense_layer(np.eye(2)), np.eye(2), np.ones(2))
+        got = zplus(np.array([0.3, 0.7]), dense_layer(np.eye(2)), np.eye(2), np.ones(2))
         np.testing.assert_allclose(got, [0.3, 0.7])
 
     def test_all_negative_weights_absorb(self):
         """With no positive weights every denominator sits under the floor and
         the relevance is absorbed rather than amplified."""
         w = np.array([[-0.5, -0.25, -1.0]])
-        got = propagate_zplus(np.array([1.0]), dense_layer(w), w, np.array([1.0, 2.0, 3.0]))
+        got = zplus(np.array([1.0]), dense_layer(w), w, np.array([1.0, 2.0, 3.0]))
         np.testing.assert_array_equal(got, np.zeros(3))
 
     def test_matches_naive_oracle(self):
@@ -185,7 +199,7 @@ class TestZplusDense:
             a = rng.uniform(0, 2, n)
             r = rng.normal(size=m)
             np.testing.assert_allclose(
-                propagate_zplus(r, dense_layer(w), w, a),
+                zplus(r, dense_layer(w), w, a),
                 naive_zplus_dense(r, w, a),
                 rtol=0,
                 atol=1e-12,
@@ -200,7 +214,7 @@ class TestZplusDense:
             w = rng.uniform(0.05, 1.0, size=(m, n))
             a = rng.uniform(0.5, 1.5, n)
             r = rng.normal(size=m)
-            out = propagate_zplus(r, dense_layer(w), w, a)
+            out = zplus(r, dense_layer(w), w, a)
             denom = max(abs(r.sum()), 1e-30)
             assert abs(out.sum() - r.sum()) / denom <= 1e-8
 
@@ -212,14 +226,14 @@ class TestZplusDense:
         r1, r2 = rng.normal(size=5), rng.normal(size=5)
         alpha, beta = 2.5, -1.25
         layer = dense_layer(w)
-        got = propagate_zplus(alpha * r1 + beta * r2, layer, w, a)
-        want = alpha * propagate_zplus(r1, layer, w, a) + beta * propagate_zplus(r2, layer, w, a)
+        got = zplus(alpha * r1 + beta * r2, layer, w, a)
+        want = alpha * zplus(r1, layer, w, a) + beta * zplus(r2, layer, w, a)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
     def test_negative_activations_rejected(self):
         w = np.ones((1, 2))
         with pytest.raises(ShapeError):
-            propagate_zplus(np.array([1.0]), dense_layer(w), w, np.array([-1.0, 1.0]))
+            zplus(np.array([1.0]), dense_layer(w), w, np.array([-1.0, 1.0]))
 
 
 class TestZplusConv:
@@ -230,7 +244,7 @@ class TestZplusConv:
         w = np.zeros((1, 1, 1, 1))
         w[0, 0, 0, 0] = 0.5
         a = np.array([1.0]).reshape(1, 1, 1)
-        got = propagate_zplus(np.array([[[1.0]]]), conv_layer(w, 1, 0), w, a)
+        got = zplus(np.array([[[1.0]]]), conv_layer(w, 1, 0), w, a)
         np.testing.assert_allclose(got.reshape(-1), [1.0])
 
     def test_matches_unrolled_dense_oracle(self):
@@ -253,7 +267,7 @@ class TestZplusConv:
             h_out = (h + 2 * pad - kh) // stride + 1
             w_out = (wd + 2 * pad - kw) // stride + 1
             r = rng.normal(size=(h_out, w_out, o))
-            got = propagate_zplus(r, conv_layer(weights, stride, pad), weights, a)
+            got = zplus(r, conv_layer(weights, stride, pad), weights, a)
             mat = unroll_conv_matrix(weights, (h, wd, c), stride, pad)
             want = naive_zplus_dense(r.reshape(-1), mat, a.reshape(-1))
             np.testing.assert_allclose(
@@ -267,7 +281,7 @@ class TestZplusConv:
         a = np.ones((6, 6, 1))
         w = np.ones((1, 1, 3, 3))
         r = np.ones((4, 4, 1))
-        got = propagate_zplus(r, conv_layer(w, 1, 0), w, a)
+        got = zplus(r, conv_layer(w, 1, 0), w, a)
         interior = got[2:4, 2:4, 0]
         assert np.ptp(interior) <= 1e-12
         # every window denominator is 9; nine covering windows each send 1/9
@@ -281,23 +295,25 @@ class TestZbetaInput:
     def test_single_unit_hand_case(self):
         """x=0.5, w=1, bounds [0,1], R=[1]: numerator 0.5*1 - 0*1 - 1*0 = 0.5,
         denominator 0.5, so the single input keeps the full unit."""
-        got = propagate_zbeta_input(
+        got = zbeta(
             np.array([1.0]),
             self._dense_layer(1, 1),
             np.array([[1.0]]),
             np.array([0.5]).reshape(1, 1, 1),
-            InputBounds(lower=np.array([0.0]), upper=np.array([1.0])),
+            np.array([0.0]),
+            np.array([1.0]),
         )
         np.testing.assert_allclose(got.reshape(-1), [1.0])
 
     def test_degenerate_bounds_absorb(self):
         """x = lower = upper = 0 zeroes the denominator; relevance is dropped."""
-        got = propagate_zbeta_input(
+        got = zbeta(
             np.array([1.0]),
             self._dense_layer(1, 1),
             np.array([[1.0]]),
             np.zeros((1, 1, 1)),
-            InputBounds(lower=np.zeros(1), upper=np.zeros(1)),
+            np.zeros(1),
+            np.zeros(1),
         )
         np.testing.assert_array_equal(got.reshape(-1), [0.0])
 
@@ -310,14 +326,8 @@ class TestZbetaInput:
             w = rng.uniform(0.0, 1.0, size=(m, n))
             x = rng.uniform(0.0, 5.0, n)
             r = rng.normal(size=m)
-            got = propagate_zbeta_input(
-                r,
-                self._dense_layer(n, m),
-                w,
-                x.reshape(1, n, 1),
-                InputBounds(lower=np.zeros(1), upper=np.full(1, 10.0)),
-            )
-            want = propagate_zplus(r, dense_layer(w), w, x)
+            got = zbeta(r, self._dense_layer(n, m), w, x.reshape(1, n, 1), np.zeros(1), np.full(1, 10.0))
+            want = zplus(r, dense_layer(w), w, x)
             np.testing.assert_allclose(got.reshape(-1), want, rtol=0, atol=1e-10)
 
     def test_dense_matches_naive_oracle(self):
@@ -329,13 +339,7 @@ class TestZbetaInput:
             x = rng.uniform(-5.0, 5.0, n)
             r = rng.normal(size=m)
             lower, upper = np.full(1, -5.0), np.full(1, 5.0)
-            got = propagate_zbeta_input(
-                r,
-                self._dense_layer(n, m),
-                w,
-                x.reshape(1, n, 1),
-                InputBounds(lower=lower, upper=upper),
-            )
+            got = zbeta(r, self._dense_layer(n, m), w, x.reshape(1, n, 1), lower, upper)
             want = naive_zbeta_dense(r, w, x, np.full(n, -5.0), np.full(n, 5.0))
             np.testing.assert_allclose(got.reshape(-1), want, rtol=0, atol=1e-10)
 
@@ -354,9 +358,7 @@ class TestZbetaInput:
             r = rng.normal(size=(h, wd, o))
             lower = np.full(c, -3.0)
             upper = np.full(c, 3.0)
-            got = propagate_zbeta_input(
-                r, layer, weights, x, InputBounds(lower=lower, upper=upper)
-            )
+            got = zbeta(r, layer, weights, x, lower, upper)
             mat = unroll_conv_matrix(weights, (h, wd, c), 1, 1)
             lower_flat = np.broadcast_to(lower, x.shape).reshape(-1)
             upper_flat = np.broadcast_to(upper, x.shape).reshape(-1)
@@ -369,18 +371,24 @@ class TestZbetaInput:
         """A pixel above the upper bound (or below the lower one) would make its
         contribution x*w - lower*w+ - upper*w- negative, so both the dense and the
         conv form refuse it instead of returning sign-flipped relevance."""
-        bounds = InputBounds(lower=np.zeros(1), upper=np.ones(1))
+        bounds = np.zeros(1), np.ones(1)
         conv = LayerSpec(
             "conv2d", {"in": 1, "out": 1, "kh": 1, "kw": 1, "stride": 1, "pad": 0, "bias": 0}
         )
         for bad in (255.0, -0.5):
             x = np.array([0.5, bad]).reshape(1, 2, 1)
             with pytest.raises(ShapeError, match="pixel range"):
-                propagate_zbeta_input(
-                    np.ones(1), self._dense_layer(2, 1), np.ones((1, 2)), x, bounds
-                )
+                zbeta(np.ones(1), self._dense_layer(2, 1), np.ones((1, 2)), x, *bounds)
             with pytest.raises(ShapeError, match="pixel range"):
-                propagate_zbeta_input(np.ones((1, 2, 1)), conv, np.ones((1, 1, 1, 1)), x, bounds)
+                zbeta(np.ones((1, 2, 1)), conv, np.ones((1, 1, 1, 1)), x, *bounds)
+
+    def test_inverted_bounds_reject_every_input(self):
+        """With lower > upper no input lies inside the bounds: each one is below
+        lower or above upper, so the range check refuses it."""
+        for value in (-1.0, 0.0, 0.5, 1.0, 2.0):
+            x = np.full((1, 2, 1), value)
+            with pytest.raises(ShapeError, match="pixel range"):
+                zbeta(np.ones(1), self._dense_layer(2, 1), np.ones((1, 2)), x, np.ones(1), np.zeros(1))
 
 
 _DENSE_2x4 = LayerSpec("dense", {"in": 4, "out": 2, "bias": 0})
@@ -390,37 +398,40 @@ _CONV_1x1 = LayerSpec(
 )
 
 
-def _zbeta(layer, x, bounds=InputBounds(lower=np.zeros(1), upper=np.full(1, 255.0))):
+_DENSE_2x4_TERMS = rule_terms(_DENSE_2x4, np.ones((2, 4)), (1, 4, 1))  # zplus terms over [1, 4, 1] inputs
+
+
+def _zbeta(layer, x, lower=np.zeros(1), upper=np.full(1, 255.0)):
     """zbeta over [2, 4] weights and a two-entry relevance."""
-    return propagate_zbeta_input(np.zeros(2), layer, np.ones((2, 4)), x, bounds)
+    return zbeta(np.zeros(2), layer, np.ones((2, 4)), x, lower, upper)
 
 
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: propagate_zplus(np.zeros(3), _DENSE_2x4, np.ones((2, 4)), np.ones(4)),
+        (lambda: zplus(np.zeros(3), _DENSE_2x4, np.ones((2, 4)), np.ones(4)),
          "zplus dense: relevance (3,) != output (2,)"),
-        (lambda: propagate_zplus(np.zeros(2), _DENSE_2x4, np.ones((2, 3)), np.ones(4)),
+        (lambda: zplus(np.zeros(2), _DENSE_2x4, np.ones((2, 3)), np.ones(4)),
          "zplus dense: weights (2, 3) != input (4,)"),
-        (lambda: propagate_zplus(np.zeros(2), LayerSpec("relu"), np.ones((2, 4)), np.ones(4)),
+        (lambda: zplus(np.zeros(2), LayerSpec("relu"), np.ones((2, 4)), np.ones(4)),
          "zplus: unsupported layer kind relu"),
-        (lambda: InputBounds(lower=np.zeros(2), upper=np.zeros(3)),
-         "input bounds must be matching per-channel vectors"),
-        (lambda: InputBounds(lower=np.ones(1), upper=np.zeros(1)), "input bounds: lower exceeds upper"),
+        (lambda: propagate_linear(np.zeros(2), _DENSE_2x4, np.ones(4), _DENSE_2x4_TERMS),
+         "zplus dense: input (4,) != the terms' input (1, 4, 1)"),
         (lambda: _zbeta(LayerSpec("relu"), np.ones((1, 4, 1))), "zbeta: unsupported layer kind relu"),
         (lambda: _zbeta(_DENSE_2x4, np.ones((1, 3, 1))),
-         "zbeta dense: weights (2, 4) do not fit input (1, 3, 1)"),
-        (lambda: _zbeta(_DENSE_2x4, np.ones(4)), "zbeta: input must be [H,W,C], got (4,)"),
-        (lambda: _zbeta(_DENSE_2x4, np.ones((1, 4, 1)), InputBounds(lower=np.zeros(2), upper=np.ones(2))),
-         "zbeta: bounds have 2 channels, input 1"),
+         "zbeta dense: weights (2, 4) != input (1, 3, 1)"),
+        (lambda: _zbeta(_DENSE_2x4, np.ones((1, 4, 1)), np.zeros(2), np.ones(2)),
+         "zbeta: bounds (2,) and (2,) do not broadcast to input (1, 4, 1)"),
+        (lambda: _zbeta(_DENSE_2x4, np.ones((1, 4, 1)), np.zeros(1), np.ones((2, 1))),
+         "zbeta: bounds (1,) and (2, 1) do not broadcast to input (1, 4, 1)"),
         (lambda: propagate_maxpool(np.zeros((1, 1, 1)), _CONV_1x1, np.ones((1, 1, 1)), np.zeros((1, 1, 1))),
          "maxpool: unsupported layer kind conv2d"),
     ],
-    ids=["relevance-shape", "zplus-weights", "zplus-relu", "bounds-shape", "bounds-order", "zbeta-relu",
-         "zbeta-weights", "zbeta-input-rank", "zbeta-bounds-channels", "maxpool-conv"],
+    ids=["relevance-shape", "zplus-weights", "zplus-relu", "input-shape", "zbeta-relu", "zbeta-weights",
+         "zbeta-bounds-channels", "bounds-broadcast", "maxpool-conv"],
 )
 def test_malformed_rule_operands_raise_a_shape_error(call, message):
-    """Each rule, and the bounds it reads, rejects operands that do not fit
+    """The rule's terms, and the rule over them, reject operands that do not fit
     together with a ShapeError that says which."""
     with pytest.raises(ShapeError) as err:
         call()
@@ -476,8 +487,8 @@ class TestStructuralRouting:
         for target in range(3):
             got = self._maps(model, x, target)
             seeds = seed_rows(trace, target, METHODS)
-            relevance = propagate_zplus(seeds, dense2, w2, hidden)
-            want = propagate_zbeta_input(relevance, dense1, w1, x, InputBounds.from_model(model))
+            relevance = zplus(seeds, dense2, w2, hidden)
+            want = zbeta(relevance, dense1, w1, x, *model_bounds(model))
             for k, method in enumerate(METHODS):
                 assert got[method].raw.tobytes() == want[k].reshape(x.shape).tobytes()
 
@@ -634,20 +645,18 @@ class TestRelevanceMapValidation:
 
 def _explain_by_public_rules(model, trace, target):
     """explain_all's backward pass over the lrp, clrp and sglrp seeds, written
-    with the public rules on the raw weights and no per-model constants. The
-    first parametric layer here reads the image itself."""
+    with the public rule on terms that rule_terms builds from the raw weights on
+    every call, not the per-model constants. The first parametric layer here
+    reads the image itself, with the model's per-channel bounds."""
     relevance = np.concatenate([seed_rows(trace, target, (method,)) for method in METHODS])
     first = next(i for i, layer in enumerate(model.layers) if layer.is_parametric)
-    bounds = InputBounds.from_model(model)
     for i in reversed(range(len(model.layers))):
         layer, a, lp = model.layers[i], trace.activations[i], model.params[i]
         if layer.kind == "maxpool":
             relevance = propagate_maxpool(relevance, layer, a, trace.activations[i + 1])
-        elif i == first:
-            image = trace.activations[0]
-            relevance = propagate_zbeta_input(relevance, layer, lp.weights, image, bounds)
         elif layer.is_parametric:
-            relevance = propagate_zplus(relevance, layer, lp.weights, a)
+            x, bounds = (trace.activations[0], model_bounds(model)) if i == first else (a, None)
+            relevance = propagate_linear(relevance, layer, x, rule_terms(layer, lp.weights, x.shape, bounds))
         relevance = relevance.reshape((3,) + a.shape)
     return relevance
 

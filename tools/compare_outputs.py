@@ -19,14 +19,17 @@ error load_model raises, and records its exit code and stderr, with the input
 directory written as <inputs>. It records the same for two cnn32 harness runs
 that fail on one image (HARNESS_ERRORS): mask-eval on a list whose last label is
 10, one past cnn32's classes, and pointing with one box that starts outside its
-image; and for predict on malformed copies of the first cnn32 PPM (IMAGE_ERRORS).
+image; for predict on malformed copies of the first cnn32 PPM (IMAGE_ERRORS); and
+for explain and pointing on that PPM under a copy of the cnn32 manifest whose
+pixel_range is 0 200 (RANGE_ERRORS): its largest sample is 231, so the zbeta
+rule's range check, the one rule message the CLI can reach, fails.
 
 The report gives each side's `relprop/*.py` line count (as `wc -l` counts it)
 and lists every artifact that differs or exists on one side only (CSVs, meta
 JSON, PGMs, .f32 maps, predict output, exit codes) and the largest relative
 difference of a pointing.csv `tau`, then every load error whose exit code or
 message differs, with both sides' lines, and the same for the harness errors and
-the image errors. It prints "identical" for the artifacts and for each kind of
+the image and range errors. It prints "identical" for the artifacts and for each kind of
 error, and exits 0, when nothing differs; it exits 1 otherwise.
 """
 
@@ -88,6 +91,8 @@ LOAD_ERRORS = {
 }
 # cnn32 runs that fail on one image: mask-eval on list-label-10.txt, pointing with boxes-outside.txt.
 HARNESS_ERRORS = ("mask-label-10", "point-box-outside")
+# explain and pointing on the first cnn32 PPM alone, under cnn32 with pixel_range 0 200.
+RANGE_ERRORS = ("explain-range-200", "point-range-200")
 # name: the malformed copy of the first cnn32 PPM, made from its width, height and samples.
 IMAGE_ERRORS = {
     "ppm-ascii-magic": lambda w, h, px: b"P3\n%d %d\n255\n%b" % (w, h, px),
@@ -153,7 +158,14 @@ def write_inputs(out: Path) -> None:
     for case, (old, new) in LOAD_ERRORS.items():
         (errors / f"{case}.txt").write_bytes(new if old is None else manifest.replace(old, new, 1))
         (errors / f"{case}.bin").write_bytes(blobs.get(case, blob))
-    magic, extent, maxval, samples = sorted(images.glob("*.ppm"))[0].read_bytes().split(b"\n", 3)
+    (errors / "range-200.txt").write_bytes(manifest.replace(b"pixel_range 0 255", b"pixel_range 0 200", 1))
+    (errors / "range-200.bin").write_bytes(blob)
+    first = sorted(images.glob("*.ppm"))[0]
+    one = [(images / name).read_text().splitlines()[0] + "\n" for name in ("list.txt", "boxes.txt")]
+    assert one[0].split()[0] == first.name, "bench/inputs.py lists another image first"
+    (images / "list-first.txt").write_text(one[0])
+    (images / "boxes-first.txt").write_text(one[1])
+    magic, extent, maxval, samples = first.read_bytes().split(b"\n", 3)
     assert (magic, maxval) == (b"P6", b"255"), "bench/inputs.py writes another PPM header"
     width, height = map(int, extent.split())
     for case, make in IMAGE_ERRORS.items():
@@ -216,6 +228,11 @@ def run_side(src: Path, inputs_dir: Path, out: Path, errors_out: Path) -> None:
            ["pointing", *model, str(images / "list.txt"), str(images / "boxes-outside.txt"), *runs])
     for case in IMAGE_ERRORS:
         record(case, ["predict", *model, str(inputs_dir / "errors" / f"{case}.ppm")])
+    narrow = [str(inputs_dir / "errors" / f"range-200{suffix}") for suffix in (".txt", ".bin")]
+    record("explain-range-200", ["explain", *narrow, image, "--method", "sglrp", "--target", "top",
+                                 "--out", str(errors_out / "runs" / "range-200")])
+    record("point-range-200", ["pointing", *narrow, str(images / "list-first.txt"),
+                               str(images / "boxes-first.txt"), *runs])
 
 
 def _taus(path: Path) -> list[str]:
@@ -271,7 +288,7 @@ def main() -> int:
             )
         differing, tau_gap, total = compare(tmp / "outA", tmp / "outB")
         errors = {case: [(tmp / f"errors{label}" / case).read_text().strip() for label in "AB"]
-                  for case in (*LOAD_ERRORS, *HARNESS_ERRORS, *IMAGE_ERRORS)}
+                  for case in (*LOAD_ERRORS, *HARNESS_ERRORS, *IMAGE_ERRORS, *RANGE_ERRORS)}
     print(f"A: {args.a} (relprop/*.py: {lines[0]} lines)\nB: {args.b} (relprop/*.py: {lines[1]} lines)")
     print(f"{total} artifacts over {len(MODELS)} models")
     print(f"largest relative tau difference in pointing.csv: {tau_gap:.3g}")
@@ -280,7 +297,8 @@ def main() -> int:
         print(f"  {name}")
     sections = {"load errors of malformed cnn32 manifests and blobs": LOAD_ERRORS,
                 "harness errors of cnn32 mask-eval and pointing runs": HARNESS_ERRORS,
-                "image errors of malformed cnn32 PPMs": IMAGE_ERRORS}
+                "image errors of malformed cnn32 PPMs": IMAGE_ERRORS,
+                "range errors of cnn32 explain and pointing under pixel_range 0 200": RANGE_ERRORS}
     for title, cases in sections.items():
         changed = [case for case in cases if errors[case][0] != errors[case][1]]
         print(f"{len(cases)} {title}")
