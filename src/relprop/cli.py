@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: predict, explain, mask-eval, pointing. Exit codes: 0 on success,
-1 on runtime or data errors (missing files, malformed inputs), 2 on usage
-errors. All randomness in a run flows from --seed, so reruns with the same
-seed are byte-identical.
+1 on runtime or data errors (missing files, malformed inputs, running out of
+memory), 2 on usage errors. All randomness in a run flows from --seed, so
+reruns with the same seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -276,8 +276,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"relprop: {exc}", file=sys.stderr)
         return 2
-    except (RelpropError, OSError) as exc:
-        print(f"relprop: {exc}", file=sys.stderr)
+    except (RelpropError, OSError, MemoryError) as exc:  # a backstop: an OOM kill raises nothing
+        print(f"relprop: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

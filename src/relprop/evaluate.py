@@ -3,18 +3,19 @@
 Both harnesses take model inputs, preprocess's output. Masking: classify,
 explain, find the maximal point of the map, set a p x p patch around it to
 0.0 (the dataset means, once subtracted), re-classify, and record the drop
-in the target probability. The `random` method replaces the explanation
-with a uniformly drawn center. Each method's occluded images, one per patch
+in the target probability. Each method's occluded images, one per patch
 size, are re-classified as one stack by a forward from the unmasked image's
 trace, which recomputes only the positions the patches reach (see model.forward).
 
 Pointing: threshold the map so that at least a fraction E of its positive
 pixels survive, then count surviving pixels inside (hits) and outside
-(misses) the target's bounding box; accuracy = hits / (hits + misses). The
-`random` method scores a uniform-noise map instead of an explanation.
+(misses) the target's bounding box; accuracy = hits / (hits + misses).
 
-Both dataset drivers evaluate images one after another, in list order, and
-derive all randomness from one run seed via per-image substreams.
+Per image, each harness keeps one entry per method, a maximal point or a map.
+The `random` baseline is one more entry, a uniform center or noise map drawn from
+the image's own substream of the run seed. One loop, _each_sample, drives both
+over a dataset, one image after another, in list order. The reports write each
+float column's cells as repr(float(v)).
 """
 
 from __future__ import annotations
@@ -116,19 +117,16 @@ def patch_masking_eval(
     trace = forward(model, image)
     target = _resolve_target(trace, target_mode, label)
     prob_before = float(trace.probabilities[target])
-    h, w, _ = image.shape
-    random_center = None
-    if "random" in methods:
-        random_center = (int(rng.integers(0, w)), int(rng.integers(0, h)))
-    maps = explain_all(model, trace, target, tuple(m for m in methods if m != "random"))
+    maps = explain_all(model, trace, target, tuple(m for m in methods if m in METHODS))
     if not patch_sizes:
         return []
+    points = {method: maximal_point(m.values) for method, m in maps.items()}
+    if "random" in methods:
+        h, w, _ = image.shape
+        points["random"] = (int(rng.integers(0, w)), int(rng.integers(0, h)))
     results = []
     for method in methods:
-        if method == "random":
-            point = random_center
-        else:
-            point = maximal_point(maps[method].values)
+        point = points[method]
         masked = np.stack([mask_patch(image, point, p) for p in patch_sizes])
         probs = forward(model, masked, base=trace).probabilities[:, target]
         for p, after in zip(patch_sizes, map(float, probs)):
@@ -272,10 +270,19 @@ class PointingRow:
     result: PointingResult | None
 
 
-def _spawn_rngs(seed: int | None, n: int) -> list[np.random.Generator | None]:
-    if seed is None:
-        return [None] * n
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
+def _each_sample(samples: list, methods: tuple[str, ...], seed: int | None, rows_of) -> list:
+    """The rows of rows_of(sample, rng) over samples, in sample order. Each sample's generator is
+    its own substream of seed, for its random baseline only. A DataError gets the image id first."""
+    check_methods(methods)
+    if "random" in methods and seed is None:
+        raise DataError("runs with the random baseline need a seed")
+    rows = []
+    for sample, stream in zip(samples, np.random.SeedSequence(seed).spawn(len(samples))):
+        try:
+            rows.extend(rows_of(sample, np.random.default_rng(stream)))
+        except DataError as exc:
+            raise DataError(f"{sample.image_id}: {exc}") from exc
+    return rows
 
 
 def run_masking(
@@ -288,24 +295,35 @@ def run_masking(
     seed: int | None = None,
 ) -> list[tuple[str, MaskingResult]]:
     """Masking protocol over a dataset; rows come back in sample order."""
-    check_methods(methods)
-    if "random" in methods and seed is None:
-        raise DataError("runs with the random baseline need a seed")
+
+    def rows_of(sample: MaskSample, rng: np.random.Generator) -> list[tuple[str, MaskingResult]]:
+        results = patch_masking_eval(model, sample.image, target_mode=target_mode, label=sample.label,
+                                     methods=methods, patch_sizes=patch_sizes, rng=rng)
+        return [(sample.image_id, r) for r in results]
+
+    return _each_sample(samples, methods, seed, rows_of)
+
+
+def _pointing_eval(model: NetworkModel, sample: PointSample, methods: tuple[str, ...],
+                   energies: tuple[float, ...], rng: np.random.Generator) -> list[PointingRow]:
+    """Run the pointing game for one box, with the box's class as the explanation target."""
+    h, w, _ = sample.image.shape
+    box = sample.box.clip(w, h)
+    if box.class_index >= model.num_classes:
+        raise DataError(f"box class {box.class_index} outside model's {model.num_classes} classes")
+    trace = forward(model, sample.image)
+    maps = explain_all(model, trace, box.class_index, tuple(m for m in methods if m in METHODS))
+    values = {method: m.values for method, m in maps.items()}
+    if "random" in methods:
+        values["random"] = random_relevance_map(h, w, rng)
     rows = []
-    for sample, rng in zip(samples, _spawn_rngs(seed, len(samples))):
+    for method in methods:
         try:
-            results = patch_masking_eval(
-                model,
-                sample.image,
-                target_mode=target_mode,
-                label=sample.label,
-                methods=methods,
-                patch_sizes=patch_sizes,
-                rng=rng,
-            )
-        except DataError as exc:
-            raise DataError(f"{sample.image_id}: {exc}") from exc
-        rows.extend((sample.image_id, r) for r in results)
+            scored = pointing_game(values[method], box, energies)
+        except NoPositiveRelevanceError:
+            rows.extend(PointingRow(sample.image_id, method, e, None) for e in energies)
+            continue
+        rows.extend(PointingRow(sample.image_id, method, r.energy, r) for r in scored)
     return rows
 
 
@@ -318,31 +336,8 @@ def run_pointing(
     seed: int | None = None,
 ) -> list[PointingRow]:
     """Pointing game over a dataset; each box's class is the explanation target."""
-    check_methods(methods)
-    if "random" in methods and seed is None:
-        raise DataError("runs with the random baseline need a seed")
-    explained = tuple(m for m in methods if m != "random")
-    rows = []
-    for sample, rng in zip(samples, _spawn_rngs(seed, len(samples))):
-        try:
-            h, w, _ = sample.image.shape
-            box = sample.box.clip(w, h)
-            if box.class_index >= model.num_classes:
-                raise DataError(f"box class {box.class_index} outside model's {model.num_classes} classes")
-            trace = forward(model, sample.image)
-            noise = random_relevance_map(h, w, rng) if "random" in methods else None
-            maps = explain_all(model, trace, box.class_index, explained)
-            for method in methods:
-                values = noise if method == "random" else maps[method].values
-                try:
-                    scored = pointing_game(values, box, energies)
-                except NoPositiveRelevanceError:
-                    rows.extend(PointingRow(sample.image_id, method, e, None) for e in energies)
-                    continue
-                rows.extend(PointingRow(sample.image_id, method, r.energy, r) for r in scored)
-        except DataError as exc:
-            raise DataError(f"{sample.image_id}: {exc}") from exc
-    return rows
+    return _each_sample(samples, methods, seed,
+                        lambda sample, rng: _pointing_eval(model, sample, methods, energies, rng))
 
 
 def read_bounding_boxes(path: str | Path) -> list[tuple[str, BoundingBox]]:
@@ -363,10 +358,6 @@ def read_bounding_boxes(path: str | Path) -> list[tuple[str, BoundingBox]]:
     return boxes
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 def _grouped(pairs) -> dict:
     """{key: [item, ...]} over (key, item) pairs, keys in first-seen order."""
     groups: dict = {}
@@ -379,16 +370,9 @@ def aggregate_masking(rows: list[tuple[str, MaskingResult]]) -> list[dict]:
     """Mean before/after/drop per (method, patch size), in first-seen order."""
     out = []
     for (method, p), rs in _grouped(((r.method, r.patch_size), r) for _, r in rows).items():
-        out.append(
-            {
-                "method": method,
-                "patch_size": p,
-                "n": len(rs),
-                "mean_prob_before": float(np.mean([r.prob_before for r in rs])),
-                "mean_prob_after": float(np.mean([r.prob_after for r in rs])),
-                "mean_drop": float(np.mean([r.drop for r in rs])),
-            }
-        )
+        means = {f"mean_{k}": float(np.mean([getattr(r, k) for r in rs]))
+                 for k in ("prob_before", "prob_after", "drop")}
+        out.append({"method": method, "patch_size": p, "n": len(rs), **means})
     return out
 
 
@@ -402,17 +386,27 @@ def aggregate_pointing(rows: list[PointingRow]) -> list[dict]:
     return out
 
 
-def _write_reports(out_dir: str | Path, stem: str, per_image, aggregate) -> tuple[Path, Path]:
-    """Write two (header, rows) pairs to <stem>.csv and <stem>_aggregate.csv under
-    out_dir, which is created if missing; returns both paths."""
+# Every cell of these columns is written as repr(float(v)), or left blank, whatever number type
+# the caller passed: run_pointing(..., energies=(1,)) writes energy 1.0.
+_FLOAT_COLUMNS = {"prob_before", "prob_after", "drop", "mean_prob_before", "mean_prob_after",
+                  "mean_drop", "energy", "tau", "accuracy", "mean_accuracy"}
+
+
+def _write_reports(out_dir: str | Path, stem: str, header: list[str], lines, aggregate_header: list[str],
+                   groups: list[dict]) -> tuple[Path, Path]:
+    """Write lines (lists of cells in header order) to <stem>.csv and groups (read in
+    aggregate_header order) to <stem>_aggregate.csv under out_dir, which is created if missing;
+    returns both paths."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = out_dir / f"{stem}.csv", out_dir / f"{stem}_aggregate.csv"
-    for path, (header, lines) in zip(paths, (per_image, aggregate)):
+    tables = (header, lines), (aggregate_header, ([g[k] for k in aggregate_header] for g in groups))
+    for path, (columns, cells) in zip(paths, tables):
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(lines)
+            writer.writerow(columns)
+            writer.writerows([repr(float(v)) if c in _FLOAT_COLUMNS and v != "" else v
+                              for c, v in zip(columns, line)] for line in cells)
     return paths
 
 
@@ -423,26 +417,18 @@ def write_masking_reports(
     header = ["image_id", "method", "patch_size", "target", "prob_before", "prob_after", "drop",
               "point_x", "point_y"]
     lines = (
-        [image_id, r.method, r.patch_size, r.target, _fmt(r.prob_before),
-         _fmt(r.prob_after), _fmt(r.drop), r.point[0], r.point[1]]
+        [image_id, r.method, r.patch_size, r.target, r.prob_before, r.prob_after, r.drop, *r.point]
         for image_id, r in rows
     )
-    means = ("mean_prob_before", "mean_prob_after", "mean_drop")
-    groups = (
-        [g["method"], g["patch_size"], g["n"], *(_fmt(g[m]) for m in means)]
-        for g in aggregate_masking(rows)
-    )
-    return _write_reports(
-        out_dir, "masking", (header, lines), (["method", "patch_size", "n", *means], groups)
-    )
+    aggregate_header = ["method", "patch_size", "n", "mean_prob_before", "mean_prob_after", "mean_drop"]
+    return _write_reports(out_dir, "masking", header, lines, aggregate_header, aggregate_masking(rows))
 
 
 def _pointing_line(row: PointingRow) -> list:
     r = row.result
     if r is None:
-        return [row.image_id, row.method, _fmt(row.energy), "", "", "", "", "skipped"]
-    return [row.image_id, row.method, _fmt(r.energy), _fmt(r.tau), r.hits, r.misses,
-            _fmt(r.accuracy), "ok"]
+        return [row.image_id, row.method, row.energy, "", "", "", "", "skipped"]
+    return [row.image_id, row.method, r.energy, r.tau, r.hits, r.misses, r.accuracy, "ok"]
 
 
 def write_pointing_reports(
@@ -450,11 +436,5 @@ def write_pointing_reports(
 ) -> tuple[Path, Path]:
     """Write per-image and aggregate pointing CSVs; returns their paths."""
     header = ["image_id", "method", "energy", "tau", "hits", "misses", "accuracy", "status"]
-    groups = (
-        [g["method"], _fmt(g["energy"]), g["n"], _fmt(g["mean_accuracy"]) if g["n"] else ""]
-        for g in aggregate_pointing(rows)
-    )
-    return _write_reports(
-        out_dir, "pointing", (header, map(_pointing_line, rows)),
-        (["method", "energy", "n", "mean_accuracy"], groups),
-    )
+    return _write_reports(out_dir, "pointing", header, map(_pointing_line, rows),
+                          ["method", "energy", "n", "mean_accuracy"], aggregate_pointing(rows))

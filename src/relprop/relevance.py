@@ -15,7 +15,8 @@ result is a signed per-pixel tensor; its 2-D map sums positive evidence over
 channels.
 
 explain_all keeps every dense and conv layer's model-fixed operands, built by
-rule_terms on the model's first explain, in the model's rule_constants.
+rule_terms from the model's own shapes on its first explain, in the model's
+rule_constants.
 
 Seeds (seed_rows builds one row per method; the methods differ in nothing else):
 
@@ -35,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ShapeError
-from .model import ForwardTrace, LayerSpec, NetworkModel
+from .model import ForwardTrace, LayerSpec, NetworkModel, infer_shapes
 from .tensor import conv2d_forward, conv2d_transpose, pool_winners
 
 DENOMINATOR_FLOOR = 1e-9
@@ -193,14 +194,16 @@ def explain_all(
     if not methods:
         return {}
     relevance = seed_rows(trace, target, methods)
-    const = model.rule_constants  # built whole on the model's first explain
+    const = model.rule_constants  # built whole on the model's first explain, never from a trace
     if not const:
+        shapes = [model.input_shape, *infer_shapes(model.input_shape, list(model.layers))]
         first = next(i for i, l in enumerate(model.layers) if l.is_parametric)
-        a, pre = trace.activations[first], model.preprocessing
+        pre, shape = model.preprocessing, shapes[first]
         # the per-channel bounds at every pixel, in the [H,W,C] order that a flatten keeps
-        bounds = [np.tile(b - pre.means, a.size // pre.means.size).reshape(a.shape) for b in pre.pixel_range]
+        bounds = [np.tile(b - pre.means, np.prod(shape) // pre.means.size).reshape(shape)
+                  for b in pre.pixel_range]
         const.update({
-            i: rule_terms(l, p.weights, trace.activations[i].shape, bounds if i == first else None)
+            i: rule_terms(l, p.weights, shapes[i], bounds if i == first else None)
             for i, (l, p) in enumerate(zip(model.layers, model.params)) if l.is_parametric
         })
     for i in reversed(range(len(model.layers))):

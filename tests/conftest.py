@@ -1,6 +1,16 @@
-"""Shared pytest glue: acceptance verdict collection and terminal reporting."""
+"""Shared pytest glue: Hypothesis profiles, acceptance verdict collection and terminal reporting."""
 
 import functools
+
+from hypothesis import settings
+
+# Tier-1 runs draw the same examples every time, so two runs on one tree agree.
+# `--hypothesis-profile=explore` draws fresh examples instead. This module loads
+# before the test modules build their settings objects, which inherit from the
+# loaded profile; per-test max_examples are unchanged by either profile.
+settings.register_profile("repeatable", derandomize=True)
+settings.register_profile("explore", derandomize=False)
+settings.load_profile("repeatable")
 
 ACCEPTANCE_RESULTS = {}
 

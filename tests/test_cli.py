@@ -1,14 +1,18 @@
 """End-to-end command-line tests: exit codes, file outputs, rerun stability."""
 
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 import csv
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import relprop
 from relprop.cli import build_parser, main
 from relprop.imaging import preprocess, read_pgm, read_ppm, write_ppm
 from relprop.model import (
@@ -671,6 +675,57 @@ class TestInputHygiene:
             assert code == 1 and f"{manifest}:{lineno}:" in err and "non-finite" in err
             assert stdout == ""
         assert not list(tmp_path.rglob("*.pgm")) and not list(tmp_path.rglob("*.f32"))
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="needs Linux's RLIMIT_AS semantics")
+    def test_out_of_memory_is_one_line_and_exit_1(self, tmp_path):
+        """A model that loads, because its trace is only 153 MiB, but whose first conv's
+        im2col needs 10.8 GiB: predict in a child whose address space is capped at about
+        3 GB exits 1 with numpy's allocation message on one `relprop:` line, not a traceback."""
+        layers = (
+            LayerSpec("conv2d", {"in": 3, "out": 1, "kh": 11, "kw": 11, "stride": 1, "pad": 5, "bias": 1}),
+            LayerSpec("relu"),
+            LayerSpec("maxpool", {"kh": 500, "kw": 500, "stride": 500}),
+            LayerSpec("flatten"),
+            LayerSpec("dense", {"in": 16, "out": 2, "bias": 1}),
+            LayerSpec("softmax"),
+        )
+        params = (
+            LayerParams(np.full((1, 3, 11, 11), 0.001), np.zeros(1)),
+            None,
+            None,
+            None,
+            LayerParams(np.full((2, 16), 0.01), np.zeros(2)),
+            None,
+        )
+        model = NetworkModel((2000, 2000, 3), layers, params, Preprocessing(np.zeros(3), (0.0, 255.0)))
+        save_model(model, tmp_path / "m.txt", tmp_path / "m.bin")
+        write_ppm(np.zeros((2000, 2000, 3), dtype=np.uint8), tmp_path / "big.ppm")
+
+        def cap_address_space():
+            import resource
+
+            resource.setrlimit(resource.RLIMIT_AS, (3_000_000 * 1024,) * 2)
+
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": str(Path(relprop.__file__).parents[1])}
+        files = [str(tmp_path / name) for name in ("m.txt", "m.bin", "big.ppm")]
+        done = subprocess.run(
+            [sys.executable, "-m", "relprop.cli", "predict", *files],
+            env=env, preexec_fn=cap_address_space, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr.startswith("relprop: Unable to allocate ") and done.stderr.count("\n") == 1
+
+    def test_bare_memory_error_is_named(self, workspace, capsys, monkeypatch):
+        """Python's own allocation failures raise a MemoryError with no message;
+        the line then names the error instead of ending after `relprop: `."""
+
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr("relprop.cli.load_model", exhausted)
+        code, out, err = run_cli(["predict", workspace["manifest"], workspace["weights"], "x.ppm"], capsys)
+        assert (code, out, err) == (1, "", "relprop: MemoryError\n")
 
 
 @pytest.mark.parametrize(

@@ -643,6 +643,32 @@ class TestReports:
         assert agg_records[0]["n"] == "0"
         assert agg_records[0]["mean_accuracy"] == ""
 
+    def test_int_energy_written_as_a_float(self, tmp_path):
+        """energies=(1,) writes energy 1.0 in both CSVs, on an ok and a skipped row
+        alike: an energy column holds floats whatever number type the caller passed."""
+        w = np.zeros((2, 4))
+        w[1, :] = 0.01  # class 0 reads nothing: its map is all zero and its rows skipped
+        model = dense_softmax_model(w, input_shape=(2, 2, 1))
+        image = np.full((2, 2, 1), 100.0)
+        samples = [PointSample(f"img{c}", image, BoundingBox(c, 0, 0, 1, 1)) for c in (0, 1)]
+        rows = run_pointing(model, samples, methods=("lrp",), energies=(1,))
+        per_image, aggregate = [], []
+        for path, records in zip(write_pointing_reports(rows, tmp_path), (per_image, aggregate)):
+            with path.open() as fh:
+                records.extend(csv.DictReader(fh))
+        assert [(r["energy"], r["status"]) for r in per_image] == [("1.0", "skipped"), ("1.0", "ok")]
+        assert [r["energy"] for r in aggregate] == ["1.0"]
+
+    def test_no_rows_write_the_headers(self, tmp_path):
+        masking = write_masking_reports([], tmp_path)
+        pointing = write_pointing_reports([], tmp_path)
+        assert [p.read_bytes() for p in masking + pointing] == [
+            b"image_id,method,patch_size,target,prob_before,prob_after,drop,point_x,point_y\r\n",
+            b"method,patch_size,n,mean_prob_before,mean_prob_after,mean_drop\r\n",
+            b"image_id,method,energy,tau,hits,misses,accuracy,status\r\n",
+            b"method,energy,n,mean_accuracy\r\n",
+        ]
+
     def test_aggregate_groups_first_seen_order(self):
         model, samples, _ = small_dataset(3)
         rows = run_masking(model, samples, methods=("lrp", "sglrp"), patch_sizes=(1, 3))

@@ -203,6 +203,18 @@ class TestPreprocess:
         out = preprocess(raw, rgb_model(2, 2))
         np.testing.assert_array_equal(out[:, :, 0], [[10.0, 20.0], [50.0, 60.0]])
 
+    @pytest.mark.parametrize(
+        "shape, kept", [((5, 2), [[2, 3], [4, 5]]), ((2, 5), [[1, 2], [6, 7]])], ids=["tall", "wide"]
+    )
+    def test_odd_side_difference_crops_one_less_before(self, shape, kept):
+        """A 5x2 or 2x5 image holding 0..9 in row-major order, feeding a 2x2 model: the
+        offset is (5 - 2) // 2 = 1, so rows or columns 1 and 2 survive, one cut before
+        them and two after."""
+        raw = np.zeros((*shape, 3), dtype=np.uint8)
+        raw[:, :, 0] = np.arange(10).reshape(shape)
+        out = preprocess(raw, rgb_model(2, 2))
+        np.testing.assert_array_equal(out[:, :, 0], kept)
+
     def test_downscale_picks_floor_mapped_rows(self):
         """4x4 down to 2x2 samples source rows/cols (0*4)//2=0 and (1*4)//2=2."""
         raw = np.zeros((4, 4, 3), dtype=np.uint8)

@@ -11,6 +11,7 @@ import pytest
 
 from relprop.errors import ShapeError
 from relprop.model import (
+    ForwardTrace,
     LayerParams,
     LayerSpec,
     NetworkModel,
@@ -689,12 +690,9 @@ class TestRuleConstants:
         ),
     }
 
-    @pytest.mark.parametrize("chain", sorted(CHAINS))
-    def test_cached_constants_change_no_byte(self, chain, tmp_path):
-        """A freshly loaded model's first explain builds the per-model
-        constants, the second reuses them, and the public rules on the raw
-        weights rebuild them each time: all three give the same bytes for
-        every method. Signed weights and nonzero means exercise every bound term."""
+    def _model_and_image(self, chain):
+        """The chain with signed weights and nonzero means, which exercise every
+        bound term, and a model input inside its pixel range."""
         input_shape, layers = self.CHAINS[chain]
         rng = np.random.default_rng(7)
         params = tuple(
@@ -706,11 +704,20 @@ class TestRuleConstants:
             for l in layers
         )
         means = rng.uniform(50, 200, input_shape[2])
-        built = NetworkModel(input_shape, layers, params, Preprocessing(means, (0.0, 255.0)))
+        model = NetworkModel(input_shape, layers, params, Preprocessing(means, (0.0, 255.0)))
+        return model, rng.uniform(0, 255, size=input_shape) - means
+
+    @pytest.mark.parametrize("chain", sorted(CHAINS))
+    def test_cached_constants_change_no_byte(self, chain, tmp_path):
+        """A freshly loaded model's first explain builds the per-model
+        constants, the second reuses them, and the public rules on the raw
+        weights rebuild them each time: all three give the same bytes for
+        every method."""
+        layers = self.CHAINS[chain][1]
+        built, image = self._model_and_image(chain)
         save_model(built, tmp_path / "m.txt", tmp_path / "m.bin")
         model = load_model(tmp_path / "m.txt", tmp_path / "m.bin")
         assert model.rule_constants == {}
-        image = rng.uniform(0, 255, size=input_shape) - means
         trace = forward(model, image)
         for target in range(model.num_classes):
             first = explain_all(model, trace, target, METHODS)
@@ -723,6 +730,23 @@ class TestRuleConstants:
                 assert first[method].raw.tobytes() == want[k].tobytes()
                 assert second[method].raw.tobytes() == want[k].tobytes()
                 assert first[method].values.tobytes() == second[method].values.tobytes()
+
+    def test_hand_built_trace_does_not_shape_the_constants(self):
+        """The constants take their shapes from the model, not from the trace
+        of its first explain: a hand-built trace whose conv input (3, 3, 4) is
+        reshaped to (9, 1, 4) is a ShapeError, and the next explain of the real
+        trace still gives a fresh model's bytes."""
+        model, image = self._model_and_image("conv-first")
+        trace = forward(model, image)
+        acts = list(trace.activations)
+        acts[3] = acts[3].reshape(9, 1, 4)
+        with pytest.raises(ShapeError):
+            explain_all(model, ForwardTrace(tuple(acts), model), 0, METHODS)
+        fresh, _ = self._model_and_image("conv-first")
+        want = explain_all(fresh, forward(fresh, image), 0, METHODS)
+        got = explain_all(model, trace, 0, METHODS)
+        for method in METHODS:
+            assert got[method].raw.tobytes() == want[method].raw.tobytes()
 
     def test_trace_of_another_input_extent_rejected(self):
         """The constants cached on a model's first explain fit its own input
