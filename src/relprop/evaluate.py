@@ -3,9 +3,9 @@
 Both harnesses take model inputs, preprocess's output. Masking: classify,
 explain, find the maximal point of the map, set a p x p patch around it to
 0.0 (the dataset means, once subtracted), re-classify, and record the drop
-in the target probability. Each method's occluded images, one per patch
-size, are re-classified as one stack by a forward from the unmasked image's
-trace, which recomputes only the positions the patches reach (see model.forward).
+in the target probability. The occluded images around each distinct maximal
+point, one per patch size, are re-classified as one stack, by one forward from
+the unmasked image's trace that computes only what they reach (model.forward).
 
 Pointing: threshold the map so that at least a fraction E of its positive
 pixels survive, then count surviving pixels inside (hits) and outside
@@ -124,12 +124,13 @@ def patch_masking_eval(
     if "random" in methods:
         h, w, _ = image.shape
         points["random"] = (int(rng.integers(0, w)), int(rng.integers(0, h)))
-    results = []
+    results, probs = [], {}  # per distinct point
     for method in methods:
         point = points[method]
-        masked = np.stack([mask_patch(image, point, p) for p in patch_sizes])
-        probs = forward(model, masked, base=trace).probabilities[:, target]
-        for p, after in zip(patch_sizes, map(float, probs)):
+        if point not in probs:
+            masked = np.stack([mask_patch(image, point, p) for p in patch_sizes])
+            probs[point] = forward(model, masked, base=trace).probabilities[:, target]
+        for p, after in zip(patch_sizes, map(float, probs[point])):
             results.append(
                 MaskingResult(
                     method=method,

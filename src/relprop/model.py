@@ -366,8 +366,8 @@ def save_model(model: NetworkModel, manifest_path: str | Path, weights_path: str
 class ForwardTrace:
     """Record of one forward pass: the input, then each layer's output.
 
-    A trace of a stack holds every layer's stacked arrays; only its
-    probabilities are meaningful to read. model is the model that ran it.
+    Of a stack's trace only the probabilities are meant to be read; an incremental
+    forward keeps some of its layers as crops. model is the model that ran it.
     """
 
     activations: tuple[np.ndarray, ...]
@@ -394,35 +394,32 @@ class ForwardTrace:
             raise ShapeError(f"{what} does not fit: not the trace of one image{through}")
 
 
-def _dirty_box(x: np.ndarray, start: np.ndarray) -> tuple[int, int, int, int]:
-    """Rows [r0, r1) and columns [c0, c1) outside which every image of x equals start."""
+def _dirty_box(x: np.ndarray, start: np.ndarray) -> tuple[tuple[int, int, int, int], np.ndarray]:
+    """The box (r0, r1, c0, c1) outside which every image of x has start's bytes, and x inside it."""
     h, w, c = start.shape
-    dirty = (x != start).reshape(-1, h, w * c).any(axis=0)  # the fast reduction order
+    dirty = (x.view(np.int64) != start.view(np.int64)).reshape(-1, h, w * c).any(axis=0)  # fast reduction
     rows, cols = np.flatnonzero(dirty.any(1)), np.flatnonzero(dirty.any(0).reshape(w, c).any(1))
-    return (int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1) if rows.size else (0,) * 4
+    box = (int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1) if rows.size else (0,) * 4
+    return box, x[..., box[0] : box[1], box[2] : box[3], :]
 
 
-def _reach(box: tuple, p: dict[str, int], out_rows: int, out_cols: int) -> tuple:
-    """The output box of a conv, maxpool or relu (a 1x1 window of stride 1) whose input differs
-    from base's only inside box: every position whose window, in padded coordinates, meets it."""
-    s, pad, (r0, r1, c0, c1) = p.get("stride", 1), p.get("pad", 0), box
-    rows = max(0, -((p.get("kh", 1) - 1 - r0 - pad) // s)), min(out_rows, (r1 - 1 + pad) // s + 1)
-    cols = max(0, -((p.get("kw", 1) - 1 - c0 - pad) // s)), min(out_cols, (c1 - 1 + pad) // s + 1)
-    return (*rows, *cols) if r0 < r1 and rows[0] < rows[1] and cols[0] < cols[1] else (0,) * 4
+def _paste(dst: np.ndarray, at, src: np.ndarray, src_at) -> np.ndarray:
+    """dst with src copied into the positions they share; at and src_at place each one's [0, 0]."""
+    (r, c), (sr, sc) = at, src_at
+    r0, c0 = max(r, sr), max(c, sc)
+    r1 = max(r0, min(r + dst.shape[-3], sr + src.shape[-3]))
+    c1 = max(c0, min(c + dst.shape[-2], sc + src.shape[-2]))
+    dst[..., r0 - r : r1 - r, c0 - c : c1 - c, :] = src[..., r0 - sr : r1 - sr, c0 - sc : c1 - sc, :]
+    return dst
 
 
-def _layer_output(layer: LayerSpec, lp, x: np.ndarray, lead: int, box: tuple | None) -> np.ndarray:
-    """One layer over x, which has `lead` image axes. A box (r0, r1, c0, c1) limits a conv, relu or
-    maxpool to those output positions: a conv by its window, the others by slicing x."""
+def _layer_output(layer: LayerSpec, lp, x: np.ndarray, lead: int, pad: int | None = None) -> np.ndarray:
+    """One layer over x, which has `lead` image axes; pad=0 runs a conv on x unpadded."""
     p = layer.params
     if layer.kind in ("conv2d", "dense"):
         bias = lp.bias if lp.bias is not None else np.zeros(p["out"])
     if layer.kind == "conv2d":
-        return tensor.conv2d_forward(x, lp.weights, bias, p["stride"], p["pad"], box)
-    if box is not None:
-        r0, r1, c0, c1 = box
-        s, kh, kw = p.get("stride", 1), p.get("kh", 1), p.get("kw", 1)  # as in _reach
-        x = x[..., r0 * s : (r1 - 1) * s + kh, c0 * s : (c1 - 1) * s + kw, :]
+        return tensor.conv2d_forward(x, lp.weights, bias, p["stride"], p["pad"] if pad is None else pad)
     if layer.kind == "maxpool":
         return tensor.maxpool_forward(x, p["kh"], p["kw"], p["stride"])
     if layer.kind == "dense":
@@ -435,6 +432,25 @@ def _layer_output(layer: LayerSpec, lp, x: np.ndarray, lead: int, box: tuple | N
     return tensor.softmax(x)
 
 
+def _reach_output(layer: LayerSpec, lp, box: tuple, crop: np.ndarray, a: np.ndarray,
+                  out: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """A conv, maxpool or relu (a 1x1 window of stride 1) over a stack that holds crop in box and a
+    elsewhere (a's output is out): the box of every output whose padded window meets box, and the
+    stack's output there, from only the window that reads: zeros where a conv pads, a, then crop."""
+    p, (r0, r1, c0, c1) = layer.params, box
+    s, kh, kw, pad = p.get("stride", 1), p.get("kh", 1), p.get("kw", 1), p.get("pad", 0)
+    rows = max(0, -((kh - 1 - r0 - pad) // s)), min(out.shape[0], (r1 - 1 + pad) // s + 1)
+    cols = max(0, -((kw - 1 - c0 - pad) // s)), min(out.shape[1], (c1 - 1 + pad) // s + 1)
+    if not r0 < r1 or rows[0] >= rows[1] or cols[0] >= cols[1]:  # the edits reach no output
+        return (0,) * 4, np.empty(crop.shape[:-3] + (0, 0, out.shape[2]))
+    (r0, r1), (c0, c1) = rows, cols
+    origin, extent = (r0 * s - pad, c0 * s - pad), ((r1 - r0 - 1) * s + kh, (c1 - c0 - 1) * s + kw)
+    if (origin, extent) != (box[0::2], crop.shape[-3:-1]):  # else crop is the window (a relu's)
+        window = np.zeros(crop.shape[:-3] + extent + a.shape[2:])
+        crop = _paste(_paste(window, origin, a, (0, 0)), origin, crop, box[0::2])
+    return (r0, r1, c0, c1), _layer_output(layer, lp, crop, crop.ndim - 3, pad=0)
+
+
 def forward(model: NetworkModel, image: np.ndarray, base: ForwardTrace | None = None) -> ForwardTrace:
     """Run the chain on one image, recording its input and every layer's output.
 
@@ -445,13 +461,15 @@ def forward(model: NetworkModel, image: np.ndarray, base: ForwardTrace | None = 
     base, the trace of one image through this model object (a trace that any
     other model produced, even one of the same shapes, is a ShapeError), makes
     the forward incremental. The rows and columns where any image differs from
-    base's input bound a box, read from the data. Each conv, relu and maxpool
-    layer before the first flatten or dense layer recomputes only the output
-    positions that box reaches (a conv through conv2d_forward's window) and
-    copies the rest from base's output; the box grows by each layer's reach.
-    From flatten or dense on, every layer runs in full. Max and relu are exact
-    and a conv window carries the full conv's bytes, so the result is the full
-    forward's to the byte.
+    base's input in its bytes bound a box. Each conv, relu and maxpool layer
+    before the first flatten or dense layer computes only the output positions
+    that box reaches, which bound the next box, on the input window they read:
+    base's array, zeros where a conv pads, and the stack's last box pasted in.
+    A stack's trace records them as [N, rows, cols, C] crops; one image's pastes
+    them into a copy of base's output. The first flatten or dense layer, and
+    every layer after it, runs on full rows. Max and relu are exact and an
+    unpadded conv over such a window carries the full conv's bytes, so the
+    result is the full forward's to the byte.
     """
     x = np.asarray(image, dtype=np.float64)
     if x.ndim not in (3, 4) or x.shape[-3:] != model.input_shape or x.size == 0:
@@ -464,20 +482,17 @@ def forward(model: NetworkModel, image: np.ndarray, base: ForwardTrace | None = 
     box = None
     if base is not None:
         base.check_one_image("forward: base", model)
-        box = _dirty_box(x, base.activations[0])
+        box, crop = _dirty_box(x, base.activations[0])  # the stack is base's array with crop in box
     activations = [x]
     for i, (layer, lp) in enumerate(zip(model.layers, model.params)):
-        if layer.kind not in ("conv2d", "relu", "maxpool"):
-            box = None  # from the first flatten or dense layer on, run in full
         try:
-            if box is None:
-                y = _layer_output(layer, lp, x, lead, None)
-            else:  # recompute what box reaches, copy the rest from base's output
-                y = np.empty(x.shape[:-3] + base.activations[i + 1].shape)
-                y[...] = base.activations[i + 1]
-                r0, r1, c0, c1 = box = _reach(box, layer.params, *y.shape[-3:-1])
-                if r0 < r1:
-                    y[..., r0:r1, c0:c1, :] = _layer_output(layer, lp, x, lead, box)
+            if box is not None and layer.kind in ("conv2d", "relu", "maxpool"):
+                box, crop = _reach_output(layer, lp, box, crop, *base.activations[i : i + 2])
+                y = crop if lead else _paste(base.activations[i + 1].copy(), (0, 0), crop, box[0::2])
+            else:
+                if box is not None and x.shape[lead:] != base.activations[i].shape:  # full rows, once
+                    x = _paste(np.repeat(base.activations[i][None], len(x), 0), (0, 0), crop, box[0::2])
+                box, y = None, _layer_output(layer, lp, x, lead)
         except ShapeError as exc:
             raise ShapeError(f"layer {i} ({layer.kind}): {exc}") from exc
         activations.append(y)

@@ -48,18 +48,16 @@ def conv2d_forward(
     bias: np.ndarray,
     stride: int = 1,
     pad: int = 0,
-    window: tuple[int, int, int, int] | None = None,
 ) -> np.ndarray:
     """Cross-correlate x [H,W,C] with weights [C_out,C,kh,kw], zero padding only.
 
     The output extent is conv_extent's. x may carry one leading image axis
-    [N, H, W, C]; each image maps on its own. window = (row0, row1, col0, col1)
-    computes only those output rows and columns (half-open); the default is the
-    whole output. Byte rule: every call runs one GEMM over C-contiguous im2col
-    columns, padded with zero columns to a multiple of 8, because OpenBLAS sums a
-    tail of 1-4 (mod 8) columns in kernels that round differently. So each output
-    value has the same bytes however its positions are grouped: a window equals
-    that slice of the full conv, and a stack equals its images' own calls.
+    [N, H, W, C]; each image maps on its own. Byte rule: every call runs one GEMM
+    over C-contiguous im2col columns, padded with zero columns to a multiple of 8,
+    because OpenBLAS sums a tail of 1-4 (mod 8) columns in kernels that round
+    differently. So each output value has the same bytes however its positions are
+    grouped: an unpadded conv over a crop of the zero-padded input equals that
+    slice of the full conv, and a stack equals its images' own calls.
     """
     if x.ndim not in (3, 4):
         raise ShapeError(f"conv2d: input must be [H,W,C] or [N,H,W,C], got shape {x.shape}")
@@ -72,24 +70,20 @@ def conv2d_forward(
     if bias.shape != (c_out,):
         raise ShapeError(f"conv2d: bias shape {bias.shape} != ({c_out},)")
     h_out, w_out = conv_extent(h, w, kh, kw, stride, pad)
-    r0, r1, c0, c1 = window = (0, h_out, 0, w_out) if window is None else window
-    if not (0 <= r0 < r1 <= h_out and 0 <= c0 < c1 <= w_out):
-        raise ShapeError(f"conv2d: window {window} outside output {h_out}x{w_out}")
     lead, n = x.shape[:-3], x.ndim - 3
     padded = np.zeros(lead + (h + 2 * pad, w + 2 * pad, c)) if pad else x
     if pad:
         padded[..., pad : pad + h, pad : pad + w, :] = x
     windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(-3, -2))
-    # im2col as (c, kh, kw, ...lead, x, y): one GEMM column per output position in the window.
-    cols = windows.transpose(n + 2, n + 3, n + 4, *range(n + 2))
-    cols = cols[..., r0 * stride : r1 * stride : stride, c0 * stride : c1 * stride : stride]
+    # im2col as (c, kh, kw, ...lead, x, y): one GEMM column per output position.
+    cols = windows.transpose(n + 2, n + 3, n + 4, *range(n + 2))[..., ::stride, ::stride]
     m = cols[0, 0, 0].size
     columns = np.empty((c * kh * kw, m + -m % 8))
     columns[:, m:].fill(0.0)
     columns[:, :m].reshape(cols.shape)[...] = cols  # splits axes only, so a view
     gemm = (weights.reshape(c_out, -1) @ columns)[:, :m]
     del columns  # freed before np.add allocates the output, which can then reuse its memory
-    out = np.add(gemm.T.reshape(lead + (r1 - r0, c1 - c0, c_out)), bias, order="C")
+    out = np.add(gemm.T.reshape(lead + (h_out, w_out, c_out)), bias, order="C")
     return _check_finite(out, "conv2d output")
 
 

@@ -6,10 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from relprop import evaluate
 from relprop.errors import DataError, ShapeError
 from relprop.evaluate import (
     DEFAULT_ENERGIES,
     DEFAULT_PATCH_SIZES,
+    EVAL_METHODS,
     BoundingBox,
     MaskSample,
     NoPositiveRelevanceError,
@@ -247,6 +249,30 @@ class TestPatchMaskingEval:
             stack = np.stack([mask_patch(image, centre, p) for p in DEFAULT_PATCH_SIZES])
             got = forward(model, stack, base=base).probabilities
             assert got.tobytes() == forward(model, stack).probabilities.tobytes()
+
+    def test_one_incremental_forward_per_distinct_point(self, monkeypatch):
+        """Where two methods pick the same maximal point (lrp and clrp here), their
+        occluded stacks are the same, so the harness forwards it once and gives both
+        methods its rows: one incremental forward per distinct point, each row still
+        the bytes of a full forward over the method's own stack."""
+        model = cnn32_model(np.random.default_rng(20190812))
+        image = np.random.default_rng(1).integers(0, 256, size=model.input_shape) - model.preprocessing.means
+        incremental = []
+
+        def counting(model, x, base=None):
+            incremental.append(base is not None)
+            return forward(model, x, base)
+
+        monkeypatch.setattr(evaluate, "forward", counting)
+        rows = patch_masking_eval(model, image, label=3, rng=np.random.default_rng(1))
+        points = {r.method: r.point for r in rows}
+        assert points["lrp"] == points["clrp"] and len(set(points.values())) == 3
+        assert incremental.count(True) == 3
+        for method in EVAL_METHODS:
+            mine = [r for r in rows if r.method == method]
+            stack = np.stack([mask_patch(image, r.point, r.patch_size) for r in mine])
+            full = forward(model, stack).probabilities[:, 3]
+            assert [r.prob_after.hex() for r in mine] == [p.hex() for p in map(float, full)]
 
     def test_masking_ignored_region_keeps_probability(self):
         """A model wired to the left half of the image cannot react to a patch
