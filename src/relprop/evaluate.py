@@ -222,18 +222,13 @@ def pointing_game(
         raise ShapeError(f"box ..({box.x_max},{box.y_max}) exceeds {w}x{h} map")
     positives, ranks = _threshold_ranks(values, energies)
     ranked, ranked_inside = np.sort(positives), np.sort(values[box.mask(h, w) & (values > 0)])
-    results = []
-    for energy, rank in zip(energies, ranks):
-        tau = float(ranked[rank])  # > 0, so the pixels at or above it are positives
-        total = ranked.size - int(np.searchsorted(ranked, tau))
-        hits = ranked_inside.size - int(np.searchsorted(ranked_inside, tau))
-        misses = total - hits
-        results.append(
-            PointingResult(
-                energy=energy, tau=tau, hits=hits, misses=misses, accuracy=hits / total
-            )
-        )
-    return results
+    taus = ranked[ranks]  # > 0, so the pixels at or above each are positives
+    totals = (ranked.size - np.searchsorted(ranked, taus)).tolist()
+    hits = (ranked_inside.size - np.searchsorted(ranked_inside, taus)).tolist()
+    return [
+        PointingResult(energy=energy, tau=tau, hits=hit, misses=total - hit, accuracy=hit / total)
+        for energy, tau, total, hit in zip(energies, taus.tolist(), totals, hits)
+    ]
 
 
 def random_relevance_map(

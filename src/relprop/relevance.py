@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .model import ForwardTrace, LayerSpec, NetworkModel, infer_shapes
-from .tensor import conv2d_forward, conv2d_transpose, pool_winners
+from .tensor import conv2d_forward, conv2d_transpose, conv_extent, pool_winners
 
 DENOMINATOR_FLOOR = 1e-9
 
@@ -72,10 +72,10 @@ def _seed_axis(relevance: np.ndarray, shape: tuple[int, ...], what: str) -> tupl
 
 def _stabilized_ratio(relevance: np.ndarray, denom: np.ndarray) -> np.ndarray:
     """relevance / denom, with terms whose |denom| is below the floor dropped."""
-    out = np.zeros_like(relevance, dtype=np.float64)
     keep = np.abs(denom) >= DENOMINATOR_FLOOR
-    np.divide(relevance, denom, out=out, where=keep)
-    return out
+    if keep.all():
+        return relevance / denom
+    return np.divide(relevance, denom, out=np.zeros_like(relevance, dtype=np.float64), where=keep)
 
 
 def _layer_map(layer: LayerSpec, shape: tuple[int, ...]):
@@ -93,10 +93,34 @@ def _layer_map(layer: LayerSpec, shape: tuple[int, ...]):
     )
 
 
+def _conv_by_border_class(b: np.ndarray, w: np.ndarray, stride: int, pad: int) -> np.ndarray:
+    """conv2d_forward(b, w, 0, stride, pad) from one padded window per border class (see rule_terms)."""
+    (h, wd, c), (kh, kw), picks = b.shape, w.shape[2:], []
+    if b.tobytes() != b[0, 0].tobytes() * (h * wd):  # not the same at every pixel: no classes to share
+        return conv2d_forward(b, w, np.zeros(w.shape[0]), stride, pad)
+    for n, k, extent in zip((h, wd), (kh, kw), conv_extent(h, wd, kh, kw, stride, pad)):
+        # outputs lo..hi read no padding, so all but the first of them repeat its window
+        lo, hi = -(-pad // stride), (pad + n - k) // stride
+        first = [i for i in range(extent) if not lo < i <= hi]
+        counts = [j - i for i, j in zip(first, first[1:] + [extent])]
+        picks.append((np.array([range(i * stride, i * stride + k) for i in first]), counts))
+    (rows, row_counts), (cols, col_counts) = picks
+    padded = np.zeros((h + 2 * pad, wd + 2 * pad, c))
+    padded[pad : pad + h, pad : pad + wd] = b
+    windows = padded[rows[:, None, :, None], cols[None, :, None, :]]  # [rows, cols, kh, kw, c]
+    out = conv2d_forward(windows.reshape(-1, kh, kw, c), w, np.zeros(w.shape[0]))
+    return np.repeat(np.repeat(out.reshape(len(rows), len(cols), -1), row_counts, 0), col_counts, 1)
+
+
 def rule_terms(layer: LayerSpec, weights: np.ndarray, shape: tuple[int, ...], bounds=None) -> tuple:
     """(shape, apply, adjoint, W_a, bound terms (b, W_b, apply(b, W_b))): a dense or conv layer's
     operands over inputs of `shape`. zplus (no bounds) is W+ with no bound terms; zbeta, with bounds
-    (lower, upper) broadcastable to shape, is W with (lower, W+) and (upper, W-), each b a float64 copy."""
+    (lower, upper) broadcastable to shape, is W with (lower, W+) and (upper, W-), each b a float64 copy.
+
+    A conv's apply(b, W_b) runs on one padded window per border class when b is the same at every
+    pixel, as explain_all's bounds are: all interior rows (columns) read the same window values, and
+    each border row (column) is its own class. np.repeat expands the classes' outputs; by
+    conv2d_forward's byte rule each is its own window's GEMM column, so this is the full conv's bytes."""
     what = "zplus" if bounds is None else "zbeta"
     if not layer.is_parametric:
         raise ShapeError(f"{what}: unsupported layer kind {layer.kind}")
@@ -112,7 +136,9 @@ def rule_terms(layer: LayerSpec, weights: np.ndarray, shape: tuple[int, ...], bo
         shapes = " and ".join(str(np.shape(b)) for b in bounds)
         raise ShapeError(f"zbeta: bounds {shapes} do not broadcast to input {shape}") from None
     wm = np.minimum(weights, 0.0)
-    return shape, apply, adjoint, weights, ((lower, wp, apply(lower, wp)), (upper, wm, apply(upper, wm)))
+    fixed = apply if layer.kind == "dense" else (
+        lambda b, w: _conv_by_border_class(b, w, layer.params["stride"], layer.params["pad"]))
+    return shape, apply, adjoint, weights, ((lower, wp, fixed(lower, wp)), (upper, wm, fixed(upper, wm)))
 
 
 def propagate_linear(relevance: np.ndarray, layer: LayerSpec, a: np.ndarray, terms: tuple) -> np.ndarray:

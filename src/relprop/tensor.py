@@ -70,20 +70,22 @@ def conv2d_forward(
     if bias.shape != (c_out,):
         raise ShapeError(f"conv2d: bias shape {bias.shape} != ({c_out},)")
     h_out, w_out = conv_extent(h, w, kh, kw, stride, pad)
-    lead, n = x.shape[:-3], x.ndim - 3
+    lead = x.shape[:-3]
     padded = np.zeros(lead + (h + 2 * pad, w + 2 * pad, c)) if pad else x
     if pad:
         padded[..., pad : pad + h, pad : pad + w, :] = x
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(-3, -2))
     # im2col as (c, kh, kw, ...lead, x, y): one GEMM column per output position.
-    cols = windows.transpose(n + 2, n + 3, n + 4, *range(n + 2))[..., ::stride, ::stride]
+    *lead_strides, sh, sw, sc = padded.strides
+    cols = np.lib.stride_tricks.as_strided(
+        padded, (c, kh, kw) + lead + (h_out, w_out), (sc, sh, sw, *lead_strides, sh * stride, sw * stride))
     m = cols[0, 0, 0].size
     columns = np.empty((c * kh * kw, m + -m % 8))
     columns[:, m:].fill(0.0)
     columns[:, :m].reshape(cols.shape)[...] = cols  # splits axes only, so a view
     gemm = (weights.reshape(c_out, -1) @ columns)[:, :m]
-    del columns  # freed before np.add allocates the output, which can then reuse its memory
-    out = np.add(gemm.T.reshape(lead + (h_out, w_out, c_out)), bias, order="C")
+    del columns  # freed before the transpose copy allocates the output, which can then reuse its memory
+    out = np.ascontiguousarray(gemm.T).reshape(lead + (h_out, w_out, c_out))
+    out += bias
     return _check_finite(out, "conv2d output")
 
 
@@ -99,6 +101,10 @@ def conv2d_transpose(
     Maps a tensor shaped like the conv output back onto the input grid:
     result[n] = sum over output positions m of weights[n, m] * grad[m].
     grad may carry one leading axis [K, H', W', C_out]; each row maps on its own.
+
+    Order rule: col2im adds the GEMM's tap contributions onto +0.0 in row-major tap order. A
+    same-size stride-1 conv adds each tap's whole block at one flat offset, with its padding
+    contributions set to +0.0 first: adding +0.0 keeps every sum, as none started at +0.0 is -0.0.
     """
     h, w, c = input_shape
     c_out, c_in, kh, kw = weights.shape
@@ -112,11 +118,23 @@ def conv2d_transpose(
     # Channels go first in both so each slice-add runs along whole output rows.
     taps = weights.transpose(2, 3, 1, 0).reshape(kh * kw * c, c_out)
     cols = (taps @ grad.reshape(-1, c_out).T).reshape(kh, kw, c, -1, h_out, w_out)
-    acc = np.zeros((c, cols.shape[3], h + 2 * pad, w + 2 * pad))
-    for i in range(kh):
-        for j in range(kw):
-            acc[..., i : i + stride * h_out : stride, j : j + stride * w_out : stride] += cols[i, j]
-    out = acc[..., pad : pad + h, pad : pad + w].transpose(1, 2, 3, 0)
+    if stride == 1 and (h_out, w_out) == (h, w):
+        for t in range(pad):  # tap t reaches pad - t rows (columns) past each edge
+            cols[t, ..., : pad - t, :] = cols[kh - 1 - t, ..., t - pad :, :] = 0.0
+            cols[:, t, ..., : pad - t] = cols[:, kw - 1 - t, ..., t - pad :] = 0.0
+        size, margin = cols[0, 0].size, pad * w + pad
+        flat = np.zeros(size + 2 * margin)
+        for i in range(kh):
+            for j in range(kw):
+                at = margin + (i - pad) * w + j - pad  # tap (i, j) shifted by (i - pad, j - pad)
+                flat[at : at + size] += cols[i, j].reshape(-1)
+        out = flat[margin : margin + size].reshape(c, -1, h, w).transpose(1, 2, 3, 0)
+    else:
+        acc = np.zeros((c, cols.shape[3], h + 2 * pad, w + 2 * pad))
+        for i in range(kh):
+            for j in range(kw):
+                acc[..., i : i + stride * h_out : stride, j : j + stride * w_out : stride] += cols[i, j]
+        out = acc[..., pad : pad + h, pad : pad + w].transpose(1, 2, 3, 0)
     return np.ascontiguousarray(out).reshape(grad.shape[:-3] + (h, w, c))
 
 

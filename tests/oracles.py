@@ -2,6 +2,8 @@
 
 Everything here is deliberately written as plain nested loops over the
 defining sums, sharing no code with src/, so the two routes can disagree.
+The one exception is strided_col2im, a byte reference: it keeps the strided
+col2im scatter that conv2d_transpose's contiguous same-size path replaced.
 """
 
 import math
@@ -120,6 +122,25 @@ def unroll_conv_matrix(weights, input_shape, stride=1, pad=0):
                             for ch in range(c):
                                 mat[row, (r * w + col) * c + ch] = weights[m, ch, ki, kj]
     return mat
+
+
+def strided_col2im(grad, weights, input_shape, stride=1, pad=0):
+    """conv2d's input adjoint as one GEMM of the taps [kh*kw*C, C_out] against the grad
+    rows, then a scatter that adds tap (i, j), in row-major tap order, onto a zero-padded
+    channel-first accumulator with one strided slice-add per tap. It is the byte reference
+    for any col2im that keeps that GEMM and each element's order of adds. grad may carry
+    one leading axis."""
+    h, w, c = input_shape
+    c_out, _, kh, kw = weights.shape
+    h_out, w_out = grad.shape[-3:-1]
+    taps = weights.transpose(2, 3, 1, 0).reshape(kh * kw * c, c_out)
+    cols = (taps @ grad.reshape(-1, c_out).T).reshape(kh, kw, c, -1, h_out, w_out)
+    acc = np.zeros((c, cols.shape[3], h + 2 * pad, w + 2 * pad))
+    for i in range(kh):
+        for j in range(kw):
+            acc[..., i : i + stride * h_out : stride, j : j + stride * w_out : stride] += cols[i, j]
+    out = acc[..., pad : pad + h, pad : pad + w].transpose(1, 2, 3, 0)
+    return np.ascontiguousarray(out).reshape(grad.shape[:-3] + (h, w, c))
 
 
 STABILIZER = 1e-9

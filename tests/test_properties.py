@@ -28,6 +28,7 @@ from relprop.relevance import (
     explain,
     explain_all,
     propagate_maxpool,
+    rule_terms,
     seed_rows,
 )
 from relprop.tensor import (
@@ -41,7 +42,7 @@ from relprop.tensor import (
     softmax,
 )
 
-from oracles import naive_maxpool, naive_maxpool_route, seed_rows_by_formula
+from oracles import naive_maxpool, naive_maxpool_route, seed_rows_by_formula, strided_col2im
 from synth import make_two_shape_image, make_two_shape_model
 from test_model import dense_softmax_model
 from test_relevance import seed_row, zbeta, zplus
@@ -135,6 +136,68 @@ def test_conv2d_transpose_rows_map_independently(case):
     for row in range(2):
         single = conv2d_transpose(grads[row], w, input_shape, stride, pad)
         np.testing.assert_allclose(back[row], single, rtol=0, atol=1e-12 * np.abs(single).max())
+
+
+@st.composite
+def same_size_conv_cases(draw):
+    """A stride-1 conv whose output has its input's extent: a (2p+1)-square kernel with
+    pad p, over extents down to 1, smaller than the pad too."""
+    pad = draw(st.integers(0, 3))
+    h, w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    c_in, c_out = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return (h, w, c_in), (c_out, c_in, 2 * pad + 1, 2 * pad + 1), 1, pad, seed
+
+
+def _signed_zeros(rng: np.random.Generator, x: np.ndarray) -> np.ndarray:
+    """x with about a quarter of its entries set to +0.0 and another quarter to -0.0."""
+    draw = rng.random(x.shape)
+    return np.where(draw < 0.25, 0.0, np.where(draw < 0.5, -0.0, x))
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(same_size_conv_cases(), conv_cases()), st.sampled_from([(), (1,), (3,)]))
+@example(((1, 2, 2), (3, 2, 7, 7), 1, 3, 5), (3,))  # extents below the pad
+def test_conv2d_transpose_is_the_strided_scatter_to_the_byte(case, lead):
+    """A same-size stride-1 conv adds each tap's whole block at one flat offset, with its
+    contributions to the padding set to +0.0; every other geometry scatters with strided
+    slice-adds. Both give the strided scatter's bytes, with or without a seed axis, on
+    grads and weights holding exact +0.0 and -0.0."""
+    input_shape, weight_shape, stride, pad, seed = case
+    rng = np.random.default_rng(seed)
+    w = _signed_zeros(rng, rng.normal(size=weight_shape))
+    out_shape = conv_extent(*input_shape[:2], *weight_shape[2:], stride, pad) + weight_shape[:1]
+    grad = _signed_zeros(rng, rng.normal(size=lead + out_shape))
+    got = conv2d_transpose(grad, w, input_shape, stride, pad)
+    want = strided_col2im(grad, w, input_shape, stride, pad)
+    assert got.shape == want.shape == lead + input_shape
+    assert got.tobytes() == want.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(conv_cases(), st.sampled_from(["constant", "per-pixel"]))
+@example(((2, 2, 2), (3, 2, 4, 4), 1, 1, 9), "constant")  # no interior row or column
+@example(((3, 5, 1), (2, 1, 4, 2), 3, 2, 4), "constant")
+def test_zbeta_conv_bound_terms_are_the_full_conv_to_the_byte(case, kind):
+    """The zbeta conv bound terms apply(b, W+) and apply(b, W-), built on one padded
+    window per border class, equal conv2d_forward of the whole bound image to the byte:
+    at any stride, pad, kernel and extent, with per-channel constants that are negative,
+    zero or positive, and with bounds that vary per pixel."""
+    input_shape, weight_shape, stride, pad, seed = case
+    rng = np.random.default_rng(seed)
+    values = (-118.5, -3.0, -0.0, 0.0, 2.5, 136.25)
+    lower, upper = (rng.choice(values, size=input_shape[2]) for _ in range(2))
+    if kind == "per-pixel":
+        lower, upper = (rng.choice(values, size=input_shape) for _ in range(2))
+    layer = LayerSpec("conv2d", {"in": input_shape[2], "out": weight_shape[0], "kh": weight_shape[2],
+                                 "kw": weight_shape[3], "stride": stride, "pad": pad, "bias": 0})
+    weights = rng.normal(size=weight_shape)
+    *_, bound = rule_terms(layer, weights, input_shape, (lower, upper))
+    zeros = np.zeros(weight_shape[0])
+    for (b, wb, fixed), want_w in zip(bound, (np.maximum(weights, 0.0), np.minimum(weights, 0.0))):
+        want = conv2d_forward(np.broadcast_to(b, input_shape), want_w, zeros, stride, pad)
+        assert fixed.shape == want.shape and fixed.flags.c_contiguous
+        assert fixed.tobytes() == want.tobytes()
 
 
 @PROPERTY_SETTINGS
@@ -472,6 +535,29 @@ def test_incremental_forward_of_a_stack_allocates_less_than_one_stacked_conv_out
         tracemalloc.stop()
     assert peak < stack.shape[0] * 64 * 64 * 16 * 8
     assert got.tobytes() == forward(model, stack).probabilities.tobytes()
+
+
+def test_incremental_forward_crops_only_what_a_one_pixel_edit_reaches():
+    """The reach box is tight: a stack edited at pixel (5, 8) of a 12x12 input records,
+    for each conv, relu and maxpool, a crop of exactly the outputs whose windows read
+    that pixel. 3x3 conv, stride 1, pad 1: rows 4-6, cols 7-9 (3x3). Its relu: the same.
+    3x3 conv, stride 2, pad 1, over that box: output o reads rows 2o-1..2o+1, so rows
+    2-3 and cols 3-5 (2x3). Its relu: the same. 2x2 maxpool, stride 2: row 1, cols 1-2
+    (1x2). A box one output too wide costs only time, so only these extents show it."""
+    conv = {"in": 1, "out": 2, "kh": 3, "kw": 3, "pad": 1, "bias": 1}
+    layers = (LayerSpec("conv2d", {**conv, "stride": 1}), LayerSpec("relu"),
+              LayerSpec("conv2d", {**conv, "in": 2, "stride": 2}), LayerSpec("relu"),
+              LayerSpec("maxpool", {"kh": 2, "kw": 2, "stride": 2}), LayerSpec("flatten"),
+              LayerSpec("dense", {"in": 18, "out": 3, "bias": 1}), LayerSpec("softmax"))
+    rng = np.random.default_rng(5)
+    model = _chain_model(layers, (12, 12, 1), rng)
+    image = rng.uniform(0, 255, size=model.input_shape) - model.preprocessing.means
+    stack = np.stack([image, image])
+    stack[0, 5, 8], stack[1, 5, 8] = -model.preprocessing.means[0], 1.0
+    got = forward(model, stack, base=forward(model, image))
+    crops = [a.shape[1:3] for a in got.activations[1:6]]
+    assert crops == [(3, 3), (3, 3), (2, 3), (2, 3), (1, 2)]
+    assert got.probabilities.tobytes() == forward(model, stack).probabilities.tobytes()
 
 
 def test_incremental_forward_rejects_a_base_from_another_input():

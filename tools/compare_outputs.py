@@ -10,7 +10,13 @@ repository's metadata are left alone) or a directory: a checkout holding
 commands on the same inputs, which bench/inputs.py generates (imported, never
 changed): the cnn28, cnn32 and cnn64 models and IMAGES (24) PPMs each, with labels
 and boxes. cnn28's second conv has 196 GEMM columns, not a multiple of 8, so
-its artifacts show whether a change moves a conv's bytes on such shapes.
+its artifacts show whether a change moves a conv's bytes on such shapes. A
+fourth model, strided24, is written here (write_strided_model) and gets its
+PPMs, labels and boxes from bench/inputs.py too. The bench models' convs are
+stride-1 and keep their extent, so conv2d_transpose adds their taps as whole
+contiguous blocks; strided24's convs (3x3 with stride 2 and pad 1, then an
+unpadded 3x3) take its strided col2im scatter, so both scatter paths are
+compared. The four models give 709 artifacts.
 Per model the commands are mask-eval in both target modes, pointing, explain
 with every method on every image, and predict on every image. Each side runs
 in its own Python process with one BLAS thread. Each side also runs predict on
@@ -47,7 +53,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-MODELS = {"cnn28": 28, "cnn32": 32, "cnn64": 64}
+MODELS = {"cnn28": 28, "cnn32": 32, "cnn64": 64, "strided24": 24}
 METHODS = ("lrp", "clrp", "sglrp")
 IMAGES = 24  # generated images per model
 IMAGE_SEED, RUN_SEED = 77, 5  # seed of the generated images; --seed of every CLI call
@@ -135,13 +141,36 @@ def source_lines(src: Path) -> int:
     return sum(path.read_bytes().count(b"\n") for path in (src / "relprop").glob("*.py"))
 
 
+def write_strided_model(out: Path, means: tuple[float, ...], classes: int) -> None:
+    """strided24.txt and .bin in out: 24x24x3 > conv3x3*8 stride 2 pad 1 > relu > conv3x3*16
+    unpadded > relu > pool2 > flatten > dense10, with He-scaled float32 weights from a fixed seed
+    (the first conv absorbs the 0..255 pixel scale; the logit bias is shifted up by 4)."""
+    rng = np.random.default_rng(24)
+    chunks = []
+    for shape, divisor, offset in (((8, 3, 3, 3), 27 * 64.0**2, 0.0), ((16, 8, 3, 3), 72 / 2.0, 0.0),
+                                   ((classes, 400), 400 / 4.0, 4.0)):
+        chunks += [(rng.standard_normal(shape) / np.sqrt(divisor)).astype("<f4").tobytes(),
+                   (offset + 0.05 * rng.standard_normal(shape[0])).astype("<f4").tobytes()]
+    layers = ("conv2d in=3 out=8 kh=3 kw=3 stride=2 pad=1 bias=1", "relu",
+              "conv2d in=8 out=16 kh=3 kw=3 stride=1 pad=0 bias=1", "relu",
+              "maxpool kh=2 kw=2 stride=2", "flatten", f"dense in=400 out={classes} bias=1", "softmax")
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "strided24.txt").write_text("\n".join(
+        ["RELPROP-MODEL 1", "input 24 24 3", *(f"layer {layer}" for layer in layers),
+         "mean " + " ".join(map(repr, means)), "pixel_range 0 255", ""]))
+    (out / "strided24.bin").write_bytes(b"".join(chunks))
+
+
 def write_inputs(out: Path) -> None:
     sys.path.insert(0, str(ROOT / "bench"))
     sys.dont_write_bytecode = True  # leave bench/ exactly as checked in
     import inputs
 
     for name, size in MODELS.items():
-        inputs.write_model(name, size, out / name)
+        if name == "strided24":
+            write_strided_model(out / name, inputs.MEANS, inputs.NUM_CLASSES)
+        else:
+            inputs.write_model(name, size, out / name)
         written = inputs.write_images(IMAGE_SEED, IMAGES, size, out / name / "images")
         inputs.write_list(written, out / name / "images" / "list.txt")
         inputs.write_boxes(written, out / name / "images" / "boxes.txt")
