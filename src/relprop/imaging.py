@@ -1,9 +1,10 @@
 """Binary PPM/PGM image handling, model input preparation, heatmap rendering.
 
 Only 8-bit binary formats are supported: P6 for color reads/writes, P5 for
-grayscale. Headers follow the netpbm rules: whitespace-separated tokens,
-`#` comments running to end of line, width, height and maxval in ASCII decimal
-digits, and exactly one whitespace byte between the maxval and the sample data.
+grayscale. Headers follow the netpbm rules, read in one scan: whitespace-separated
+tokens, `#` comments running to CR or LF (a comment may follow a token directly),
+width, height and maxval in ASCII decimal digits, and exactly one whitespace byte
+between the maxval and the sample data.
 An image is a uint8 array, [H,W,3] for a PPM and [H,W] for a PGM; preprocess
 turns an RGB one into the model input that forward takes.
 """
@@ -11,6 +12,7 @@ turns an RGB one into the model input that forward takes.
 from __future__ import annotations
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -19,67 +21,37 @@ from .errors import ImageFormatError, ShapeError
 from .model import NetworkModel
 
 
-class _HeaderReader:
-    """Tokenizer for netpbm headers over raw bytes; an error shows at most 20 bytes of a token."""
-
-    def __init__(self, data: bytes, path: str):
-        self.data = data
-        self.pos = 0
-        self.path = path
-
-    def token(self) -> bytes:
-        data, n = self.data, len(self.data)
-        while self.pos < n:
-            b = self.data[self.pos]
-            if b in b" \t\r\n\x0b\x0c":
-                self.pos += 1
-            elif b == ord("#"):
-                while self.pos < n and self.data[self.pos] not in b"\r\n":
-                    self.pos += 1
-            else:
-                break
-        if self.pos >= n:
-            raise ImageFormatError(f"{self.path}: truncated header")
-        start = self.pos
-        while self.pos < n and data[self.pos] not in b" \t\r\n\x0b\x0c#":
-            self.pos += 1
-        return data[start : self.pos]
-
-    def int_token(self, what: str) -> int:
-        tok = self.token()
-        if not tok.isdigit():  # ASCII digits only; int() would also take "+4" and "1_0"
-            more = "..." if len(tok) > 20 else ""
-            raise ImageFormatError(f"{self.path}: non-numeric {what} {tok[:20]!r}{more}")
-        return int(tok)
-
-    def payload_after_maxval(self, count: int) -> bytes:
-        # exactly one whitespace byte separates maxval from samples
-        if self.pos >= len(self.data) or self.data[self.pos] not in b" \t\r\n\x0b\x0c":
-            raise ImageFormatError(f"{self.path}: missing whitespace after maxval")
-        self.pos += 1
-        payload = self.data[self.pos : self.pos + count]
-        if len(payload) < count:
-            raise ImageFormatError(
-                f"{self.path}: payload truncated, expected {count} bytes, got {len(payload)}"
-            )
-        return payload
+# one token, the bytes up to whitespace or "#", after whitespace and "#" comments that run to CR or LF
+_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*([^\s#]*)")
 
 
 def _read_netpbm(path: str | Path, magic: bytes, channels: tuple[int, ...]) -> np.ndarray:
-    """[H, W, *channels] uint8 samples of a binary netpbm file with maxval 255."""
-    reader = _HeaderReader(Path(path).read_bytes(), str(path))
-    found = reader.token()
-    if found != magic:
-        raise ImageFormatError(f"{path}: unsupported magic {found!r}, only binary {magic.decode()} is read")
-    width = reader.int_token("width")
-    height = reader.int_token("height")
-    maxval = reader.int_token("maxval")
+    """[H, W, *channels] uint8 samples of a binary netpbm file with maxval 255, from one scan of
+    its magic, width, height and maxval tokens; an error shows at most 20 bytes of a token."""
+    data, pos, tokens = Path(path).read_bytes(), 0, []
+    for what in ("magic", "width", "height", "maxval"):
+        match = _HEADER_TOKEN.match(data, pos)
+        token, pos = match[1], match.end()
+        if not token:  # only whitespace and comments were left
+            raise ImageFormatError(f"{path}: truncated header")
+        if what == "magic" and token != magic:
+            raise ImageFormatError(f"{path}: unsupported magic {token!r}, only binary {magic.decode()} is read")
+        if what != "magic" and not token.isdigit():  # ASCII digits; int() would also take "+4" and "1_0"
+            more = "..." if len(token) > 20 else ""
+            raise ImageFormatError(f"{path}: non-numeric {what} {token[:20]!r}{more}")
+        tokens.append(token)
+    width, height, maxval = map(int, tokens[1:])
     if maxval != 255:
         raise ImageFormatError(f"{path}: maxval {maxval} unsupported, must be 255")
     if width < 1 or height < 1:
         raise ImageFormatError(f"{path}: invalid extent {width}x{height}")
+    if not data[pos : pos + 1].isspace():  # one whitespace byte (as rb"\s" matches) ends the maxval
+        raise ImageFormatError(f"{path}: missing whitespace after maxval")
     shape = (height, width, *channels)
-    payload = reader.payload_after_maxval(math.prod(shape))
+    count = math.prod(shape)
+    payload = data[pos + 1 : pos + 1 + count]
+    if len(payload) < count:
+        raise ImageFormatError(f"{path}: payload truncated, expected {count} bytes, got {len(payload)}")
     return np.frombuffer(payload, dtype=np.uint8).reshape(shape).copy()
 
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .model import ForwardTrace, LayerSpec, NetworkModel, infer_shapes
-from .tensor import conv2d_forward, conv2d_transpose, conv_extent, pool_winners
+from .tensor import conv2d_forward, conv2d_transpose, pool_winners
 
 DENOMINATOR_FLOOR = 1e-9
 
@@ -93,34 +93,31 @@ def _layer_map(layer: LayerSpec, shape: tuple[int, ...]):
     )
 
 
-def _conv_by_border_class(b: np.ndarray, w: np.ndarray, stride: int, pad: int) -> np.ndarray:
-    """conv2d_forward(b, w, 0, stride, pad) from one padded window per border class (see rule_terms)."""
-    (h, wd, c), (kh, kw), picks = b.shape, w.shape[2:], []
-    if b.tobytes() != b[0, 0].tobytes() * (h * wd):  # not the same at every pixel: no classes to share
-        return conv2d_forward(b, w, np.zeros(w.shape[0]), stride, pad)
-    for n, k, extent in zip((h, wd), (kh, kw), conv_extent(h, wd, kh, kw, stride, pad)):
-        # outputs lo..hi read no padding, so all but the first of them repeat its window
-        lo, hi = -(-pad // stride), (pad + n - k) // stride
-        first = [i for i in range(extent) if not lo < i <= hi]
-        counts = [j - i for i, j in zip(first, first[1:] + [extent])]
-        picks.append((np.array([range(i * stride, i * stride + k) for i in first]), counts))
-    (rows, row_counts), (cols, col_counts) = picks
-    padded = np.zeros((h + 2 * pad, wd + 2 * pad, c))
-    padded[pad : pad + h, pad : pad + wd] = b
-    windows = padded[rows[:, None, :, None], cols[None, :, None, :]]  # [rows, cols, kh, kw, c]
-    out = conv2d_forward(windows.reshape(-1, kh, kw, c), w, np.zeros(w.shape[0]))
-    return np.repeat(np.repeat(out.reshape(len(rows), len(cols), -1), row_counts, 0), col_counts, 1)
+def _constant_conv(b: np.ndarray, w: np.ndarray, stride: int, pad: int) -> np.ndarray:
+    """conv2d_forward(b, w, 0, stride, pad) of an image b [H,W,C] that is the same at every pixel.
+    Outputs whose windows read no padding all read the same values, so the conv runs on b's
+    smallest corner that keeps every border output and one such interior output per axis, and
+    np.repeat expands that one. By conv2d_forward's byte rule each output is its own window's
+    GEMM column, so this is the full conv's bytes."""
+    first = -(-pad // stride)  # the first output whose window reads no padding, if any does
+    extra = [max((pad + n - k) // stride - first, 0) for n, k in zip(b.shape[:2], w.shape[2:])]
+    corner = b[: b.shape[0] - stride * extra[0], : b.shape[1] - stride * extra[1]]
+    out = conv2d_forward(corner, w, np.zeros(w.shape[0]), stride, pad)
+    for axis, more in enumerate(extra):  # the interior outputs past the first on this axis
+        counts = np.ones(out.shape[axis], dtype=int)
+        counts[first : first + 1] += more  # a slice: with no interior output, first may be past the end
+        out = np.repeat(out, counts, axis)
+    return out
 
 
 def rule_terms(layer: LayerSpec, weights: np.ndarray, shape: tuple[int, ...], bounds=None) -> tuple:
     """(shape, apply, adjoint, W_a, bound terms (b, W_b, apply(b, W_b))): a dense or conv layer's
     operands over inputs of `shape`. zplus (no bounds) is W+ with no bound terms; zbeta, with bounds
-    (lower, upper) broadcastable to shape, is W with (lower, W+) and (upper, W-), each b a float64 copy.
+    (lower, upper), is W with (lower, W+) and (upper, W-).
 
-    A conv's apply(b, W_b) runs on one padded window per border class when b is the same at every
-    pixel, as explain_all's bounds are: all interior rows (columns) read the same window values, and
-    each border row (column) is its own class. np.repeat expands the classes' outputs; by
-    conv2d_forward's byte rule each is its own window's GEMM column, so this is the full conv's bytes."""
+    The bounds are per channel: 1-D vectors whose length divides shape's last axis. Each b is its
+    vector spread over shape in [H,W,C] order, which a flatten keeps, as a float64 copy. A conv's
+    apply(b, W_b) is _constant_conv's."""
     what = "zplus" if bounds is None else "zbeta"
     if not layer.is_parametric:
         raise ShapeError(f"{what}: unsupported layer kind {layer.kind}")
@@ -130,14 +127,14 @@ def rule_terms(layer: LayerSpec, weights: np.ndarray, shape: tuple[int, ...], bo
     wp = np.maximum(weights, 0.0)
     if bounds is None:
         return shape, apply, adjoint, wp, ()
-    try:
-        lower, upper = (np.broadcast_to(b, shape).astype(np.float64, order="C") for b in bounds)
-    except ValueError:
+    if any(np.ndim(b) != 1 or not np.size(b) or shape[-1] % np.size(b) for b in bounds):
         shapes = " and ".join(str(np.shape(b)) for b in bounds)
-        raise ShapeError(f"zbeta: bounds {shapes} do not broadcast to input {shape}") from None
+        raise ShapeError(f"zbeta: bounds {shapes} are not per-channel vectors of input {shape}")
+    lower, upper = (np.tile(np.asarray(b, np.float64), np.prod(shape) // np.size(b)).reshape(shape)
+                    for b in bounds)
     wm = np.minimum(weights, 0.0)
     fixed = apply if layer.kind == "dense" else (
-        lambda b, w: _conv_by_border_class(b, w, layer.params["stride"], layer.params["pad"]))
+        lambda b, w: _constant_conv(b, w, layer.params["stride"], layer.params["pad"]))
     return shape, apply, adjoint, weights, ((lower, wp, fixed(lower, wp)), (upper, wm, fixed(upper, wm)))
 
 
@@ -224,10 +221,7 @@ def explain_all(
     if not const:
         shapes = [model.input_shape, *infer_shapes(model.input_shape, list(model.layers))]
         first = next(i for i, l in enumerate(model.layers) if l.is_parametric)
-        pre, shape = model.preprocessing, shapes[first]
-        # the per-channel bounds at every pixel, in the [H,W,C] order that a flatten keeps
-        bounds = [np.tile(b - pre.means, np.prod(shape) // pre.means.size).reshape(shape)
-                  for b in pre.pixel_range]
+        bounds = [b - model.preprocessing.means for b in model.preprocessing.pixel_range]  # per channel
         const.update({
             i: rule_terms(l, p.weights, shapes[i], bounds if i == first else None)
             for i, (l, p) in enumerate(zip(model.layers, model.params)) if l.is_parametric

@@ -107,6 +107,33 @@ class TestPpmIo:
         with pytest.raises(ImageFormatError):
             read_ppm(path)
 
+    @pytest.mark.parametrize(
+        "data, want",
+        [
+            (b"P6#c\n2 1\n255\n" + b"\x07" * 6, (1, 2, 3)),
+            (b"P6\n# c\r2 1\n255\n" + b"\x07" * 6, (1, 2, 3)),
+            (b"P6\x0b2\x0c1\x0b255\x0c" + b"\x07" * 6, (1, 2, 3)),
+            (b"P6\n2 1\n255#c\n" + b"\x07" * 6, "missing whitespace after maxval"),
+            (b"", "truncated header"),
+            (b"P6", "truncated header"),
+        ],
+        ids=["comment-after-magic", "comment-ends-at-cr", "vt-ff-separators", "comment-after-maxval",
+             "empty", "magic-only"],
+    )
+    def test_header_edge_cases(self, tmp_path, data, want):
+        """A comment may follow a token with no whitespace and ends at CR or LF, vertical tab
+        and form feed separate tokens, and the one byte after the maxval must be whitespace:
+        each header gives this shape, or this exact message."""
+        path = tmp_path / "e.ppm"
+        path.write_bytes(data)
+        if isinstance(want, tuple):
+            image = read_ppm(path)
+            assert image.shape == want and image.tobytes() == b"\x07" * 6
+            return
+        with pytest.raises(ImageFormatError) as err:
+            read_ppm(path)
+        assert str(err.value) == f"{path}: {want}"
+
     @pytest.mark.parametrize("header", [b"1_0 1", b"+4 1", b"4 +1"])
     def test_header_integers_are_ascii_digits(self, tmp_path, header):
         """int() would read `1_0` as 10 and `+4` as 4."""

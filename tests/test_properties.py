@@ -175,20 +175,20 @@ def test_conv2d_transpose_is_the_strided_scatter_to_the_byte(case, lead):
 
 
 @PROPERTY_SETTINGS
-@given(conv_cases(), st.sampled_from(["constant", "per-pixel"]))
-@example(((2, 2, 2), (3, 2, 4, 4), 1, 1, 9), "constant")  # no interior row or column
-@example(((3, 5, 1), (2, 1, 4, 2), 3, 2, 4), "constant")
-def test_zbeta_conv_bound_terms_are_the_full_conv_to_the_byte(case, kind):
-    """The zbeta conv bound terms apply(b, W+) and apply(b, W-), built on one padded
-    window per border class, equal conv2d_forward of the whole bound image to the byte:
-    at any stride, pad, kernel and extent, with per-channel constants that are negative,
-    zero or positive, and with bounds that vary per pixel."""
+@given(conv_cases())
+@example(((2, 2, 2), (3, 2, 4, 4), 1, 1, 9))  # no interior row or column
+@example(((3, 3, 2), (2, 2, 3, 3), 1, 1, 5))  # exactly one interior row and column
+@example(((8, 9, 2), (2, 2, 2, 2), 3, 1, 6))  # stride above the kernel, two interior rows and columns
+@example(((3, 5, 1), (2, 1, 4, 2), 3, 2, 4))
+def test_zbeta_conv_bound_terms_are_the_full_conv_to_the_byte(case):
+    """The zbeta conv bound terms apply(b, W+) and apply(b, W-), built on the smallest
+    constant image that keeps every border output and one interior output per axis, equal
+    conv2d_forward of the whole bound image to the byte: at any stride, pad, kernel and
+    extent, with per-channel constants that are negative, zero or positive."""
     input_shape, weight_shape, stride, pad, seed = case
     rng = np.random.default_rng(seed)
     values = (-118.5, -3.0, -0.0, 0.0, 2.5, 136.25)
     lower, upper = (rng.choice(values, size=input_shape[2]) for _ in range(2))
-    if kind == "per-pixel":
-        lower, upper = (rng.choice(values, size=input_shape) for _ in range(2))
     layer = LayerSpec("conv2d", {"in": input_shape[2], "out": weight_shape[0], "kh": weight_shape[2],
                                  "kw": weight_shape[3], "stride": stride, "pad": pad, "bias": 0})
     weights = rng.normal(size=weight_shape)

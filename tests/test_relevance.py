@@ -422,14 +422,16 @@ def _zbeta(layer, x, lower=np.zeros(1), upper=np.full(1, 255.0)):
         (lambda: _zbeta(_DENSE_2x4, np.ones((1, 3, 1))),
          "zbeta dense: weights (2, 4) != input (1, 3, 1)"),
         (lambda: _zbeta(_DENSE_2x4, np.ones((1, 4, 1)), np.zeros(2), np.ones(2)),
-         "zbeta: bounds (2,) and (2,) do not broadcast to input (1, 4, 1)"),
+         "zbeta: bounds (2,) and (2,) are not per-channel vectors of input (1, 4, 1)"),
         (lambda: _zbeta(_DENSE_2x4, np.ones((1, 4, 1)), np.zeros(1), np.ones((2, 1))),
-         "zbeta: bounds (1,) and (2, 1) do not broadcast to input (1, 4, 1)"),
+         "zbeta: bounds (1,) and (2, 1) are not per-channel vectors of input (1, 4, 1)"),
+        (lambda: _zbeta(_DENSE_2x4, np.ones((1, 4, 1)), np.zeros((4, 1)), np.ones((4, 1))),
+         "zbeta: bounds (4, 1) and (4, 1) are not per-channel vectors of input (1, 4, 1)"),
         (lambda: propagate_maxpool(np.zeros((1, 1, 1)), _CONV_1x1, np.ones((1, 1, 1)), np.zeros((1, 1, 1))),
          "maxpool: unsupported layer kind conv2d"),
     ],
     ids=["relevance-shape", "zplus-weights", "zplus-relu", "input-shape", "zbeta-relu", "zbeta-weights",
-         "zbeta-bounds-channels", "bounds-broadcast", "maxpool-conv"],
+         "zbeta-bounds-channels", "bounds-broadcast", "bounds-2d", "maxpool-conv"],
 )
 def test_malformed_rule_operands_raise_a_shape_error(call, message):
     """The rule's terms, and the rule over them, reject operands that do not fit

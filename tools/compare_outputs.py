@@ -10,13 +10,15 @@ repository's metadata are left alone) or a directory: a checkout holding
 commands on the same inputs, which bench/inputs.py generates (imported, never
 changed): the cnn28, cnn32 and cnn64 models and IMAGES (24) PPMs each, with labels
 and boxes. cnn28's second conv has 196 GEMM columns, not a multiple of 8, so
-its artifacts show whether a change moves a conv's bytes on such shapes. A
-fourth model, strided24, is written here (write_strided_model) and gets its
-PPMs, labels and boxes from bench/inputs.py too. The bench models' convs are
+its artifacts show whether a change moves a conv's bytes on such shapes. Two
+more models, strided24 and dense16, are written here (write_extra_model) and get
+their PPMs, labels and boxes from bench/inputs.py too. The bench models' convs are
 stride-1 and keep their extent, so conv2d_transpose adds their taps as whole
 contiguous blocks; strided24's convs (3x3 with stride 2 and pad 1, then an
 unpadded 3x3) take its strided col2im scatter, so both scatter paths are
-compared. The four models give 709 artifacts.
+compared. dense16's first parametric layer is a dense layer behind a flatten,
+so it compares the zbeta bounds spread over a flattened input. The five models
+give 886 artifacts.
 Per model the commands are mask-eval in both target modes, pointing, explain
 with every method on every image, and predict on every image. Each side runs
 in its own Python process with one BLAS thread. Each side also runs predict on
@@ -25,7 +27,8 @@ error load_model raises, and records its exit code and stderr, with the input
 directory written as <inputs>. It records the same for two cnn32 harness runs
 that fail on one image (HARNESS_ERRORS): mask-eval on a list whose last label is
 10, one past cnn32's classes, and pointing with one box that starts outside its
-image; for predict on malformed copies of the first cnn32 PPM (IMAGE_ERRORS); and
+image; for predict on malformed copies of the first cnn32 PPM (IMAGE_ERRORS; one of
+them, a comment right after the magic, is a valid header and exits 0); and
 for explain and pointing on that PPM under a copy of the cnn32 manifest whose
 pixel_range is 0 200 (RANGE_ERRORS): its largest sample is 231, so the zbeta
 rule's range check, the one rule message the CLI can reach, fails.
@@ -53,7 +56,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-MODELS = {"cnn28": 28, "cnn32": 32, "cnn64": 64, "strided24": 24}
+MODELS = {"cnn28": 28, "cnn32": 32, "cnn64": 64, "strided24": 24, "dense16": 16}
 METHODS = ("lrp", "clrp", "sglrp")
 IMAGES = 24  # generated images per model
 IMAGE_SEED, RUN_SEED = 77, 5  # seed of the generated images; --seed of every CLI call
@@ -108,6 +111,8 @@ IMAGE_ERRORS = {
     "ppm-no-space-after-maxval": lambda w, h, px: b"P6\n%d %d\n255%b" % (w, h, px),
     "ppm-ends-at-maxval": lambda w, h, px: b"P6\n%d %d\n255" % (w, h),
     "ppm-width-zero": lambda w, h, px: b"P6\n0 %d\n255\n%b" % (h, px),
+    "ppm-comment-after-magic": lambda w, h, px: b"P6#c\n%d %d\n255\n%b" % (w, h, px),  # valid: exit 0
+    "ppm-comment-after-maxval": lambda w, h, px: b"P6\n%d %d\n255#c\n%b" % (w, h, px),
 }
 
 
@@ -141,24 +146,31 @@ def source_lines(src: Path) -> int:
     return sum(path.read_bytes().count(b"\n") for path in (src / "relprop").glob("*.py"))
 
 
-def write_strided_model(out: Path, means: tuple[float, ...], classes: int) -> None:
-    """strided24.txt and .bin in out: 24x24x3 > conv3x3*8 stride 2 pad 1 > relu > conv3x3*16
-    unpadded > relu > pool2 > flatten > dense10, with He-scaled float32 weights from a fixed seed
-    (the first conv absorbs the 0..255 pixel scale; the logit bias is shifted up by 4)."""
-    rng = np.random.default_rng(24)
+def write_extra_model(out: Path, name: str, means: tuple[float, ...], classes: int) -> None:
+    """<name>.txt and .bin in out, for the models not in bench/inputs.py. strided24 is 24x24x3 >
+    conv3x3*8 stride 2 pad 1 > relu > conv3x3*16 unpadded > relu > pool2 > flatten > dense10.
+    dense16 is 16x16x3 > flatten > dense24 > relu > dense10, so its first parametric layer is a
+    dense one behind a flatten. Weights are He-scaled float32 drawn with the input side as seed
+    (the first parametric layer absorbs the 0..255 pixel scale; the logit bias is shifted up by 4)."""
+    size, layers, specs = {  # (input side, layers, (weight shape, variance divisor, bias offset) each)
+        "strided24": (24, ("conv2d in=3 out=8 kh=3 kw=3 stride=2 pad=1 bias=1", "relu",
+                           "conv2d in=8 out=16 kh=3 kw=3 stride=1 pad=0 bias=1", "relu",
+                           "maxpool kh=2 kw=2 stride=2", "flatten", f"dense in=400 out={classes} bias=1"),
+                      (((8, 3, 3, 3), 27 * 64.0**2, 0.0), ((16, 8, 3, 3), 72 / 2.0, 0.0),
+                       ((classes, 400), 400 / 4.0, 4.0))),
+        "dense16": (16, ("flatten", "dense in=768 out=24 bias=1", "relu", f"dense in=24 out={classes} bias=1"),
+                    (((24, 768), 768 * 64.0**2, 0.0), ((classes, 24), 24 / 4.0, 4.0))),
+    }[name]
+    rng = np.random.default_rng(size)
     chunks = []
-    for shape, divisor, offset in (((8, 3, 3, 3), 27 * 64.0**2, 0.0), ((16, 8, 3, 3), 72 / 2.0, 0.0),
-                                   ((classes, 400), 400 / 4.0, 4.0)):
+    for shape, divisor, offset in specs:
         chunks += [(rng.standard_normal(shape) / np.sqrt(divisor)).astype("<f4").tobytes(),
                    (offset + 0.05 * rng.standard_normal(shape[0])).astype("<f4").tobytes()]
-    layers = ("conv2d in=3 out=8 kh=3 kw=3 stride=2 pad=1 bias=1", "relu",
-              "conv2d in=8 out=16 kh=3 kw=3 stride=1 pad=0 bias=1", "relu",
-              "maxpool kh=2 kw=2 stride=2", "flatten", f"dense in=400 out={classes} bias=1", "softmax")
     out.mkdir(parents=True, exist_ok=True)
-    (out / "strided24.txt").write_text("\n".join(
-        ["RELPROP-MODEL 1", "input 24 24 3", *(f"layer {layer}" for layer in layers),
+    (out / f"{name}.txt").write_text("\n".join(
+        ["RELPROP-MODEL 1", f"input {size} {size} 3", *(f"layer {layer}" for layer in (*layers, "softmax")),
          "mean " + " ".join(map(repr, means)), "pixel_range 0 255", ""]))
-    (out / "strided24.bin").write_bytes(b"".join(chunks))
+    (out / f"{name}.bin").write_bytes(b"".join(chunks))
 
 
 def write_inputs(out: Path) -> None:
@@ -167,8 +179,8 @@ def write_inputs(out: Path) -> None:
     import inputs
 
     for name, size in MODELS.items():
-        if name == "strided24":
-            write_strided_model(out / name, inputs.MEANS, inputs.NUM_CLASSES)
+        if name in ("strided24", "dense16"):
+            write_extra_model(out / name, name, inputs.MEANS, inputs.NUM_CLASSES)
         else:
             inputs.write_model(name, size, out / name)
         written = inputs.write_images(IMAGE_SEED, IMAGES, size, out / name / "images")
