@@ -171,22 +171,17 @@ class BoundingBox:
             self, x_max=min(self.x_max, width - 1), y_max=min(self.y_max, height - 1)
         )
 
-    def mask(self, height: int, width: int) -> np.ndarray:
-        m = np.zeros((height, width), dtype=bool)
-        m[self.y_min : self.y_max + 1, self.x_min : self.x_max + 1] = True
-        return m
 
-
-def _threshold_ranks(values: np.ndarray, energies) -> tuple[np.ndarray, list[int]]:
-    """The map's positive entries, and per energy the ascending rank among them of
-    the k-th largest, k = max(1, floor(energy * K)) for K positive entries."""
+def _thresholds(values: np.ndarray, energies) -> tuple[np.ndarray, np.ndarray]:
+    """The map's positive entries in ascending order, and per energy its threshold among them: with
+    K positive entries, the k-th largest for k = max(1, floor(energy * K))."""
     for energy in energies:
         if not 0.0 < energy <= 1.0:
             raise ShapeError(f"energy {energy} outside (0, 1]")
-    positives = values[values > 0]
-    if positives.size == 0:
+    ranked = np.sort(values[values > 0])
+    if ranked.size == 0:
         raise NoPositiveRelevanceError("map has no positive entries")
-    return positives, [positives.size - max(1, math.floor(e * positives.size)) for e in energies]
+    return ranked, ranked[[ranked.size - max(1, math.floor(e * ranked.size)) for e in energies]]
 
 
 def energy_threshold(values: np.ndarray, energy: float) -> float:
@@ -196,8 +191,7 @@ def energy_threshold(values: np.ndarray, energy: float) -> float:
     for k = max(1, floor(energy * K)), so energy = 1.0 admits every positive
     pixel and never any zero.
     """
-    positives, (rank,) = _threshold_ranks(values, (energy,))
-    return float(np.partition(positives, rank)[rank])
+    return float(_thresholds(values, (energy,))[1][0])
 
 
 @dataclass(frozen=True)
@@ -220,11 +214,10 @@ def pointing_game(
     h, w = values.shape
     if box.x_max >= w or box.y_max >= h:
         raise ShapeError(f"box ..({box.x_max},{box.y_max}) exceeds {w}x{h} map")
-    positives, ranks = _threshold_ranks(values, energies)
-    ranked, ranked_inside = np.sort(positives), np.sort(values[box.mask(h, w) & (values > 0)])
-    taus = ranked[ranks]  # > 0, so the pixels at or above each are positives
+    ranked, taus = _thresholds(values, energies)  # taus > 0, so the pixels at or above each are positives
+    inside = np.sort(values[box.y_min : box.y_max + 1, box.x_min : box.x_max + 1], axis=None)
     totals = (ranked.size - np.searchsorted(ranked, taus)).tolist()
-    hits = (ranked_inside.size - np.searchsorted(ranked_inside, taus)).tolist()
+    hits = (inside.size - np.searchsorted(inside, taus)).tolist()
     return [
         PointingResult(energy=energy, tau=tau, hits=hit, misses=total - hit, accuracy=hit / total)
         for energy, tau, total, hit in zip(energies, taus.tolist(), totals, hits)

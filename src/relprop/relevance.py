@@ -30,6 +30,7 @@ Seeds (seed_rows builds one row per method; the methods differ in nothing else):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -115,9 +116,9 @@ def rule_terms(layer: LayerSpec, weights: np.ndarray, shape: tuple[int, ...], bo
     operands over inputs of `shape`. zplus (no bounds) is W+ with no bound terms; zbeta, with bounds
     (lower, upper), is W with (lower, W+) and (upper, W-).
 
-    The bounds are per channel: 1-D vectors whose length divides shape's last axis. Each b is its
-    vector spread over shape in [H,W,C] order, which a flatten keeps, as a float64 copy. A conv's
-    apply(b, W_b) is _constant_conv's."""
+    The bounds are per channel: 1-D vectors whose length divides the last axis of shape, an [H,W,C]
+    shape (a dense layer behind a flatten takes its pixels' shape). Each b is its vector spread over
+    shape, as a float64 copy. A conv's apply(b, W_b) is _constant_conv's."""
     what = "zplus" if bounds is None else "zbeta"
     if not layer.is_parametric:
         raise ShapeError(f"{what}: unsupported layer kind {layer.kind}")
@@ -127,7 +128,7 @@ def rule_terms(layer: LayerSpec, weights: np.ndarray, shape: tuple[int, ...], bo
     wp = np.maximum(weights, 0.0)
     if bounds is None:
         return shape, apply, adjoint, wp, ()
-    if any(np.ndim(b) != 1 or not np.size(b) or shape[-1] % np.size(b) for b in bounds):
+    if any(len(shape) != 3 or np.ndim(b) != 1 or not np.size(b) or shape[-1] % np.size(b) for b in bounds):
         shapes = " and ".join(str(np.shape(b)) for b in bounds)
         raise ShapeError(f"zbeta: bounds {shapes} are not per-channel vectors of input {shape}")
     lower, upper = (np.tile(np.asarray(b, np.float64), np.prod(shape) // np.size(b)).reshape(shape)
@@ -221,6 +222,7 @@ def explain_all(
     if not const:
         shapes = [model.input_shape, *infer_shapes(model.input_shape, list(model.layers))]
         first = next(i for i, l in enumerate(model.layers) if l.is_parametric)
+        shapes[first] = [s for s in shapes[: first + 1] if len(s) == 3][-1]  # the pixels zbeta reads
         bounds = [b - model.preprocessing.means for b in model.preprocessing.pixel_range]  # per channel
         const.update({
             i: rule_terms(l, p.weights, shapes[i], bounds if i == first else None)
@@ -230,8 +232,9 @@ def explain_all(
         layer, a = model.layers[i], trace.activations[i]
         if layer.kind == "maxpool":
             relevance = propagate_maxpool(relevance, layer, a, trace.activations[i + 1])
-        elif layer.is_parametric:
-            relevance = propagate_linear(relevance, layer, a, const[i])
+        elif layer.is_parametric:  # a zbeta dense layer's terms take the [H,W,C] shape of its flat pixels
+            x = a.reshape(const[i][0]) if a.shape == (math.prod(const[i][0]),) else a
+            relevance = propagate_linear(relevance, layer, x, const[i])
         relevance = relevance.reshape((len(methods),) + a.shape)
     return {m: RelevanceMap(raw, m, target) for m, raw in zip(methods, relevance)}
 

@@ -3,8 +3,8 @@
 All kernels take and return float64 numpy arrays in row-major layout:
 images are [H, W, C], convolution weights [C_out, C_in, kh, kw], dense
 weights [out, in]. The forward kernels also take a stack of images with one
-leading axis, which maps row by row. Every kernel is pure and allocates its
-result.
+leading axis, which maps row by row. Every kernel is pure; flatten returns a
+view of a contiguous input, every other kernel allocates its result.
 
 Output extents come only from conv_extent and pool_extent, which the kernels
 and the model's shape inference share, so a geometry fails the same way everywhere.
@@ -193,8 +193,8 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def flatten(x: np.ndarray, lead: int = 0) -> np.ndarray:
-    """Row-major flatten to 1-D, keeping the first `lead` axes (0 or 1)."""
-    return x.reshape(x.shape[:lead] + (-1,)).copy()
+    """Row-major flatten to 1-D, keeping the first `lead` axes (0 or 1); a view where x allows one."""
+    return x.reshape(x.shape[:lead] + (-1,))
 
 
 def softmax(z: np.ndarray) -> np.ndarray:

@@ -188,6 +188,12 @@ def energy_threshold_by_sort(values, energy):
     return positives[k - 1]
 
 
+def box_mask(box, height, width):
+    """[height, width] booleans, True at the pixels of an inclusive box, pixel by pixel."""
+    return np.array([[box.x_min <= x <= box.x_max and box.y_min <= y <= box.y_max for x in range(width)]
+                     for y in range(height)], dtype=bool)
+
+
 def seed_rows_by_formula(logits, probs, target):
     """The lrp, clrp and sglrp seed rows, entry by entry.
 

@@ -65,6 +65,23 @@ def workspace(tmp_path_factory):
     return {"root": root, "manifest": str(manifest), "weights": str(weights)}
 
 
+@pytest.fixture(scope="module")
+def six_classes(tmp_path_factory):
+    """Saved 2x2x3 > dense > softmax model with six classes, whose bias makes the last one the top
+    class of its one PPM, and that PPM."""
+    root = tmp_path_factory.mktemp("six")
+    rng = np.random.default_rng(6)
+    model = NetworkModel(
+        input_shape=(2, 2, 3),
+        layers=(LayerSpec("dense", {"in": 12, "out": 6, "bias": 1}), LayerSpec("softmax")),
+        params=(LayerParams(0.001 * rng.normal(size=(6, 12)), np.r_[np.zeros(5), 10.0]), None),
+        preprocessing=Preprocessing(means=np.zeros(3), pixel_range=(0.0, 255.0)),
+    )
+    save_model(model, root / "model.txt", root / "model.bin")
+    write_ppm(rng.integers(0, 256, size=(2, 2, 3), dtype=np.uint8), root / "img.ppm")
+    return [str(root / name) for name in ("model.txt", "model.bin", "img.ppm")]
+
+
 def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -99,6 +116,13 @@ class TestPredict:
             probs.append(float(m.group(3)))
         assert probs == sorted(probs, reverse=True)
         assert abs(sum(probs) - 1.0) <= 2e-6  # printed at 6 decimals
+
+    def test_default_top_is_five_or_every_class(self, workspace, six_classes, capsys):
+        """Without --top, predict prints min(5, classes) rows: five of six classes, three of three."""
+        three = [workspace["manifest"], workspace["weights"], str(workspace["root"] / "img0.ppm")]
+        for argv, rows in ((six_classes, 5), (three, 3)):
+            code, out, _ = run_cli(["predict", *argv], capsys)
+            assert code == 0 and len(out.splitlines()) == rows
 
     def test_top_out_of_range(self, workspace, capsys):
         for bad in ("0", "4"):
@@ -218,6 +242,16 @@ class TestExplain:
         runner_up = predict_topk(trace, 2)[1][0]
         want = explain(model, trace, runner_up, "sglrp").values.astype("<f8").tobytes()
         assert (tmp_path / "heat.f32").read_bytes()[8:] == want
+
+    def test_top_target_can_be_the_last_class(self, six_classes, tmp_path, capsys):
+        """--target top explains the most probable class when it is the last one: its map is the
+        --target 5 map, byte for byte, and not the runner-up's."""
+        maps = {}
+        for target in ("top", "5", "second"):
+            argv = ["explain", *six_classes, "--method", "lrp", "--target", target, "--out", str(tmp_path / target)]
+            assert run_cli(argv, capsys)[0] == 0
+            maps[target] = (tmp_path / f"{target}.f32").read_bytes()
+        assert maps["top"] == maps["5"] != maps["second"]
 
     def test_target_out_of_range_writes_nothing(self, workspace, tmp_path, capsys):
         out = tmp_path / "fresh" / "heat"

@@ -425,11 +425,6 @@ class TestBoundingBox:
         with pytest.raises(DataError):
             BoundingBox(0, 25, 0, 30, 5).clip(20, 20)
 
-    def test_mask_extent(self):
-        m = BoundingBox(0, 1, 2, 3, 4).mask(6, 6)
-        assert m.sum() == 3 * 3
-        assert m[2:5, 1:4].all()
-
     def test_read_bounding_boxes(self, tmp_path):
         path = tmp_path / "boxes.txt"
         path.write_text(

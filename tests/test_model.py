@@ -10,6 +10,7 @@ from relprop.model import (
     LayerSpec,
     NetworkModel,
     Preprocessing,
+    TRACE_LIMIT_BYTES,
     forward,
     infer_shapes,
     load_model,
@@ -359,6 +360,29 @@ class TestChainValidation:
         with pytest.raises(error) as err:
             NetworkModel((1, 4, 1), layers, params, Preprocessing(np.zeros(1), (0.0, 255.0)))
         assert type(err.value) is error and str(err.value) == message and err.value.where == where
+
+    def test_trace_limit_is_inclusive(self):
+        """A model whose one-image trace is exactly TRACE_LIMIT_BYTES builds; one row more, 24 bytes
+        over, is rejected naming its input. Input (n, 1, 1) > 1x1 conv > relu > a pool over the
+        column > dense 1->2 > softmax traces 8 * (3n + 5) bytes, 2**30 at n = 44739241; the check
+        reads shapes only, so no array of that size is allocated."""
+
+        def build(n):
+            layers = (
+                LayerSpec("conv2d", {"in": 1, "out": 1, "kh": 1, "kw": 1, "stride": 1, "pad": 0, "bias": 0}),
+                RELU,
+                LayerSpec("maxpool", {"kh": n, "kw": 1, "stride": 1}),
+                LayerSpec("dense", {"in": 1, "out": 2, "bias": 0}),
+                SOFTMAX,
+            )
+            params = (LayerParams(np.ones((1, 1, 1, 1)), None), None, None, LayerParams(np.ones((2, 1)), None), None)
+            return NetworkModel((n, 1, 1), layers, params, Preprocessing(np.zeros(1), (0.0, 255.0)))
+
+        assert 8 * (3 * 44739241 + 5) == TRACE_LIMIT_BYTES
+        assert build(44739241).num_classes == 2
+        with pytest.raises(ChainError) as err:
+            build(44739242)
+        assert err.value.where == "input" and f"needs {TRACE_LIMIT_BYTES + 24} float64 bytes" in str(err.value)
 
 
 class TestForward:

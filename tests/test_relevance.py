@@ -393,6 +393,7 @@ class TestZbetaInput:
 
 
 _DENSE_2x4 = LayerSpec("dense", {"in": 4, "out": 2, "bias": 0})
+_DENSE_2x12 = LayerSpec("dense", {"in": 12, "out": 2, "bias": 0})
 _POOL_2x2 = LayerSpec("maxpool", {"kh": 2, "kw": 2, "stride": 2})
 _CONV_1x1 = LayerSpec(
     "conv2d", {"in": 1, "out": 1, "kh": 1, "kw": 1, "stride": 1, "pad": 0, "bias": 0}
@@ -427,11 +428,16 @@ def _zbeta(layer, x, lower=np.zeros(1), upper=np.full(1, 255.0)):
          "zbeta: bounds (1,) and (2, 1) are not per-channel vectors of input (1, 4, 1)"),
         (lambda: _zbeta(_DENSE_2x4, np.ones((1, 4, 1)), np.zeros((4, 1)), np.ones((4, 1))),
          "zbeta: bounds (4, 1) and (4, 1) are not per-channel vectors of input (1, 4, 1)"),
+        (lambda: rule_terms(_DENSE_2x12, np.ones((2, 12)), (2, 2, 3), (np.arange(12.0), np.arange(1.0, 13.0))),
+         "zbeta: bounds (12,) and (12,) are not per-channel vectors of input (2, 2, 3)"),
+        (lambda: rule_terms(_DENSE_2x12, np.ones((2, 12)), (12,), (np.arange(12.0), np.arange(1.0, 13.0))),
+         "zbeta: bounds (12,) and (12,) are not per-channel vectors of input (12,)"),
         (lambda: propagate_maxpool(np.zeros((1, 1, 1)), _CONV_1x1, np.ones((1, 1, 1)), np.zeros((1, 1, 1))),
          "maxpool: unsupported layer kind conv2d"),
     ],
     ids=["relevance-shape", "zplus-weights", "zplus-relu", "input-shape", "zbeta-relu", "zbeta-weights",
-         "zbeta-bounds-channels", "bounds-broadcast", "bounds-2d", "maxpool-conv"],
+         "zbeta-bounds-channels", "bounds-broadcast", "bounds-2d", "bounds-per-pixel-behind-flatten",
+         "bounds-flattened-shape", "maxpool-conv"],
 )
 def test_malformed_rule_operands_raise_a_shape_error(call, message):
     """The rule's terms, and the rule over them, reject operands that do not fit
@@ -646,12 +652,11 @@ class TestRelevanceMapValidation:
         assert 0 < DENOMINATOR_FLOOR < 1e-6
 
 
-def _explain_by_public_rules(model, trace, target):
-    """explain_all's backward pass over the lrp, clrp and sglrp seeds, written
+def backward_by_public_rules(model, trace, relevance):
+    """explain_all's backward pass over the seed rows relevance [K, classes], written
     with the public rule on terms that rule_terms builds from the raw weights on
     every call, not the per-model constants. The first parametric layer here
     reads the image itself, with the model's per-channel bounds."""
-    relevance = np.concatenate([seed_rows(trace, target, (method,)) for method in METHODS])
     first = next(i for i, layer in enumerate(model.layers) if layer.is_parametric)
     for i in reversed(range(len(model.layers))):
         layer, a, lp = model.layers[i], trace.activations[i], model.params[i]
@@ -660,7 +665,7 @@ def _explain_by_public_rules(model, trace, target):
         elif layer.is_parametric:
             x, bounds = (trace.activations[0], model_bounds(model)) if i == first else (a, None)
             relevance = propagate_linear(relevance, layer, x, rule_terms(layer, lp.weights, x.shape, bounds))
-        relevance = relevance.reshape((3,) + a.shape)
+        relevance = relevance.reshape((len(relevance),) + a.shape)
     return relevance
 
 
@@ -727,7 +732,7 @@ class TestRuleConstants:
                 i for i, l in enumerate(layers) if l.is_parametric
             }
             second = explain_all(model, trace, target, METHODS)
-            want = _explain_by_public_rules(model, trace, target)
+            want = backward_by_public_rules(model, trace, seed_rows(trace, target, METHODS))
             for k, method in enumerate(METHODS):
                 assert first[method].raw.tobytes() == want[k].tobytes()
                 assert second[method].raw.tobytes() == want[k].tobytes()

@@ -237,13 +237,18 @@ class TestActivations:
             c = float(rng.uniform(-50, 50))
             np.testing.assert_allclose(softmax(z), softmax(z + c), rtol=0, atol=1e-12)
 
-    def test_flatten_row_major_and_copy(self):
-        """Flatten preserves row-major order and does not alias the input."""
+    def test_flatten_row_major_and_view(self):
+        """Flatten preserves row-major order; a contiguous input's flatten is a view
+        of its memory, with or without a lead axis, and a strided input's is a copy
+        in the same order."""
         x = np.arange(12.0).reshape(2, 3, 2)
         flat = flatten(x)
         np.testing.assert_array_equal(flat, np.arange(12.0))
-        flat[0] = 99.0
-        assert x[0, 0, 0] == 0.0
+        assert np.shares_memory(flat, x) and np.shares_memory(flatten(x, 1), x)
+        assert flatten(x, 1).shape == (2, 6)
+        strided = x[:, ::2]
+        np.testing.assert_array_equal(flatten(strided), [0.0, 1.0, 4.0, 5.0, 6.0, 7.0, 10.0, 11.0])
+        assert not np.shares_memory(flatten(strided), x)
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
     python3 tools/compare_outputs.py HEAD~1 HEAD
     python3 tools/compare_outputs.py path/to/other/checkout .
+    python3 tools/compare_outputs.py --digest tests/golden/artifacts.sha256 [HEAD]
 
 Each side is a git revision of this repository (its `src/` is extracted with
 `git archive` into a temporary directory, so the working tree and the
@@ -40,12 +41,20 @@ difference of a pointing.csv `tau`, then every load error whose exit code or
 message differs, with both sides' lines, and the same for the harness errors and
 the image and range errors. It prints "identical" for the artifacts and for each kind of
 error, and exits 0, when nothing differs; it exits 1 otherwise.
+
+With --digest FILE it runs one side (a revision or tree, the working tree by default) and
+writes FILE instead: a `# numpy ..., <BLAS> ...` header, then one `sha256  name` line per
+artifact and per error case (`errors/<case>`: its exit code and stderr), sorted by name. The
+artifacts hold no temporary path (exit_codes.txt writes <out> and <inputs>), so the digest of
+one tree on one numpy and BLAS build is fixed; tests/test_golden.py checks the tree against the
+digest checked in as tests/golden/artifacts.sha256.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import os
 import subprocess
 import sys
@@ -114,6 +123,7 @@ IMAGE_ERRORS = {
     "ppm-comment-after-magic": lambda w, h, px: b"P6#c\n%d %d\n255\n%b" % (w, h, px),  # valid: exit 0
     "ppm-comment-after-maxval": lambda w, h, px: b"P6\n%d %d\n255#c\n%b" % (w, h, px),
 }
+ERROR_CASES = (*LOAD_ERRORS, *HARNESS_ERRORS, *IMAGE_ERRORS, *RANGE_ERRORS)
 
 
 def resolve_src(side: str, scratch: Path) -> Path:
@@ -228,7 +238,8 @@ def run_side(src: Path, inputs_dir: Path, out: Path, errors_out: Path) -> None:
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
-        codes.append(f"{code} {' '.join(a.replace(str(out), '<out>') for a in argv[:1] + argv[3:])}")
+        argv = [a.replace(str(out), "<out>").replace(str(inputs_dir), "<inputs>") for a in argv]
+        codes.append(f"{code} {' '.join(argv[:1] + argv[3:])}")
         return stdout.getvalue()
 
     for name in MODELS:
@@ -300,15 +311,49 @@ def compare(a: Path, b: Path) -> tuple[list[str], float, int]:
     return differing, tau_gap, len(names)
 
 
+def run_sides(srcs: list[Path], tmp: Path) -> None:
+    """Write the inputs to tmp/inputs, then run every command against each src in its own child
+    process with one BLAS thread: side A's artifacts go to tmp/outA and its errors to tmp/errorsA."""
+    write_inputs(tmp / "inputs")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1", "PYTHONDONTWRITEBYTECODE": "1"}
+    env.pop("RELPROP_THREADS", None)
+    for label, src in zip("AB", srcs):
+        subprocess.run(
+            [sys.executable, __file__, "--run-side", str(src), str(tmp / "inputs"),
+             str(tmp / f"out{label}"), str(tmp / f"errors{label}")],
+            check=True, env=env,
+        )
+
+
+def digest(out: Path, errors_out: Path) -> list[str]:
+    """A header naming the numpy and BLAS builds, then one `sha256  name` line per artifact under
+    out and per error case's exit code and stderr in errors_out (named errors/<case>), by name."""
+    files = {str(p.relative_to(out)): p for p in out.rglob("*") if p.is_file()}
+    files.update({f"errors/{case}": errors_out / case for case in ERROR_CASES})
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return [f"# numpy {np.__version__}, {blas['name']} {blas['version']}",
+            *(f"{hashlib.sha256(files[name].read_bytes()).hexdigest()}  {name}" for name in sorted(files))]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("a", nargs="?", help="revision or source tree A")
+    parser.add_argument("a", nargs="?", help="revision or source tree A (with --digest, the one side; default .)")
     parser.add_argument("b", nargs="?", help="revision or source tree B")
+    parser.add_argument("--digest", metavar="FILE", help="write side A's digest to FILE instead of comparing")
     parser.add_argument("--run-side", nargs=4, metavar=("SRC", "INPUTS", "OUT", "ERRORS"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.run_side:
         run_side(*map(Path, args.run_side))
+        return 0
+    if args.digest:
+        if args.b is not None:
+            parser.error("--digest takes one revision or source tree")
+        with tempfile.TemporaryDirectory(prefix="relprop-digest-") as tmp:
+            tmp = Path(tmp)
+            run_sides([resolve_src(args.a or ".", tmp)], tmp)
+            Path(args.digest).write_text("\n".join(digest(tmp / "outA", tmp / "errorsA")) + "\n")
         return 0
     if args.b is None:
         parser.error("two revisions or source trees are required")
@@ -317,19 +362,10 @@ def main() -> int:
         (tmp / "trees").mkdir()
         srcs = [resolve_src(side, tmp / "trees") for side in (args.a, args.b)]
         lines = [source_lines(src) for src in srcs]
-        write_inputs(tmp / "inputs")
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-               "MKL_NUM_THREADS": "1", "PYTHONDONTWRITEBYTECODE": "1"}
-        env.pop("RELPROP_THREADS", None)
-        for label, src in zip("AB", srcs):
-            subprocess.run(
-                [sys.executable, __file__, "--run-side", str(src), str(tmp / "inputs"),
-                 str(tmp / f"out{label}"), str(tmp / f"errors{label}")],
-                check=True, env=env,
-            )
+        run_sides(srcs, tmp)
         differing, tau_gap, total = compare(tmp / "outA", tmp / "outB")
         errors = {case: [(tmp / f"errors{label}" / case).read_text().strip() for label in "AB"]
-                  for case in (*LOAD_ERRORS, *HARNESS_ERRORS, *IMAGE_ERRORS, *RANGE_ERRORS)}
+                  for case in ERROR_CASES}
     print(f"A: {args.a} (relprop/*.py: {lines[0]} lines)\nB: {args.b} (relprop/*.py: {lines[1]} lines)")
     print(f"{total} artifacts over {len(MODELS)} models")
     print(f"largest relative tau difference in pointing.csv: {tau_gap:.3g}")
