@@ -366,8 +366,8 @@ def save_model(model: NetworkModel, manifest_path: str | Path, weights_path: str
 class ForwardTrace:
     """Record of one forward pass: the input, then each layer's output.
 
-    Of a stack's trace only the probabilities are meant to be read; an incremental
-    forward keeps some of its layers as crops. model is the model that ran it.
+    Of a stack's trace only the probabilities are meant to be read; the incremental
+    forward takes only a stack and keeps some layers as crops. model is the one that ran it.
     """
 
     activations: tuple[np.ndarray, ...]
@@ -422,14 +422,12 @@ def _layer_output(layer: LayerSpec, lp, x: np.ndarray, lead: int, pad: int | Non
         return tensor.conv2d_forward(x, lp.weights, bias, p["stride"], p["pad"] if pad is None else pad)
     if layer.kind == "maxpool":
         return tensor.maxpool_forward(x, p["kh"], p["kw"], p["stride"])
-    if layer.kind == "dense":
-        flat = tensor.flatten(x, lead) if x.ndim > lead + 1 else x
-        return tensor.dense_forward(flat, lp.weights, bias)
     if layer.kind == "relu":
-        return tensor.relu(x)
-    if layer.kind == "flatten":
-        return tensor.flatten(x, lead)
-    return tensor.softmax(x)
+        return np.maximum(x, 0.0)
+    if layer.kind == "softmax":
+        return tensor.softmax(x)
+    flat = x.reshape(x.shape[:lead] + (-1,))  # a view of a contiguous x
+    return flat if layer.kind == "flatten" else tensor.dense_forward(flat, lp.weights, bias)
 
 
 def _reach_output(layer: LayerSpec, lp, box: tuple, crop: np.ndarray, a: np.ndarray,
@@ -448,7 +446,7 @@ def _reach_output(layer: LayerSpec, lp, box: tuple, crop: np.ndarray, a: np.ndar
     if (origin, extent) != (box[0::2], crop.shape[-3:-1]):  # else crop is the window (a relu's)
         window = np.zeros(crop.shape[:-3] + extent + a.shape[2:])
         crop = _paste(_paste(window, origin, a, (0, 0)), origin, crop, box[0::2])
-    return (r0, r1, c0, c1), _layer_output(layer, lp, crop, crop.ndim - 3, pad=0)
+    return (r0, r1, c0, c1), _layer_output(layer, lp, crop, 1, pad=0)
 
 
 def forward(model: NetworkModel, image: np.ndarray, base: ForwardTrace | None = None) -> ForwardTrace:
@@ -460,16 +458,16 @@ def forward(model: NetworkModel, image: np.ndarray, base: ForwardTrace | None = 
 
     base, the trace of one image through this model object (a trace that any
     other model produced, even one of the same shapes, is a ShapeError), makes
-    the forward incremental. The rows and columns where any image differs from
-    base's input in its bytes bound a box. Each conv, relu and maxpool layer
-    before the first flatten or dense layer computes only the output positions
-    that box reaches, which bound the next box, on the input window they read:
-    base's array, zeros where a conv pads, and the stack's last box pasted in.
-    A stack's trace records them as [N, rows, cols, C] crops; one image's pastes
-    them into a copy of base's output. The first flatten or dense layer, and
+    the forward of a stack incremental; one image with base is a ShapeError.
+    The rows and columns where any image differs from base's input in its bytes
+    bound a box. Each conv, relu and maxpool layer before the first flatten or
+    dense layer computes only the output positions that box reaches, which
+    bound the next box, on the input window they read: base's array, zeros
+    where a conv pads, and the stack's last box pasted in. The trace records
+    them as [N, rows, cols, C] crops. The first flatten or dense layer, and
     every layer after it, runs on full rows. Max and relu are exact and an
     unpadded conv over such a window carries the full conv's bytes, so the
-    result is the full forward's to the byte.
+    probabilities are the full stacked forward's to the byte.
     """
     x = np.asarray(image, dtype=np.float64)
     if x.ndim not in (3, 4) or x.shape[-3:] != model.input_shape or x.size == 0:
@@ -479,24 +477,23 @@ def forward(model: NetworkModel, image: np.ndarray, base: ForwardTrace | None = 
     lead = x.ndim - 3
     if not np.all(np.isfinite(x)):
         raise ShapeError("forward: image contains non-finite values")
-    box = None
+    activations, box = [x], None
     if base is not None:
+        if not lead:
+            raise ShapeError(f"forward: base= needs a stack [N, H, W, C], got one image {x.shape}")
         base.check_one_image("forward: base", model)
-        box, crop = _dirty_box(x, base.activations[0])  # the stack is base's array with crop in box
-    activations = [x]
+        box, x = _dirty_box(x, base.activations[0])  # the stack is base's array with x in box
     for i, (layer, lp) in enumerate(zip(model.layers, model.params)):
         try:
             if box is not None and layer.kind in ("conv2d", "relu", "maxpool"):
-                box, crop = _reach_output(layer, lp, box, crop, *base.activations[i : i + 2])
-                y = crop if lead else _paste(base.activations[i + 1].copy(), (0, 0), crop, box[0::2])
+                box, x = _reach_output(layer, lp, box, x, *base.activations[i : i + 2])
             else:
-                if box is not None and x.shape[lead:] != base.activations[i].shape:  # full rows, once
-                    x = _paste(np.repeat(base.activations[i][None], len(x), 0), (0, 0), crop, box[0::2])
-                box, y = None, _layer_output(layer, lp, x, lead)
+                if box is not None and x.shape[1:] != base.activations[i].shape:  # full rows, once
+                    x = _paste(np.repeat(base.activations[i][None], len(x), 0), (0, 0), x, box[0::2])
+                box, x = None, _layer_output(layer, lp, x, lead)
         except ShapeError as exc:
             raise ShapeError(f"layer {i} ({layer.kind}): {exc}") from exc
-        activations.append(y)
-        x = y
+        activations.append(x)
     return ForwardTrace(activations=tuple(activations), model=model)
 
 

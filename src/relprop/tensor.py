@@ -3,8 +3,8 @@
 All kernels take and return float64 numpy arrays in row-major layout:
 images are [H, W, C], convolution weights [C_out, C_in, kh, kw], dense
 weights [out, in]. The forward kernels also take a stack of images with one
-leading axis, which maps row by row. Every kernel is pure; flatten returns a
-view of a contiguous input, every other kernel allocates its result.
+leading axis, which maps row by row. Every kernel is pure and allocates its
+result. Relu and flatten are one numpy call each, made in the model's layer loop.
 
 Output extents come only from conv_extent and pool_extent, which the kernels
 and the model's shape inference share, so a geometry fails the same way everywhere.
@@ -186,15 +186,6 @@ def dense_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.nd
     if bias.shape != (weights.shape[0],):
         raise ShapeError(f"dense: bias shape {bias.shape} != ({weights.shape[0]},)")
     return _check_finite((weights @ x[..., None])[..., 0] + bias, "dense output")
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
-def flatten(x: np.ndarray, lead: int = 0) -> np.ndarray:
-    """Row-major flatten to 1-D, keeping the first `lead` axes (0 or 1); a view where x allows one."""
-    return x.reshape(x.shape[:lead] + (-1,))
 
 
 def softmax(z: np.ndarray) -> np.ndarray:

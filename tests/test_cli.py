@@ -789,3 +789,16 @@ def test_list_arguments(command, flag, text, parsed, capsys):
         assert exc.value.code == 2 and flag in capsys.readouterr().err
     else:
         assert getattr(build_parser().parse_args(argv), flag[2:]) == parsed
+
+
+def test_every_exported_name_resolves():
+    """Each name in relprop.__all__ is bound in the package, so `from relprop import *`
+    works, and the README's Python API is among them."""
+    namespace = {}
+    exec("from relprop import *", namespace)
+    assert set(relprop.__all__) <= set(namespace)
+    documented = {"load_model", "save_model", "read_ppm", "read_pgm", "write_ppm", "write_pgm", "preprocess",
+                  "forward", "predict_topk", "explain", "explain_all", "RelevanceMap", "seed_rows",
+                  "patch_masking_eval", "run_masking", "pointing_game", "run_pointing", "energy_threshold",
+                  "BoundingBox", "MaskSample", "PointSample", "mask_patch"}
+    assert documented <= set(relprop.__all__)

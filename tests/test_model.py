@@ -444,12 +444,12 @@ class TestForward:
             trace.probabilities, naive_softmax(logits), rtol=0, atol=1e-10
         )
 
-    def test_trace_replay_is_bit_identical(self):
-        """Re-running each layer on its recorded input reproduces its output exactly."""
-        rng = np.random.default_rng(1)
+    @staticmethod
+    def _conv_flatten_model(rng):
+        """4x4x1 > 2x2 conv, stride 2 > relu > flatten > dense 8 to 2 > softmax, bias-free."""
         conv_w = rng.normal(size=(2, 1, 2, 2))
         dense_w = rng.normal(size=(2, 8))
-        model = NetworkModel(
+        return NetworkModel(
             input_shape=(4, 4, 1),
             layers=(
                 LayerSpec("conv2d", {"in": 1, "out": 2, "kh": 2, "kw": 2, "stride": 2, "pad": 0, "bias": 0}),
@@ -461,6 +461,11 @@ class TestForward:
             params=(LayerParams(conv_w, None), None, None, LayerParams(dense_w, None), None),
             preprocessing=Preprocessing(means=np.zeros(1), pixel_range=(0.0, 255.0)),
         )
+
+    def test_trace_replay_is_bit_identical(self):
+        """Re-running each layer on its recorded input reproduces its output exactly."""
+        rng = np.random.default_rng(1)
+        model = self._conv_flatten_model(rng)
         trace = forward(model, rng.uniform(0, 255, size=(4, 4, 1)))
         assert len(trace.activations) == len(model.layers) + 1
         acts = trace.activations
@@ -469,14 +474,30 @@ class TestForward:
             if layer.kind == "conv2d":
                 replay = tensor.conv2d_forward(x, lp.weights, np.zeros(p["out"]), p["stride"], p["pad"])
             elif layer.kind == "relu":
-                replay = tensor.relu(x)
+                replay = np.maximum(x, 0.0)
             elif layer.kind == "flatten":
-                replay = tensor.flatten(x)
+                replay = x.reshape(-1)
             elif layer.kind == "dense":
                 replay = tensor.dense_forward(x, lp.weights, np.zeros(p["out"]))
             else:
                 replay = tensor.softmax(x)
             np.testing.assert_array_equal(replay, y)
+
+    def test_flatten_is_a_row_major_view_of_the_activation_before_it(self):
+        """A flatten layer's trace entry is the row-major flatten of each image's
+        activation before it, and shares its memory: for one image, for a full
+        stacked forward, and for an incremental forward whose edits reach every
+        position, so that the flatten reads the last crop itself."""
+        rng = np.random.default_rng(1)
+        model = self._conv_flatten_model(rng)
+        image = rng.uniform(0, 255, size=(4, 4, 1))
+        stack = np.stack([image, image])
+        stack[0, 0, 0], stack[1, 3, 3] = 0.0, 1.0
+        traces = (forward(model, image), forward(model, stack), forward(model, stack, base=forward(model, image)))
+        for trace, lead in zip(traces, ((), (2,), (2,))):
+            before, flat = trace.activations[2:4]
+            assert flat.shape == lead + (8,) and flat.tobytes() == before.tobytes()
+            assert np.shares_memory(flat, before)
 
     def test_forward_determinism(self):
         """Two forwards on one input agree bit for bit."""
@@ -557,11 +578,17 @@ class TestPredictTopk:
         np.testing.assert_allclose([p for _, p in got], [0.7, 0.2], atol=1e-12)
 
     def test_tie_takes_lower_class(self):
-        """[0.5,0.5] at k=1 reports class 0."""
+        """[0.5,0.5] at k=1 reports class 0. Over 20 classes in three tied groups,
+        k=20 lists each group in ascending class order, which an unstable sort
+        (numpy's quicksort, for one) does not keep."""
         trace = self._trace_with_probs([0.5, 0.5])
         got = predict_topk(trace, 1)
         assert got[0][0] == 0
         assert abs(got[0][1] - 0.5) <= 1e-12
+        weights = [(7 * i) % 3 + 1 for i in range(20)]
+        trace = self._trace_with_probs(np.array(weights) / sum(weights))
+        got = [cls for cls, _ in predict_topk(trace, 20)]
+        assert got == sorted(range(20), key=lambda i: (-weights[i], i))
 
     def test_k_out_of_range(self):
         trace = self._trace_with_probs([0.5, 0.5])

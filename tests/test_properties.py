@@ -500,26 +500,6 @@ def test_masking_a_model_input_is_masking_with_the_means_less_the_means(side, he
     assert got.tobytes() == (raw - means).tobytes()
 
 
-def test_incremental_forward_of_one_image_is_an_explainable_trace():
-    """With one edited image the incremental trace carries every layer's full
-    arrays, the full forward's to the byte, so explaining it gives the full
-    forward's maps to the byte."""
-    rng = np.random.default_rng(7)
-    model = _random_cnn(rng, classes=4)
-    image = rng.uniform(0, 255, size=model.input_shape) - model.preprocessing.means
-    edited = mask_patch(image, (6, 1), 3)
-    base = forward(model, image)
-    got = forward(model, edited, base=base)
-    want = forward(model, edited)
-    assert len(got.activations) == len(want.activations) == len(model.layers) + 1
-    for a, b in zip(got.activations, want.activations):
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
-    for method in METHODS:
-        mine, full = explain(model, got, 1, method), explain(model, want, 1, method)
-        assert mine.raw.tobytes() == full.raw.tobytes()
-        assert mine.values.tobytes() == full.values.tobytes()
-
-
 def test_incremental_forward_of_a_stack_allocates_less_than_one_stacked_conv_output():
     """A stack's incremental forward builds each layer's input window from base's
     arrays and full rows only at the first flatten or dense layer, so forwarding five
@@ -570,17 +550,29 @@ def test_incremental_forward_crops_only_what_a_one_pixel_edit_reaches():
 def test_incremental_forward_rejects_a_base_from_another_input():
     """The base must be the trace of one image through this model: not a stack's
     trace, not the trace of a model with other shapes, and not that of a model
-    with the same shapes but other weights."""
+    with the same shapes but other weights. Each base is offered to a 2-image
+    stack, which the incremental forward takes, so the base check itself fails."""
     rng = np.random.default_rng(3)
     model = _random_cnn(rng, classes=3)
     image = rng.uniform(0, 255, size=model.input_shape) - model.preprocessing.means
-    stacked = forward(model, np.stack([image, image]))
+    stack = np.stack([image, mask_patch(image, (2, 3), 3)])
+    stacked = forward(model, stack)
     other = make_two_shape_model()
     foreign = forward(other, make_two_shape_image(rng)[0] - other.preprocessing.means)
     twin = forward(_random_cnn(np.random.default_rng(4), classes=3), image)
     for base in (stacked, foreign, twin):
-        with pytest.raises(ShapeError, match="base"):
-            forward(model, image, base=base)
+        with pytest.raises(ShapeError, match="forward: base does not fit: not the trace of one image"):
+            forward(model, stack, base=base)
+
+
+def test_incremental_forward_takes_only_a_stack():
+    """One image with base= is a ShapeError naming base= and the stack it needs,
+    even with its own trace as the base."""
+    rng = np.random.default_rng(3)
+    model = _random_cnn(rng, classes=3)
+    image = rng.uniform(0, 255, size=model.input_shape) - model.preprocessing.means
+    with pytest.raises(ShapeError, match=r"forward: base= needs a stack \[N, H, W, C\], got one image"):
+        forward(model, image, base=forward(model, image))
 
 
 @st.composite

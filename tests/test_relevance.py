@@ -192,6 +192,13 @@ class TestZplusDense:
         got = zplus(np.array([1.0]), dense_layer(w), w, np.array([1.0, 2.0, 3.0]))
         np.testing.assert_array_equal(got, np.zeros(3))
 
+    def test_denominator_at_the_floor_is_kept(self):
+        """W=[[1e-9]], a=[1]: the denominator is exactly DENOMINATOR_FLOOR, which
+        is not below the floor, so the unit of relevance passes through."""
+        w = np.array([[DENOMINATOR_FLOOR]])
+        got = zplus(np.array([1.0]), dense_layer(w), w, np.array([1.0]))
+        np.testing.assert_allclose(got, [1.0], rtol=1e-15, atol=0)
+
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(42)
         for _ in range(50):

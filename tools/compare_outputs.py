@@ -317,7 +317,6 @@ def run_sides(srcs: list[Path], tmp: Path) -> None:
     write_inputs(tmp / "inputs")
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
            "MKL_NUM_THREADS": "1", "PYTHONDONTWRITEBYTECODE": "1"}
-    env.pop("RELPROP_THREADS", None)
     for label, src in zip("AB", srcs):
         subprocess.run(
             [sys.executable, __file__, "--run-side", str(src), str(tmp / "inputs"),
