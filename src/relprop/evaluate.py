@@ -91,7 +91,7 @@ def _resolve_target(trace: ForwardTrace, target_mode: str, label: int | None) ->
     if target_mode == "ground_truth":
         if label is None:
             raise DataError("ground_truth target mode needs a label")
-        n = trace.probabilities.shape[0]
+        n = trace.model.num_classes
         if not 0 <= label < n:
             raise DataError(f"label {label} outside 0..{n - 1}")
         return label

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -153,12 +154,14 @@ def infer_shapes(
 @dataclass(frozen=True)
 class NetworkModel:
     """A validated layer chain with loaded parameters and preprocessing record. They must not
-    change after the first explain caches rule_terms from them in rule_constants (load_model freezes them)."""
+    change after the first explain caches rule_terms from them in rule_constants (load_model freezes them).
+    shapes, derived here, is every activation's one source of shape: the input's, then each layer's."""
 
     input_shape: tuple[int, int, int]
     layers: tuple[LayerSpec, ...]
     params: tuple[LayerParams | None, ...]
     preprocessing: Preprocessing
+    shapes: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     rule_constants: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -168,8 +171,9 @@ class NetworkModel:
             raise ChainError("model must end with a dense layer followed by softmax")
         if len(self.params) != len(self.layers):
             raise ChainError("one parameter slot per layer required")
-        shapes = infer_shapes(self.input_shape, list(self.layers))
-        trace_bytes = 8 * sum(map(math.prod, [self.input_shape, *shapes]))
+        shapes = (self.input_shape, *infer_shapes(self.input_shape, list(self.layers)))
+        object.__setattr__(self, "shapes", shapes)
+        trace_bytes = 8 * sum(map(math.prod, shapes))
         if trace_bytes > TRACE_LIMIT_BYTES:
             raise ChainError(f"input shape {self.input_shape}: one image's trace needs {trace_bytes}"
                              f" float64 bytes, over the {TRACE_LIMIT_BYTES}-byte limit", "input")
@@ -185,6 +189,8 @@ class NetworkModel:
                 raise ShapeError(f"{name}: weights {lp.weights.shape} != {layer.weight_shape()}", i)
             if layer.has_bias != (lp.bias is not None):
                 raise ChainError(f"{name}: bias presence mismatch", i)
+            if lp.bias is not None and lp.bias.shape != lp.weights.shape[:1]:
+                raise ShapeError(f"{name}: bias {lp.bias.shape} != {lp.weights.shape[:1]}", i)
             if not np.all(np.isfinite(lp.weights)) or (
                 lp.bias is not None and not np.all(np.isfinite(lp.bias))
             ):
@@ -293,8 +299,9 @@ def load_model(manifest_path: str | Path, weights_path: str | Path) -> NetworkMo
     if preprocessing is None:
         raise ManifestError(f"{manifest_path}: missing mean or pixel_range line")
 
-    parametric = [l for l in layers if l.is_parametric]
-    expected = sum(math.prod(l.weight_shape()) + l.has_bias * l.params["out"] for l in parametric)
+    sizes = [n for l in layers if l.is_parametric  # the blob's arrays: weights, then bias (size 0 if none)
+             for n in (math.prod(l.weight_shape()), l.has_bias * l.params["out"])]
+    expected = sum(sizes)
     blob = Path(weights_path).read_bytes()
     if len(blob) != 4 * expected:
         raise BlobError(
@@ -305,21 +312,11 @@ def load_model(manifest_path: str | Path, weights_path: str | Path) -> NetworkMo
         values = np.frombuffer(blob, dtype="<f4").astype(np.float64)
     values.flags.writeable = False  # every weight and bias is a view of it; see NetworkModel
 
-    params: list[LayerParams | None] = []
-    cursor = 0
-    for layer in layers:
-        if not layer.is_parametric:
-            params.append(None)
-            continue
-        shape = layer.weight_shape()
-        n = math.prod(shape)
-        weights = values[cursor : cursor + n].reshape(shape)
-        cursor += n
-        bias = None
-        if layer.has_bias:
-            bias = values[cursor : cursor + layer.params["out"]]
-            cursor += layer.params["out"]
-        params.append(LayerParams(weights=weights, bias=bias))
+    views = (values[end - n : end] for n, end in zip(sizes, accumulate(sizes)))
+    def layer_params(layer: LayerSpec) -> LayerParams:
+        weights, bias = next(views).reshape(layer.weight_shape()), next(views)
+        return LayerParams(weights, bias if layer.has_bias else None)
+    params = [layer_params(l) if l.is_parametric else None for l in layers]
 
     try:
         return NetworkModel(
@@ -366,12 +363,12 @@ def save_model(model: NetworkModel, manifest_path: str | Path, weights_path: str
 class ForwardTrace:
     """Record of one forward pass: the input, then each layer's output.
 
-    Of a stack's trace only the probabilities are meant to be read; the incremental
-    forward takes only a stack and keeps some layers as crops. model is the one that ran it.
+    Of a stack's trace only the probabilities are meant to be read; the incremental forward takes
+    only a stack and keeps some layers as crops. model ran it; one image's trace has its shapes.
     """
 
     activations: tuple[np.ndarray, ...]
-    model: NetworkModel | None = field(default=None, repr=False, compare=False)
+    model: NetworkModel = field(repr=False, compare=False)
 
     @property
     def logits(self) -> np.ndarray:
@@ -387,16 +384,18 @@ class ForwardTrace:
         return int(np.argmax(self.probabilities))
 
     def check_one_image(self, what: str, model: NetworkModel | None = None) -> None:
-        """Raise a ShapeError unless this is the trace of one image (through model, if given:
-        a trace that any other model object produced, even one of the same shapes, is rejected)."""
-        if self.activations[0].ndim != 3 or (model is not None and self.model is not model):
+        """Raise a ShapeError unless this is the trace of one image through model (by default the
+        one that ran it): model made it, and every activation has its shape in model.shapes. A trace
+        that any other model object produced, even one of the same shapes, is rejected."""
+        shapes = tuple(a.shape for a in self.activations)
+        if self.model is not (model or self.model) or shapes != self.model.shapes:
             through = " through this model" if model is not None else ""
             raise ShapeError(f"{what} does not fit: not the trace of one image{through}")
 
 
 def _dirty_box(x: np.ndarray, start: np.ndarray) -> tuple[tuple[int, int, int, int], np.ndarray]:
     """The box (r0, r1, c0, c1) outside which every image of x has start's bytes, and x inside it."""
-    h, w, c = start.shape
+    h, w, c = x.shape[1:]
     dirty = (x.view(np.int64) != start.view(np.int64)).reshape(-1, h, w * c).any(axis=0)  # fast reduction
     rows, cols = np.flatnonzero(dirty.any(1)), np.flatnonzero(dirty.any(0).reshape(w, c).any(1))
     box = (int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1) if rows.size else (0,) * 4
@@ -431,20 +430,20 @@ def _layer_output(layer: LayerSpec, lp, x: np.ndarray, lead: int, pad: int | Non
 
 
 def _reach_output(layer: LayerSpec, lp, box: tuple, crop: np.ndarray, a: np.ndarray,
-                  out: np.ndarray) -> tuple[tuple, np.ndarray]:
+                  out: tuple[int, ...]) -> tuple[tuple, np.ndarray]:
     """A conv, maxpool or relu (a 1x1 window of stride 1) over a stack that holds crop in box and a
-    elsewhere (a's output is out): the box of every output whose padded window meets box, and the
-    stack's output there, from only the window that reads: zeros where a conv pads, a, then crop."""
+    elsewhere (its output has shape out): the box of every output whose padded window meets box, and
+    the stack's output there, from only the window that reads: zeros where a conv pads, a, then crop."""
     p, (r0, r1, c0, c1) = layer.params, box
     s, kh, kw, pad = p.get("stride", 1), p.get("kh", 1), p.get("kw", 1), p.get("pad", 0)
-    rows = max(0, -((kh - 1 - r0 - pad) // s)), min(out.shape[0], (r1 - 1 + pad) // s + 1)
-    cols = max(0, -((kw - 1 - c0 - pad) // s)), min(out.shape[1], (c1 - 1 + pad) // s + 1)
+    rows = max(0, -((kh - 1 - r0 - pad) // s)), min(out[0], (r1 - 1 + pad) // s + 1)
+    cols = max(0, -((kw - 1 - c0 - pad) // s)), min(out[1], (c1 - 1 + pad) // s + 1)
     if not r0 < r1 or rows[0] >= rows[1] or cols[0] >= cols[1]:  # the edits reach no output
-        return (0,) * 4, np.empty(crop.shape[:-3] + (0, 0, out.shape[2]))
+        return (0,) * 4, np.empty(crop.shape[:-3] + (0, 0, out[2]))
     (r0, r1), (c0, c1) = rows, cols
     origin, extent = (r0 * s - pad, c0 * s - pad), ((r1 - r0 - 1) * s + kh, (c1 - c0 - 1) * s + kw)
     if (origin, extent) != (box[0::2], crop.shape[-3:-1]):  # else crop is the window (a relu's)
-        window = np.zeros(crop.shape[:-3] + extent + a.shape[2:])
+        window = np.zeros(crop.shape[:-3] + extent + crop.shape[-1:])
         crop = _paste(_paste(window, origin, a, (0, 0)), origin, crop, box[0::2])
     return (r0, r1, c0, c1), _layer_output(layer, lp, crop, 1, pad=0)
 
@@ -486,9 +485,9 @@ def forward(model: NetworkModel, image: np.ndarray, base: ForwardTrace | None = 
     for i, (layer, lp) in enumerate(zip(model.layers, model.params)):
         try:
             if box is not None and layer.kind in ("conv2d", "relu", "maxpool"):
-                box, x = _reach_output(layer, lp, box, x, *base.activations[i : i + 2])
+                box, x = _reach_output(layer, lp, box, x, base.activations[i], model.shapes[i + 1])
             else:
-                if box is not None and x.shape[1:] != base.activations[i].shape:  # full rows, once
+                if box is not None and x.shape[1:] != model.shapes[i]:  # full rows, once
                     x = _paste(np.repeat(base.activations[i][None], len(x), 0), (0, 0), x, box[0::2])
                 box, x = None, _layer_output(layer, lp, x, lead)
         except ShapeError as exc:
@@ -500,8 +499,8 @@ def forward(model: NetworkModel, image: np.ndarray, base: ForwardTrace | None = 
 def predict_topk(trace: ForwardTrace, k: int) -> list[tuple[int, float]]:
     """Top-k (class, probability) pairs, descending; ties go to the lower class index."""
     trace.check_one_image("predict_topk: trace")
-    probs = trace.probabilities
-    if not 1 <= k <= probs.shape[0]:
-        raise ShapeError(f"predict_topk: k={k} outside 1..{probs.shape[0]}")
+    probs, n = trace.probabilities, trace.model.num_classes
+    if not 1 <= k <= n:
+        raise ShapeError(f"predict_topk: k={k} outside 1..{n}")
     order = np.argsort(-probs, kind="stable")
     return [(int(i), float(probs[i])) for i in order[:k]]

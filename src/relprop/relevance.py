@@ -30,14 +30,13 @@ Seeds (seed_rows builds one row per method; the methods differ in nothing else):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ShapeError
-from .model import ForwardTrace, LayerSpec, NetworkModel, infer_shapes
+from .model import ForwardTrace, LayerSpec, NetworkModel
 from .tensor import conv2d_forward, conv2d_transpose, pool_winners
 
 DENOMINATOR_FLOOR = 1e-9
@@ -49,7 +48,7 @@ def seed_rows(trace: ForwardTrace, target: int, methods: tuple[str, ...]) -> np.
     """[K, classes]: the seed row of each of `methods`, in order; only those rows are built."""
     trace.check_one_image("seed: trace")
     logits, probs = trace.logits, trace.probabilities
-    n = logits.shape[0]
+    n = trace.model.num_classes
     if not 0 <= target < n:
         raise ShapeError(f"seed: target {target} outside 0..{n - 1}")
     if "clrp" in methods and n < 2:
@@ -220,7 +219,7 @@ def explain_all(
     relevance = seed_rows(trace, target, methods)
     const = model.rule_constants  # built whole on the model's first explain, never from a trace
     if not const:
-        shapes = [model.input_shape, *infer_shapes(model.input_shape, list(model.layers))]
+        shapes = list(model.shapes)
         first = next(i for i, l in enumerate(model.layers) if l.is_parametric)
         shapes[first] = [s for s in shapes[: first + 1] if len(s) == 3][-1]  # the pixels zbeta reads
         bounds = [b - model.preprocessing.means for b in model.preprocessing.pixel_range]  # per channel
@@ -233,9 +232,8 @@ def explain_all(
         if layer.kind == "maxpool":
             relevance = propagate_maxpool(relevance, layer, a, trace.activations[i + 1])
         elif layer.is_parametric:  # a zbeta dense layer's terms take the [H,W,C] shape of its flat pixels
-            x = a.reshape(const[i][0]) if a.shape == (math.prod(const[i][0]),) else a
-            relevance = propagate_linear(relevance, layer, x, const[i])
-        relevance = relevance.reshape((len(methods),) + a.shape)
+            relevance = propagate_linear(relevance, layer, a.reshape(const[i][0]), const[i])
+        relevance = relevance.reshape((len(methods),) + model.shapes[i])
     return {m: RelevanceMap(raw, m, target) for m, raw in zip(methods, relevance)}
 
 

@@ -346,17 +346,21 @@ class TestChainValidation:
              "layer 0 (dense): weights (2, 3) != (2, 4)", 0),
             ((DENSE_2x4, SOFTMAX), (LayerParams(np.zeros((2, 4)), np.zeros(2)), None), ChainError,
              "layer 0 (dense): bias presence mismatch", 0),
+            ((LayerSpec("dense", {"in": 4, "out": 2, "bias": 1}), SOFTMAX),
+             (LayerParams(np.zeros((2, 4)), np.ones(5)), None), ShapeError,
+             "layer 0 (dense): bias (5,) != (2,)", 0),
             ((DENSE_2x4, DENSE_2x2, SOFTMAX), (W_2x4, W_2x2, None), ChainError,
              "dense layer not fed through relu", 1),
         ],
         ids=["slot-count", "params-on-relu", "missing-params", "weight-shape", "bias-mismatch",
-             "not-fed"],
+             "bias-shape", "not-fed"],
     )
     def test_directly_built_model_errors_name_the_layer(self, layers, params, error, message, where):
-        """A NetworkModel built directly checks its parameter slots against its
-        layers, and that each parametric layer after the first is fed through a
-        relu, as a loaded one is; an error about one layer carries that layer's
-        index, which load_model turns into its manifest line."""
+        """A NetworkModel built directly checks its parameter slots, weight and
+        bias shapes included, against its layers, and that each parametric
+        layer after the first is fed through a relu, as a loaded one is; an
+        error about one layer carries that layer's index, which load_model
+        turns into its manifest line."""
         with pytest.raises(error) as err:
             NetworkModel((1, 4, 1), layers, params, Preprocessing(np.zeros(1), (0.0, 255.0)))
         assert type(err.value) is error and str(err.value) == message and err.value.where == where

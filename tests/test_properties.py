@@ -22,7 +22,7 @@ from relprop.evaluate import (
     pointing_game,
 )
 from relprop.imaging import preprocess
-from relprop.model import LayerParams, LayerSpec, NetworkModel, Preprocessing, forward
+from relprop.model import ForwardTrace, LayerParams, LayerSpec, NetworkModel, Preprocessing, forward
 from relprop.relevance import (
     METHODS,
     explain,
@@ -549,9 +549,11 @@ def test_incremental_forward_crops_only_what_a_one_pixel_edit_reaches():
 
 def test_incremental_forward_rejects_a_base_from_another_input():
     """The base must be the trace of one image through this model: not a stack's
-    trace, not the trace of a model with other shapes, and not that of a model
-    with the same shapes but other weights. Each base is offered to a 2-image
-    stack, which the incremental forward takes, so the base check itself fails."""
+    trace, not the trace of a model with other shapes, not that of a model
+    with the same shapes but other weights, and not a trace of this model whose
+    first conv output is two rows short of model.shapes (without the shape check
+    it gives wrong probabilities). Each base is offered to a 2-image stack,
+    which the incremental forward takes, so the base check itself fails."""
     rng = np.random.default_rng(3)
     model = _random_cnn(rng, classes=3)
     image = rng.uniform(0, 255, size=model.input_shape) - model.preprocessing.means
@@ -560,7 +562,9 @@ def test_incremental_forward_rejects_a_base_from_another_input():
     other = make_two_shape_model()
     foreign = forward(other, make_two_shape_image(rng)[0] - other.preprocessing.means)
     twin = forward(_random_cnn(np.random.default_rng(4), classes=3), image)
-    for base in (stacked, foreign, twin):
+    acts = list(forward(model, image).activations)
+    short = ForwardTrace((acts[0], acts[1][:-2], *acts[2:]), model)
+    for base in (stacked, foreign, twin, short):
         with pytest.raises(ShapeError, match="forward: base does not fit: not the trace of one image"):
             forward(model, stack, base=base)
 

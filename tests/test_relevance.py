@@ -5,6 +5,7 @@ hand evaluation of the defining ratio sums written out in the comments.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from relprop.model import (
     NetworkModel,
     Preprocessing,
     forward,
+    infer_shapes,
     load_model,
     save_model,
 )
@@ -761,6 +763,44 @@ class TestRuleConstants:
         got = explain_all(model, trace, 0, METHODS)
         for method in METHODS:
             assert got[method].raw.tobytes() == want[method].raw.tobytes()
+
+    @pytest.mark.parametrize("rows", [slice(0, 4), slice(None)], ids=["cut-short", "two-extra-rows"])
+    def test_hand_built_trace_with_a_misshaped_pool_input_rejected(self, rows):
+        """A hand-built trace whose pool input (6, 6, 4) is cut to 4 rows, or
+        has two rows more, does not match model.shapes: explain_all raises the
+        ShapeError of a trace that is not one image's, not a numpy error from
+        the pool's routing or a reshape."""
+        model, image = self._model_and_image("conv-first")
+        acts = list(forward(model, image).activations)
+        acts[2] = np.concatenate([acts[2], acts[2][:2]])[rows]
+        with pytest.raises(ShapeError, match="explain: trace does not fit: not the trace of one image"):
+            explain_all(model, ForwardTrace(tuple(acts), model), 0, METHODS)
+
+    def test_shapes_are_inferred_once_per_model(self, tmp_path, monkeypatch):
+        """model.shapes is the one source of every activation's shape: loading
+        a model infers them once, and its forward, both explains (the first
+        builds the rule constants) and an incremental forward infer none.
+        infer_shapes is counted wherever a relprop module binds the name."""
+        built, image = self._model_and_image("conv-first")
+        save_model(built, tmp_path / "m.txt", tmp_path / "m.bin")
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return infer_shapes(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("relprop") and hasattr(module, "infer_shapes"):
+                monkeypatch.setattr(module, "infer_shapes", counted)
+        model = load_model(tmp_path / "m.txt", tmp_path / "m.bin")
+        trace = forward(model, image)
+        for _ in range(2):
+            explain_all(model, trace, 0, METHODS)
+        edited = image.copy()
+        edited[2, 3] = 0.0
+        forward(model, np.stack([image, edited]), base=trace)
+        assert len(calls) == 1
+        assert model.shapes == (model.input_shape, *infer_shapes(model.input_shape, list(model.layers)))
 
     def test_trace_of_another_input_extent_rejected(self):
         """The constants cached on a model's first explain fit its own input

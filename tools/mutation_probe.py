@@ -63,10 +63,16 @@ MUTANTS = [
     ("model.py", "fed = layer.kind == \"relu\" or (fed and not layer.is_parametric)",
      "fed = layer.kind == \"relu\" or not layer.is_parametric", "a parametric layer counts as feeding through relu"),
     ("model.py", "if not lead:", "if lead:", "the incremental forward takes one image and rejects a stack"),
-    ("model.py", "x.shape[1:] != base.activations[i].shape", "x.shape[2:] != base.activations[i].shape",
+    ("model.py", "x.shape[1:] != model.shapes[i]", "x.shape[2:] != model.shapes[i]",
      "full rows are rebuilt from base even when the last crop is already full-size"),
     ("model.py", "(r1 - 1 + pad) // s + 1)", "(r1 - 2 + pad) // s + 1)", "the reach box drops its last row"),
     ("model.py", "return np.maximum(x, 0.0)", "return np.abs(x)", "relu reflects negatives"),
+    ("model.py", " or shapes != self.model.shapes:", ":",
+     "a trace of this model object passes whatever its activations' shapes"),
+    ("model.py", "if lp.bias is not None and lp.bias.shape != lp.weights.shape[:1]:", "if False:",
+     "a bias of the wrong shape builds and fails only in forward"),
+    ("model.py", '(math.prod(l.weight_shape()), l.has_bias * l.params["out"])',
+     '(l.has_bias * l.params["out"], math.prod(l.weight_shape()))', "the blob is split bias first, then weights"),
     ("relevance.py", "keep = np.abs(denom) >= DENOMINATOR_FLOOR", "keep = np.abs(denom) > DENOMINATOR_FLOOR",
      "a denominator exactly at the floor is dropped"),
     ("relevance.py", "row[target] = p * (1.0 - p) if", "row[target] = p * p if", "sglrp's target entry is p^2"),
