@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import struct
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import evaluate, imaging
 from .errors import DataError, RelpropError
-from .model import NetworkModel, forward, load_model, predict_topk, read_entries
+from .model import NetworkModel, forward, load_model, parse_int, predict_topk, read_entries
 from .relevance import METHODS, explain
 
 
@@ -65,12 +66,8 @@ def _read_image_list(path: Path) -> list[tuple[str, Path, int | None]]:
     for lineno, parts in read_entries(path, DataError):
         if len(parts) > 2:
             raise DataError(f"{path}:{lineno}: expected `image_path [label]`")
-        label = None
-        if len(parts) == 2:
-            try:
-                label = int(parts[1])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: non-integer label {parts[1]!r}") from exc
+        label = None if len(parts) < 2 else parse_int(
+            parts[1], DataError, f"{path}:{lineno}: non-integer label {parts[1]!r}")
         image_path = Path(parts[0])
         if not image_path.is_absolute():
             image_path = path.parent / image_path
@@ -111,6 +108,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_explain(args) -> int:
+    if not args.out or args.out.endswith(("/", os.sep)):
+        raise UsageError(f"--out {args.out!r} must be a file prefix, not empty or a directory")
     model = load_model(args.manifest, args.weights)
     trace = forward(model, _load_image(args.image, model))
     if args.target == "top":
@@ -126,13 +125,12 @@ def cmd_explain(args) -> int:
             raise UsageError(f"--target {target} outside 0..{model.num_classes - 1}")
     result = explain(model, trace, target, args.method)
     rendered = imaging.render_heatmap(result.values, result.raw)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    imaging.write_pgm(rendered, out.with_suffix(".pgm"))
+    pgm, f32 = Path(args.out + ".pgm"), Path(args.out + ".f32")
+    pgm.parent.mkdir(parents=True, exist_ok=True)
+    imaging.write_pgm(rendered, pgm)
     h, w = result.values.shape
-    payload = struct.pack("<II", h, w) + result.values.astype("<f8").tobytes()
-    out.with_suffix(".f32").write_bytes(payload)
-    print(f"wrote {out.with_suffix('.pgm')} and {out.with_suffix('.f32')}")
+    f32.write_bytes(struct.pack("<II", h, w) + result.values.astype("<f8").tobytes())
+    print(f"wrote {pgm} and {f32}")
     return 0
 
 

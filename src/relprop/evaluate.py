@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, RelpropError, ShapeError
-from .model import ForwardTrace, NetworkModel, forward, predict_topk, read_entries
+from .model import ForwardTrace, NetworkModel, forward, parse_int, predict_topk, read_entries
 from .relevance import METHODS, explain_all
 
 EVAL_METHODS = METHODS + ("random",)
@@ -260,11 +260,13 @@ class PointingRow:
 
 
 def _each_sample(samples: list, methods: tuple[str, ...], seed: int | None, rows_of) -> list:
-    """The rows of rows_of(sample, rng) over samples, in sample order. Each sample's generator is
-    its own substream of seed, for its random baseline only. A DataError gets the image id first."""
+    """The rows of rows_of(sample, rng) over samples, in sample order. Each sample's generator is its
+    own substream of seed (not negative), for its random baseline only. A DataError gets the image id first."""
     check_methods(methods)
     if "random" in methods and seed is None:
         raise DataError("runs with the random baseline need a seed")
+    if seed is not None and seed < 0:
+        raise DataError(f"seed {seed} must be non-negative")
     rows = []
     for sample, stream in zip(samples, np.random.SeedSequence(seed).spawn(len(samples))):
         try:
@@ -336,10 +338,7 @@ def read_bounding_boxes(path: str | Path) -> list[tuple[str, BoundingBox]]:
     for lineno, parts in read_entries(path, DataError):
         if len(parts) != 6:
             raise DataError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
-        try:
-            numbers = [int(v) for v in parts[1:]]
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: non-integer field") from exc
+        numbers = [parse_int(v, DataError, f"{path}:{lineno}: non-integer field") for v in parts[1:]]
         try:
             boxes.append((parts[0], BoundingBox(*numbers)))
         except DataError as exc:

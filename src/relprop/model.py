@@ -43,6 +43,7 @@ from .errors import BlobError, ChainError, ManifestError, RelpropError, ShapeErr
 
 MAGIC = "RELPROP-MODEL 1"
 TRACE_LIMIT_BYTES = 2**30
+DIRECTIVES = ("input", "layer", "mean", "pixel_range")  # in manifest order; only layer repeats
 
 _LAYER_KEYS = {  # in the order save_model writes them
     "conv2d": ("in", "out", "kh", "kw", "stride", "pad", "bias"),
@@ -212,8 +213,10 @@ class NetworkModel:
 
 
 def _finite_values(tokens: list[str]) -> list[float]:
-    """The numbers after a `mean` or `pixel_range` directive; each must be finite."""
+    """The numbers after a `mean` or `pixel_range` directive: ASCII with no `_`, and finite."""
     try:
+        if not all(v.isascii() and "_" not in v for v in tokens[1:]):  # float() takes "1_0" and "１"
+            raise ValueError
         values = [float(v) for v in tokens[1:]]
     except ValueError as exc:
         raise ManifestError(f"non-numeric {tokens[0]}") from exc
@@ -224,7 +227,8 @@ def _finite_values(tokens: list[str]) -> list[float]:
 
 def read_entries(path: Path, error: type[RelpropError]) -> list[tuple[int, list[str]]]:
     """(line number, tokens) of each line of a UTF-8 text file that holds more than
-    a `#` comment; bytes that are not UTF-8, or a NUL, raise `error` naming the file."""
+    a `#` comment; bytes that are not UTF-8, or a NUL, raise `error` naming the file.
+    Its callers read every integer token with parse_int."""
     try:
         text = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -235,8 +239,17 @@ def read_entries(path: Path, error: type[RelpropError]) -> list[tuple[int, list[
     return [(lineno, tokens) for lineno, tokens in enumerate(lines, start=1) if tokens]
 
 
+def parse_int(token: str, error: type[RelpropError], message: str) -> int:
+    """token as an int if it is ASCII digits after an optional leading minus, else raise
+    error(message); int() would also take "+2", "0_2" and "２"."""
+    if not (token.isascii() and token.removeprefix("-").isdigit()):
+        raise error(message)
+    return int(token)
+
+
 def load_model(manifest_path: str | Path, weights_path: str | Path) -> NetworkModel:
-    """Parse a manifest and its weight blob into a validated, explainable NetworkModel."""
+    """Parse a manifest and its weight blob into a validated, explainable NetworkModel. Directives come in
+    DIRECTIVES order, only layer lines repeat, a layer gives each parameter once; parse_int reads integers."""
     manifest_path = Path(manifest_path)
     entries = read_entries(manifest_path, ManifestError)
     if not entries or " ".join(entries[0][1]) != MAGIC:
@@ -245,58 +258,46 @@ def load_model(manifest_path: str | Path, weights_path: str | Path) -> NetworkMo
 
     layers: list[LayerSpec] = []
     lines: dict[int | str, int] = {}  # keyed by a RelpropError's where
-    preprocessing: Preprocessing | None = None
-    state = "input"
+    previous = None  # the directive of the last entry read
     # A manifest that stops at its magic line fails on an empty entry standing in for the input line.
     for lineno, tokens in entries[1:] or [(entries[0][0], [""])]:
         head = tokens[0]
         try:
-            if state == "input":
-                if head != "input":
-                    raise ManifestError("second entry must be 'input H W C'")
+            if previous is None and head != "input":
+                raise ManifestError("second entry must be 'input H W C'")
+            if head not in DIRECTIVES or (head == "input" and previous):
+                raise ManifestError(f"unrecognized directive {head!r}")
+            if head == "pixel_range" and previous != "mean":
+                raise ManifestError("pixel_range must follow mean")
+            if head in ("layer", "mean") and DIRECTIVES.index(previous) > 1:  # after mean or pixel_range
+                raise ManifestError(f"layer after {previous} line" if head == "layer" else "duplicate mean line")
+            if head == "input":
                 if len(tokens) != 4:
                     raise ManifestError("input needs exactly H W C")
-                try:
-                    input_shape = (int(tokens[1]), int(tokens[2]), int(tokens[3]))
-                except ValueError as exc:
-                    raise ManifestError("non-integer input extent") from exc
+                input_shape = tuple(parse_int(t, ManifestError, "non-integer input extent") for t in tokens[1:])
                 lines["input"] = lineno
-                state = "layers"
             elif head == "layer":
-                if state != "layers":
-                    raise ManifestError(f"layer after {state} line")
                 if len(tokens) < 2:
                     raise ManifestError("layer line missing kind")
                 params: dict[str, int] = {}
                 for item in tokens[2:]:
                     key, sep, value = item.partition("=")
-                    if not sep:
-                        raise ManifestError(f"malformed parameter {item!r}")
-                    try:
-                        params[key] = int(value)
-                    except ValueError as exc:
-                        raise ManifestError(f"non-integer value in {item!r}") from exc
+                    if not sep or key in params:
+                        raise ManifestError(f"{'repeated' if sep else 'malformed'} parameter {item!r}")
+                    params[key] = parse_int(value, ManifestError, f"non-integer value in {item!r}")
                 lines[len(layers)] = lineno
                 layers.append(LayerSpec(tokens[1], params))
             elif head == "mean":
-                if state != "layers":
-                    raise ManifestError("duplicate mean line")
                 means = np.array(_finite_values(tokens), dtype=np.float64)
                 lines["mean"] = lineno
-                state = "mean"
-            elif head == "pixel_range":
-                if state != "mean":
-                    raise ManifestError("pixel_range must follow mean")
+            else:  # pixel_range
                 if len(tokens) != 3:
                     raise ManifestError("pixel_range needs two values")
-                pixel_range = tuple(_finite_values(tokens))
-                preprocessing = Preprocessing(means=means, pixel_range=pixel_range)
-                state = "done"
-            else:
-                raise ManifestError(f"unrecognized directive {head!r}")
+                preprocessing = Preprocessing(means=means, pixel_range=tuple(_finite_values(tokens)))
+            previous = head
         except ManifestError as exc:  # UnknownLayerError keeps its type
             raise type(exc)(f"{manifest_path}:{lineno}: {exc}") from exc
-    if preprocessing is None:
+    if previous != "pixel_range":
         raise ManifestError(f"{manifest_path}: missing mean or pixel_range line")
 
     sizes = [n for l in layers if l.is_parametric  # the blob's arrays: weights, then bias (size 0 if none)

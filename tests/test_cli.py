@@ -265,6 +265,25 @@ class TestExplain:
         )
         assert code == 2
 
+    def test_dotted_prefixes_keep_their_own_files(self, workspace, tmp_path, capsys):
+        """--out gets .pgm and .f32 appended, so prefixes that differ after a dot write
+        different files and the second run leaves the first one's alone."""
+        maps = tmp_path / "maps"
+        for method in ("lrp", "sglrp"):
+            code, out, _ = run_cli(self._argv(workspace, maps / f"m.{method}", method=method), capsys)
+            assert code == 0 and out == f"wrote {maps}/m.{method}.pgm and {maps}/m.{method}.f32\n"
+        files = dir_bytes(maps)
+        assert sorted(files) == ["m.lrp.f32", "m.lrp.pgm", "m.sglrp.f32", "m.sglrp.pgm"]
+        assert files["m.lrp.f32"] != files["m.sglrp.f32"]
+
+    @pytest.mark.parametrize("prefix", ["", "maps/"], ids=["empty", "directory"])
+    def test_out_without_a_file_prefix_is_usage_error(self, workspace, tmp_path, capsys, prefix):
+        argv = self._argv(workspace, "")
+        argv[-1] = f"{tmp_path}/{prefix}" if prefix else prefix
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == "" and err.startswith("relprop: --out ")
+        assert not list(tmp_path.rglob("*"))
+
     def test_unknown_method_rejected_by_parser(self, workspace, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(self._argv(workspace, tmp_path / "heat", method="gradcam"))
@@ -389,6 +408,25 @@ class TestMaskEval:
         code, _, err = run_cli(argv, capsys)
         assert code == 1 and err == "relprop: img1: label 3 outside 0..2\n"
         assert not (tmp_path / "out" / "masking.csv").exists()
+
+    @pytest.mark.parametrize("label", ["x", "1_0", "+1", "\uff11"])
+    def test_non_integer_label_names_its_line(self, workspace, tmp_path, capsys, label):
+        """A label is ASCII digits after an optional minus; any other token, even one
+        int() reads, fails the run naming the list's line, and no report is written."""
+        listed = tmp_path / "list.txt"
+        root = workspace["root"]
+        listed.write_text(f"{root / 'img0.ppm'} 0\n{root / 'img1.ppm'} {label}\n")
+        argv = self._argv(workspace, tmp_path / "out", "--methods", "lrp")
+        argv[3] = str(listed)
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1 and err == f"relprop: {listed}:2: non-integer label {label!r}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_is_a_data_error(self, workspace, tmp_path, capsys):
+        """--seed -1 exits 1 with one line, even when no method draws from it."""
+        code, out, err = run_cli(self._argv(workspace, tmp_path / "out", "--methods", "lrp", "--seed", "-1"), capsys)
+        assert (code, out, err) == (1, "", "relprop: seed -1 must be non-negative\n")
+        assert not (tmp_path / "out").exists()
 
     def test_second_probable_works_without_labels(self, workspace, tmp_path, capsys):
         code, _, _ = run_cli(

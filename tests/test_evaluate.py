@@ -451,10 +451,13 @@ class TestBoundingBox:
         assert ":1:" in str(err.value)
 
     def test_read_bounding_boxes_non_integer(self, tmp_path):
+        """A field is ASCII digits after an optional minus, even where int() reads more."""
         path = tmp_path / "boxes.txt"
-        path.write_text("img0 1 2 x 10 12\n")
-        with pytest.raises(DataError):
-            read_bounding_boxes(path)
+        for field in ("x", "+3", "0_3", "\uff13"):
+            path.write_text(f"img0 1 2 {field} 10 12\n")
+            with pytest.raises(DataError) as err:
+                read_bounding_boxes(path)
+            assert str(err.value) == f"{path}:1: non-integer field"
 
 
 def cnn32_model(rng) -> NetworkModel:
@@ -543,6 +546,15 @@ class TestDatasetDrivers:
         model, _, samples = small_dataset(n=1)
         with pytest.raises(DataError, match="random baseline need a seed"):
             run_pointing(model, samples, methods=("lrp", "random"))
+
+    def test_negative_seed_rejected(self):
+        """SeedSequence takes no negative entropy: a seed below 0 is a DataError from
+        either harness, whatever the methods."""
+        model, masks, points = small_dataset(n=1)
+        with pytest.raises(DataError, match="seed -1 must be non-negative"):
+            run_masking(model, masks, methods=("lrp",), patch_sizes=(1,), seed=-1)
+        with pytest.raises(DataError, match="seed -1 must be non-negative"):
+            run_pointing(model, points, methods=("lrp", "random"), seed=-1)
 
     def test_pointing_repeated_method_rejected(self):
         model, _, samples = small_dataset(n=1)

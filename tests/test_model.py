@@ -140,13 +140,22 @@ class TestLoadModel:
             (MINIMAL_MANIFEST.replace(DENSE_LINE, "layer maxpool kh=1 kw=1 stride=0\n" + DENSE_LINE),
              ":4: layer maxpool: stride=0 out of range"),
             (MINIMAL_MANIFEST.replace("bias=1", "bias=2"), ":4: layer dense: bias must be 0 or 1"),
+            (MINIMAL_MANIFEST.replace(DENSE_LINE, "layer maxpool kh=2 kw=2 stride=2 kh=2\n" + DENSE_LINE),
+             ":4: repeated parameter 'kh=2'"),
+            (MINIMAL_MANIFEST.replace("bias=1", "bias=1 bias=0"), ":4: repeated parameter 'bias=0'"),
+            (MINIMAL_MANIFEST.replace("input 4 4 1", "input 4_0 +4 1"), ":3: non-integer input extent"),
+            (MINIMAL_MANIFEST.replace(DENSE_LINE, "layer maxpool kh=1 kw=1 stride=\uff12\n" + DENSE_LINE),
+             ":4: non-integer value in 'stride=\uff12'"),
+            (MINIMAL_MANIFEST.replace(DENSE_LINE, "layer conv2d in=1 out=1 kh=1 kw=1 stride=1 pad=-1 bias=0\n"
+                                      + DENSE_LINE), ":4: layer conv2d: pad=-1 out of range"),
         ],
     )
     def test_magic_and_input_errors_name_their_line(self, tmp_path, text, message):
         """A bad first or second entry names its own line, past comments and blank
         lines; an empty manifest names line 1, and one that stops at its magic line
-        names that line. A malformed input or layer line, or a layer parameter out
-        of range, names that line too."""
+        names that line. A malformed input or layer line (an integer that is not ASCII digits
+        after an optional minus, or a parameter given twice), or a value out of range, names
+        that line too."""
         manifest = tmp_path / "model.txt"
         manifest.write_text(text)
         weights = tmp_path / "model.bin"
@@ -198,17 +207,20 @@ class TestLoadModel:
         """A mean line whose length is not the channel count or that is not
         numeric, a pixel_range whose lower bound exceeds its upper or that has one
         value, a second mean, a pixel_range ahead of the mean, and a layer after
-        the mean are rejected
+        the mean or the pixel_range are rejected
         naming the manifest and line; a missing pixel_range names the manifest only."""
         _, weights = write_minimal(tmp_path, np.zeros(34))
         manifest = tmp_path / "bad.txt"
         cases = {
             ("mean 0", "mean 1 2"): ":6: mean entries 2 != input channels 1",
             ("mean 0", "mean a"): ":6: non-numeric mean",
+            ("mean 0", "mean 1_0"): ":6: non-numeric mean",
+            ("pixel_range 0 255", "pixel_range 0 \uff12\uff15\uff15"): ":7: non-numeric pixel_range",
             ("pixel_range 0 255", "pixel_range 255 0"): ":7: pixel_range lower bound 255.0 exceeds upper 0.0",
             ("pixel_range 0 255", "pixel_range 0"): ":7: pixel_range needs two values",
             ("mean 0\n", "mean 0\nmean 0\n"): ":7: duplicate mean line",
             ("mean 0\n", "mean 0\nlayer relu\n"): ":7: layer after mean line",
+            ("pixel_range 0 255\n", "pixel_range 0 255\nlayer relu\n"): ":8: layer after pixel_range line",
             ("mean 0\npixel_range 0 255\n", "pixel_range 0 255\nmean 0\n"):
                 ":6: pixel_range must follow mean",
             ("pixel_range 0 255\n", ""): ": missing mean or pixel_range line",

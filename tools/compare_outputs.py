@@ -84,6 +84,8 @@ LOAD_ERRORS = {
     "layer-no-kind": (b"layer relu", b"layer"),
     "layer-param": (b"kh=2 kw=2", b"kh=2 kw2"),
     "layer-int": (b"kh=2 kw=2", b"kh=2 kw=two"),
+    "layer-repeated": (b"kh=2 kw=2 stride=2", b"kh=2 kw=2 stride=2 kh=2"),
+    "input-lenient": (b"input 32 32 3", b"input 3_2 +32 3"),
     "layer-unknown": (b"layer relu", b"layer warp"),
     "layer-keys": (b"kh=2 kw=2 stride=2", b"kh=2 kw=2"),
     "layer-range": (b"stride=2", b"stride=0"),

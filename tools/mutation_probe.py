@@ -71,6 +71,11 @@ MUTANTS = [
      "a trace of this model object passes whatever its activations' shapes"),
     ("model.py", "if lp.bias is not None and lp.bias.shape != lp.weights.shape[:1]:", "if False:",
      "a bias of the wrong shape builds and fails only in forward"),
+    ("model.py", "if not sep or key in params:", "if not sep:", "a layer parameter given twice keeps its last value"),
+    ("model.py", 'if not (token.isascii() and token.removeprefix("-").isdigit()):', "if False:",
+     "parse_int is bare int(): it takes \"+2\", \"0_2\" and \"２\""),
+    ("model.py", "DIRECTIVES.index(previous) > 1:", "DIRECTIVES.index(previous) == 2:",
+     "a layer or mean line after pixel_range is read"),
     ("model.py", '(math.prod(l.weight_shape()), l.has_bias * l.params["out"])',
      '(l.has_bias * l.params["out"], math.prod(l.weight_shape()))', "the blob is split bias first, then weights"),
     ("relevance.py", "keep = np.abs(denom) >= DENOMINATOR_FLOOR", "keep = np.abs(denom) > DENOMINATOR_FLOOR",
